@@ -1,0 +1,78 @@
+"""Artifact bytes pinned across commits.
+
+Runs ``stats``, ``stats --jitter``, ``match`` and ``optimize`` on a small
+fixed listing (tests/data/golden_faces.txt: three images with faces, one
+empty image, sides from 6 to 300 px, one degenerate line, one face sitting
+exactly on an anchor) in both output formats, and compares the sha256 of
+every artifact with digests frozen from an earlier build.  A refactor that
+claims identical output must leave every digest alone; a deliberate output
+change must update the digest and say which rows moved.
+
+The committed ``golden_*.manifest.json`` files were written by that earlier
+build with paths relative to the repository root; replaying them checks
+that old manifests stay readable and reproduce their recorded outputs.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from anchorlap.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = "tests/data"
+FACES = f"{DATA}/golden_faces.txt"
+SPEC = f"{DATA}/golden_spec.json"
+SPACE = f"{DATA}/golden_space.json"
+
+RUNS = {
+    "stats": ["stats", "--annotations", FACES, "--spec", SPEC],
+    "stats-jitter": ["stats", "--annotations", FACES, "--spec", SPEC,
+                     "--jitter", "--trials", "4", "--seed", "3"],
+    "match": ["match", "--annotations", FACES, "--spec", SPEC, "--hc", "5"],
+    "optimize": ["optimize", "--annotations", FACES, "--space", SPACE],
+}
+
+DIGESTS = {
+    "match.csv": "7272e4f38f1d39a8a6e98f3035418d971b6be604ea62de0cc41c8a1577281596",
+    "match.csv.anchors.csv": "8ea5c205c577e598732455c48fe85b2658da466532cb24b087826ce3699e43b1",
+    "match.json": "8d3a700b2f04b27e9c7564e89dcff1476c66f0806123f0e72b03ea1968eac766",
+    "match.json.anchors.json": "a42afbdcf2b5250058d847a40a6aa7a2a00ca65a57b76c627d0b3d7490ba6a05",
+    "optimize.csv": "c100343a4fa7abea2dd9de3830a621205d50958c2039684755c64b6882c95694",
+    "optimize.json": "2f3a5f84fd32efb2e58ecdb6f77d9ee98f2f46585f895b69bd27afbc1e7d8681",
+    "stats-jitter.csv": "235d6a80d15f07d5c3254a81ebbf6a70d5f393f7aa3b7df6419d93b333fc628d",
+    "stats-jitter.json": "4e96155712fd2f665650cfebb901b8f68097ca2ddabfcbad41403c8326bdbc5d",
+    "stats.csv": "0846eb656914e283eacb81f3d1104b82de54630353b3c355d411924db7baec66",
+    "stats.json": "7946256aeb83cd4cf7974ef6e230fb3e67a0dcd270bee27418d41753c3100811",
+}
+
+
+@pytest.fixture
+def at_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_artifact_digests_are_frozen(run, fmt, tmp_path, at_root):
+    out = tmp_path / f"{run}.{fmt}"
+    assert main(RUNS[run] + ["--format", fmt, "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    got = {
+        f"{run}.{fmt}" + entry["path"][len(str(out)):]: _sha256(entry["path"])
+        for entry in manifest["outputs"]
+    }
+    want = {k: v for k, v in DIGESTS.items() if k.startswith(f"{run}.{fmt}")}
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["golden_match_json", "golden_stats_jitter_csv"])
+def test_old_manifest_replays(name, tmp_path, at_root):
+    manifest = f"{DATA}/{name}.manifest.json"
+    assert main(["replay", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 0
