@@ -6,7 +6,7 @@ matching with jittering and hard-face compensation, annotation coverage
 analytics, and an exhaustive anchor-design optimizer.
 """
 
-from .geometry import RectBox, intersect_area, iou, iou_offset_square, iou_xywh
+from .geometry import FaceTable, RectBox, intersect_area, iou, iou_offset_square, iou_xywh
 from .layout import (
     AnchorLayout,
     AnchorSpec,
@@ -40,7 +40,6 @@ from .matching import (
 from .dataset import (
     DEFAULT_BUCKET_EDGES,
     AnnotationError,
-    FaceRecord,
     JitterReport,
     ParsedAnnotations,
     ScaleBucketReport,
@@ -57,6 +56,7 @@ from .rng import stream
 __version__ = "0.1.0"
 
 __all__ = [
+    "FaceTable",
     "RectBox",
     "intersect_area",
     "iou",
@@ -86,7 +86,6 @@ __all__ = [
     "max_overlap",
     "max_overlap_values",
     "overlapping_anchors",
-    "FaceRecord",
     "AnnotationError",
     "ParsedAnnotations",
     "parse_annotations",

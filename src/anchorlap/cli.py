@@ -97,12 +97,6 @@ def _render(columns, rows, fmt: str) -> str:
     return _csv_text(columns, rows) if fmt == "csv" else _json_text(rows)
 
 
-def _bucket_bounds(edges, b: int) -> tuple[float, float]:
-    lo = 0.0 if b == 0 else edges[b - 1]
-    hi = math.inf if b == len(edges) else edges[b]
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # digests and manifests
 
@@ -218,35 +212,24 @@ def _run_stats(params: dict, inputs: dict, workers: int):
     plane_w, plane_h = bounding_plane(records)
     layout = build_layout(spec, plane_w, plane_h)
     edges = params["buckets"]
-    rows = []
     if params["jitter"]:
         rep = jitter_experiment(
             records, layout, params["trials"], params["seed"], edges, params["tau"]
         )
-        for b in range(len(rep.edges) + 1):
-            lo, hi = _bucket_bounds(rep.edges, b)
-            rows.append(
-                {"bucket_lo": lo, "bucket_hi": hi, "count": rep.counts[b],
-                 "mean_max_iou": rep.mean_of_means[b], "min_mean_max_iou": rep.min_mean[b],
-                 "max_mean_max_iou": rep.max_mean[b]}
-            )
-        return [("", _render(_JITTER_COLS, rows, params["format"]))]
-    rep = bucket_stats(records, layout, edges, params["tau"])
-    for lo, hi, count, mean, recall in rep.rows():
-        rows.append(
-            {"bucket_lo": lo, "bucket_hi": hi, "count": count,
-             "mean_max_iou": mean, "recall_at_tau": recall}
-        )
-    return [("", _render(_STATS_COLS, rows, params["format"]))]
+        columns = _JITTER_COLS
+    else:
+        rep = bucket_stats(records, layout, edges, params["tau"])
+        columns = _STATS_COLS
+    rows = [dict(zip(columns, row)) for row in rep.rows()]
+    return [("", _render(columns, rows, params["format"]))]
 
 
 def _run_match(params: dict, inputs: dict, workers: int):
-    records = _load_annotation_records(inputs["annotations"])
+    faces = _load_annotation_records(inputs["annotations"])
     spec = load_spec(inputs["spec"])
-    if not records:
+    if not faces:
         raise ValueError("annotation listing contains no usable faces")
-    faces = [r.box for r in records]
-    plane_w, plane_h = bounding_plane(records)
+    plane_w, plane_h = bounding_plane(faces)
     layout = build_layout(spec, plane_w, plane_h)
     cfg = MatchConfig(
         t_high=params["t_high"],
@@ -259,20 +242,18 @@ def _run_match(params: dict, inputs: dict, workers: int):
     if cfg.hc_n > 0:
         result = compensate_hard_faces(result, faces, layout, cfg)
 
-    face_rows = []
-    for i, rec in enumerate(records):
-        face_rows.append(
-            {"face": i, "image_id": rec.image_id, "scale": rec.scale,
-             "max_iou": float(result.face_max_iou[i]),
-             "argmax_anchor": int(result.face_argmax[i]),
-             "assigned_count": int(len(result.face_assigned[i]))}
-        )
-    anchor_rows = []
-    for a in range(layout.anchor_count):
-        anchor_rows.append(
-            {"anchor": a, "label": _LABEL_NAMES[int(result.anchor_labels[a])],
-             "source_face": int(result.anchor_source[a])}
-        )
+    per_face = zip(faces.image.tolist(), faces.scale.tolist(), result.face_max_iou.tolist(),
+                   result.face_argmax.tolist(), result.face_assigned)
+    face_rows = [
+        {"face": i, "image_id": faces.image_ids[image], "scale": scale, "max_iou": best,
+         "argmax_anchor": argmax, "assigned_count": len(assigned)}
+        for i, (image, scale, best, argmax, assigned) in enumerate(per_face)
+    ]
+    per_anchor = zip(result.anchor_labels.tolist(), result.anchor_source.tolist())
+    anchor_rows = [
+        {"anchor": a, "label": _LABEL_NAMES[label], "source_face": source}
+        for a, (label, source) in enumerate(per_anchor)
+    ]
     fmt = params["format"]
     return [
         ("", _render(_FACE_COLS, face_rows, fmt)),
@@ -379,6 +360,22 @@ def cmd_optimize(args) -> int:
     return _finish(args, "optimize", params, inputs, artifacts)
 
 
+def _manifest_problem(manifest) -> str | None:
+    """Why ``manifest`` cannot be replayed, or None when its shape is sound."""
+    if not isinstance(manifest, dict):
+        return f"manifest must be a JSON object, got {type(manifest).__name__}"
+    for key, kind in (("subcommand", str), ("parameters", dict), ("inputs", dict), ("outputs", list)):
+        if not isinstance(manifest.get(key), kind):
+            return f"manifest needs a {key!r} entry of type {kind.__name__}"
+    if manifest["subcommand"] not in _RUNNERS:
+        return f"manifest names unknown subcommand {manifest['subcommand']!r}"
+    for entry in [*manifest["inputs"].values(), *manifest["outputs"]]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)):
+            return f"manifest entry {entry!r} needs a 'path' and a 'sha256' string"
+    return None
+
+
 def cmd_replay(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -386,11 +383,11 @@ def cmd_replay(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    runner = _RUNNERS.get(manifest.get("subcommand"))
-    if runner is None:
-        print(f"error: manifest names unknown subcommand {manifest.get('subcommand')!r}", file=sys.stderr)
+    problem = _manifest_problem(manifest)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
-    inputs = manifest.get("inputs", {})
+    inputs = manifest["inputs"]
     for name, entry in sorted(inputs.items()):
         digest = _sha256_file(entry["path"])
         if digest != entry["sha256"]:
@@ -399,8 +396,13 @@ def cmd_replay(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    artifacts = runner(manifest["parameters"], {k: v["path"] for k, v in inputs.items()}, args.workers)
-    recorded = manifest.get("outputs", [])
+    runner = _RUNNERS[manifest["subcommand"]]
+    try:
+        artifacts = runner(manifest["parameters"], {k: v["path"] for k, v in inputs.items()}, args.workers)
+    except KeyError as exc:
+        print(f"error: manifest lacks parameter or input {exc}", file=sys.stderr)
+        return 1
+    recorded = manifest["outputs"]
     if len(recorded) != len(artifacts):
         print(
             f"error: manifest records {len(recorded)} outputs but the run produced {len(artifacts)}",

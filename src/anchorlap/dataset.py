@@ -15,12 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import RectBox
+from .geometry import FaceTable, valid_boxes
 from .layout import AnchorLayout, AnchorSpec, build_layout
 from .matching import apply_jitter, jitter_offset_bound, max_overlap_values
 
 __all__ = [
-    "FaceRecord",
     "AnnotationError",
     "ParsedAnnotations",
     "parse_annotations",
@@ -38,28 +37,6 @@ __all__ = [
 DEFAULT_BUCKET_EDGES = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
-@dataclass(frozen=True)
-class FaceRecord:
-    """One annotated face box.  ``image_w``/``image_h`` are 0 when unknown."""
-
-    image_id: str
-    box: RectBox
-    image_w: float = 0.0
-    image_h: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.image_id:
-            raise ValueError("image_id must be non-empty")
-        if self.image_w < 0 or self.image_h < 0:
-            raise ValueError(
-                f"image size must be >= 0, got {self.image_w!r} x {self.image_h!r}"
-            )
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(self.box.w * self.box.h)
-
-
 class AnnotationError(ValueError):
     """Malformed annotation listing; carries the 1-based offending line."""
 
@@ -70,9 +47,9 @@ class AnnotationError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedAnnotations:
-    """Parse result: kept records plus the count of dropped face lines."""
+    """Parse result: the kept faces plus the count of dropped face lines."""
 
-    records: tuple[FaceRecord, ...]
+    records: FaceTable
     skipped: int
 
     @property
@@ -91,13 +68,14 @@ def _is_zero_box_line(line: str) -> bool:
 
 
 def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
-    """Parse a face listing into records.
+    """Parse a face listing into a :class:`FaceTable`.
 
     ``source`` is the listing text or an iterable of lines (an open file
     works).  Groups are [path, count, count face lines]; a count of zero
     may be followed by a single all-zero placeholder line, which is
     consumed and counted as skipped.  Degenerate boxes (w or h <= 0, or
-    non-finite coordinates) are dropped and counted as skipped.  Structural
+    non-finite coordinates) are dropped and counted as skipped.  Each path
+    gets one entry in ``image_ids``, in order of first appearance.  Structural
     problems raise :class:`AnnotationError` with the offending line number.
     """
     if isinstance(source, str):
@@ -105,7 +83,9 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     else:
         lines = [ln.rstrip("\r\n") for ln in source]
     n = len(lines)
-    records: list[FaceRecord] = []
+    rows: list[tuple[float, float, float, float]] = []
+    image: list[int] = []
+    image_index: dict[str, int] = {}
     skipped = 0
     i = 0
     while i < n:
@@ -123,6 +103,7 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
             raise AnnotationError(i, f"expected an integer face count, got {count_text!r}") from None
         if count < 0:
             raise AnnotationError(i, f"face count must be >= 0, got {count}")
+        index = image_index.setdefault(path, len(image_index))
         if count == 0:
             if i < n and _is_zero_box_line(lines[i]):
                 skipped += 1
@@ -139,20 +120,21 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
             if len(tokens) < 4:
                 raise AnnotationError(i, f"face line needs at least 4 numbers, got {text!r}")
             try:
-                x, y, w, h = (float(t) for t in tokens[:4])
+                rows.append(tuple(float(t) for t in tokens[:4]))
             except ValueError:
                 raise AnnotationError(i, f"non-numeric face coordinates in {text!r}") from None
-            try:
-                box = RectBox(x, y, w, h)
-            except ValueError:
-                skipped += 1
-                continue
-            records.append(FaceRecord(image_id=path, box=box))
-    return ParsedAnnotations(records=tuple(records), skipped=skipped)
+            image.append(index)
+    cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    keep = valid_boxes(*cols)
+    records = FaceTable(*cols[:, keep], np.array(image, dtype=np.int64)[keep], tuple(image_index))
+    return ParsedAnnotations(records=records, skipped=skipped + len(rows) - len(records))
 
 
-def _face_boxes(faces: Sequence) -> list[RectBox]:
-    return [f.box if isinstance(f, FaceRecord) else f for f in faces]
+def bucket_bounds(edges: Sequence[float], bucket: int) -> tuple[float, float]:
+    """[lo, hi) of ``bucket`` for interior boundaries ``edges``."""
+    lo = 0.0 if bucket == 0 else edges[bucket - 1]
+    hi = math.inf if bucket == len(edges) else edges[bucket]
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -175,9 +157,7 @@ class ScaleBucketReport:
         return len(self.edges) + 1
 
     def bounds(self, bucket: int) -> tuple[float, float]:
-        lo = 0.0 if bucket == 0 else self.edges[bucket - 1]
-        hi = math.inf if bucket == len(self.edges) else self.edges[bucket]
-        return lo, hi
+        return bucket_bounds(self.edges, bucket)
 
     def rows(self):
         """(lo, hi, count, mean_max_iou, recall) per bucket, in order."""
@@ -201,33 +181,23 @@ def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
 
 
 def bucket_stats(
-    faces: Sequence,
+    faces: FaceTable | Sequence,
     layout: AnchorLayout,
     edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
     tau: float = 0.5,
 ) -> ScaleBucketReport:
     """Bucketed mean max IoU and recall@tau for ``faces`` against ``layout``.
 
-    ``faces`` may be FaceRecords or bare RectBoxes.  An empty ``edges``
-    lumps everything into a single bucket.
+    An empty ``edges`` lumps everything into a single bucket.
     """
+    faces = FaceTable.of(faces)
     if not faces:
         raise ValueError("faces must be non-empty")
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
     edges = _check_edges(edges)
-    boxes = _face_boxes(faces)
-
-    m = len(boxes)
-    x = np.empty(m)
-    y = np.empty(m)
-    w = np.empty(m)
-    h = np.empty(m)
-    for i, box in enumerate(boxes):
-        x[i], y[i], w[i], h[i] = box.x, box.y, box.w, box.h
-    max_iou = max_overlap_values(layout, x, y, w, h)
-    scales = np.sqrt(w * h)
-    which = np.searchsorted(np.asarray(edges), scales, side="right")
+    max_iou = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
+    which = np.searchsorted(np.asarray(edges), faces.scale, side="right")
 
     nb = len(edges) + 1
     counts = []
@@ -269,9 +239,14 @@ class JitterReport:
     min_mean: tuple[float, ...]
     max_mean: tuple[float, ...]
 
+    def rows(self):
+        """(lo, hi, count, mean, min, max) of the bucket means, per bucket."""
+        for b, stats in enumerate(zip(self.counts, self.mean_of_means, self.min_mean, self.max_mean)):
+            yield (*bucket_bounds(self.edges, b), *stats)
+
 
 def jitter_experiment(
-    faces: Sequence,
+    faces: FaceTable | Sequence,
     layout: AnchorLayout,
     trials: int,
     seed: int,
@@ -285,49 +260,41 @@ def jitter_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    boxes = _face_boxes(faces)
+    faces = FaceTable.of(faces)
     stride = jitter_offset_bound(layout)
     per_trial: list[ScaleBucketReport] = []
     for t in range(trials):
-        shifted, _ = apply_jitter(boxes, stride, seed, stream_index=t)
+        shifted, _ = apply_jitter(faces, stride, seed, stream_index=t)
         per_trial.append(bucket_stats(shifted, layout, edges, tau))
-    nb = per_trial[0].num_buckets
-    mean_of = []
-    min_of = []
-    max_of = []
-    for b in range(nb):
-        vals = [r.mean_max_iou[b] for r in per_trial]
-        if per_trial[0].counts[b] == 0:
-            mean_of.append(math.nan)
-            min_of.append(math.nan)
-            max_of.append(math.nan)
-        else:
-            mean_of.append(float(np.mean(vals)))
-            min_of.append(float(np.min(vals)))
-            max_of.append(float(np.max(vals)))
+    counts = per_trial[0].counts
+    per_bucket = list(zip(*(r.mean_max_iou for r in per_trial)))
+
+    def over_trials(reduce) -> tuple[float, ...]:
+        return tuple(float(reduce(v)) if c else math.nan for c, v in zip(counts, per_bucket))
+
     return JitterReport(
         edges=per_trial[0].edges,
         tau=tau,
         trials=trials,
-        counts=per_trial[0].counts,
-        mean_of_means=tuple(mean_of),
-        min_mean=tuple(min_of),
-        max_mean=tuple(max_of),
+        counts=counts,
+        mean_of_means=over_trials(np.mean),
+        min_mean=over_trials(np.min),
+        max_mean=over_trials(np.max),
     )
 
 
-def bounding_plane(faces: Sequence, min_side: float = 64.0) -> tuple[float, float]:
+def bounding_plane(faces: FaceTable | Sequence, min_side: float = 64.0) -> tuple[float, float]:
     """Smallest (w, h) plane containing every face, at least ``min_side``."""
-    boxes = _face_boxes(faces)
-    if not boxes:
+    faces = FaceTable.of(faces)
+    if not faces:
         return min_side, min_side
-    w = max(min_side, math.ceil(max(b.x2 for b in boxes)))
-    h = max(min_side, math.ceil(max(b.y2 for b in boxes)))
+    w = max(min_side, math.ceil(np.max(faces.x + faces.w)))
+    h = max(min_side, math.ceil(np.max(faces.y + faces.h)))
     return float(w), float(h)
 
 
 def compare_layouts(
-    faces: Sequence,
+    faces: FaceTable | Sequence,
     specs: Sequence[AnchorSpec],
     edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
     tau: float = 0.5,
@@ -335,6 +302,7 @@ def compare_layouts(
     """bucket_stats for each spec over the same faces and shared plane."""
     if len(specs) < 2:
         raise ValueError(f"need at least 2 specs to compare, got {len(specs)}")
+    faces = FaceTable.of(faces)
     plane_w, plane_h = bounding_plane(faces)
     out = []
     for spec in specs:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import iou_offset_square
 from .layout import AnchorLayout
 from .matching import max_overlap_values
 from .rng import stream
@@ -80,12 +81,6 @@ class EmoEstimate:
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
 
 
-def _overlap_ratio(side, dx, dy):
-    """Vectorized single-period overlap ratio (see geometry.iou_offset_square)."""
-    prod = (side - dx) * (side - dy)
-    return prod / (2.0 * side * side - prod)
-
-
 def emo_closed_form(query: EmoQuery) -> EmoEstimate:
     """Midpoint quadrature of the expected single-period overlap.
 
@@ -106,7 +101,7 @@ def emo_closed_form(query: EmoQuery) -> EmoEstimate:
     mids = (np.arange(cells) + 0.5) * step
     total = 0.0
     for dy in mids:  # row-wise to keep memory flat at high resolutions
-        total += _overlap_ratio(side, mids, dy).sum()
+        total += iou_offset_square(side, mids, dy).sum()
     return EmoEstimate(value=total / (cells * cells), std_error=0.0, method="closed_form")
 
 

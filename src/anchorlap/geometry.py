@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FaceTable",
     "RectBox",
     "intersect_area",
     "iou",
@@ -71,6 +72,66 @@ class RectBox:
         return RectBox(self.x + dx, self.y + dy, self.w, self.h)
 
 
+def valid_boxes(x, y, w, h):
+    """Elementwise :class:`RectBox` rule: finite coordinates, positive size."""
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h)
+    return finite & (w > 0) & (h > 0)
+
+
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """Faces as read-only float64 columns ``x, y, w, h`` (RectBox convention)
+    plus an int64 ``image`` column indexing into ``image_ids``.
+
+    Rows are validated once, here, with the rule RectBox applies.  The only
+    sequence behaviour is ``len(table)`` and ``table[i]``, a RectBox.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    image: np.ndarray
+    image_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        cols = {k: np.array(getattr(self, k), dtype=np.float64) for k in ("x", "y", "w", "h")}
+        cols["image"] = image = np.array(self.image, dtype=np.int64)
+        object.__setattr__(self, "image_ids", tuple(self.image_ids))
+        if image.ndim != 1 or any(c.shape != image.shape for c in cols.values()):
+            raise ValueError("FaceTable columns must be 1-D and of equal length")
+        if not valid_boxes(cols["x"], cols["y"], cols["w"], cols["h"]).all():
+            raise ValueError("FaceTable requires finite coordinates and positive sizes")
+        if len(image) and not (image.min() >= 0 and image.max() < len(self.image_ids)):
+            raise ValueError(f"image index out of range for {len(self.image_ids)} image ids")
+        for name, col in cols.items():
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def of(cls, faces) -> "FaceTable":
+        """``faces`` if it is a table, else a RectBox sequence as one unnamed image."""
+        if isinstance(faces, cls):
+            return faces
+        cols = np.array([(b.x, b.y, b.w, b.h) for b in faces], dtype=np.float64).reshape(-1, 4)
+        return cls(*cols.T, np.zeros(len(cols), dtype=np.int64), ("",))
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+    def __getitem__(self, i: int) -> RectBox:
+        return RectBox(float(self.x[i]), float(self.y[i]), float(self.w[i]), float(self.h[i]))
+
+    @property
+    def scale(self) -> np.ndarray:
+        """Per-face scale sqrt(w*h), the side of the equal-area square."""
+        return np.sqrt(self.w * self.h)
+
+    def translated(self, dx: float, dy: float) -> "FaceTable":
+        """The same faces shifted by ``(dx, dy)``."""
+        return FaceTable(self.x + dx, self.y + dy, self.w, self.h, self.image, self.image_ids)
+
+
 def intersect_area(a: RectBox, b: RectBox) -> float:
     """Area of ``a`` intersected with ``b``; 0 when they are disjoint."""
     iw = min(a.x2, b.x2) - max(a.x, b.x)
@@ -88,10 +149,12 @@ def iou(a: RectBox, b: RectBox) -> float:
     inter = intersect_area(a, b)
     if inter == 0.0:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    # Rounding can leave the computed union just below the intersection
+    # for identical boxes; bounding it keeps the ratio at most 1.
+    return inter / max(a.area + b.area - inter, inter)
 
 
-def iou_offset_square(side: float, dx: float, dy: float) -> float:
+def iou_offset_square(side, dx, dy):
     """IoU of two ``side x side`` squares whose centers differ by ``(dx, dy)``.
 
     This is the closed form for one period of the overlap pattern between a
@@ -99,12 +162,14 @@ def iou_offset_square(side: float, dx: float, dy: float) -> float:
 
         (side - dx)(side - dy) / (2*side^2 - (side - dx)(side - dy))
 
-    Offsets must satisfy ``0 <= dx, dy < side`` (the squares still overlap);
-    anything else is rejected because the formula has no meaning there.
+    Arguments broadcast like any numpy expression; scalar inputs produce a
+    scalar.  Offsets must satisfy ``0 <= dx, dy < side`` (the squares still
+    overlap); anything else is rejected because the formula has no meaning
+    there.
     """
-    if not (side > 0 and math.isfinite(side)):
+    if not np.all((side > 0) & np.isfinite(side)):
         raise ValueError(f"side must be positive and finite, got {side!r}")
-    if not (0 <= dx < side) or not (0 <= dy < side):
+    if not np.all((0 <= dx) & (dx < side) & (0 <= dy) & (dy < side)):
         raise ValueError(
             f"offsets must lie in [0, side): got dx={dx!r} dy={dy!r} for side={side!r}"
         )
@@ -122,5 +187,5 @@ def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh):
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    union = aw * ah + bw * bh - inter
+    union = np.maximum(aw * ah + bw * bh - inter, inter)
     return np.where(inter > 0.0, inter / union, 0.0)

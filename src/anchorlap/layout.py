@@ -30,8 +30,8 @@ __all__ = [
     "covering_radius",
 ]
 
-_ALLOWED_DIVISORS = (1, 2, 4)
-_ALLOWED_SHIFT_COUNTS = (0, 1, 3)
+ALLOWED_DIVISORS = (1, 2, 4)
+ALLOWED_SHIFT_COUNTS = (0, 1, 3)
 
 # Sub-lattice origins in units of the sliding stride.  One extra anchor sits
 # at the bottom-right half-step; three extra anchors fill right, down, and
@@ -84,16 +84,16 @@ class AnchorSpec:
             raise ValueError(f"ratios must be strictly ascending without duplicates, got {ratios}")
         if not (self.base_stride > 0 and math.isfinite(self.base_stride)):
             raise ValueError(f"base_stride must be positive finite, got {self.base_stride!r}")
-        if self.stride_divisor not in _ALLOWED_DIVISORS:
+        if self.stride_divisor not in ALLOWED_DIVISORS:
             raise ValueError(
-                f"stride_divisor must be one of {_ALLOWED_DIVISORS}, got {self.stride_divisor!r}"
+                f"stride_divisor must be one of {ALLOWED_DIVISORS}, got {self.stride_divisor!r}"
             )
         for scale, count in shifts.items():
             if scale not in scales:
                 raise ValueError(f"shift entry for unknown scale {scale!r}")
-            if count not in _ALLOWED_SHIFT_COUNTS:
+            if count not in ALLOWED_SHIFT_COUNTS:
                 raise ValueError(
-                    f"shift count must be one of {_ALLOWED_SHIFT_COUNTS}, got {count!r} for scale {scale!r}"
+                    f"shift count must be one of {ALLOWED_SHIFT_COUNTS}, got {count!r} for scale {scale!r}"
                 )
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "ratios", ratios)

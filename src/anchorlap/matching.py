@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import RectBox, iou_xywh
+from .geometry import FaceTable, RectBox, iou_xywh
 from .layout import AnchorLayout, LatticeGroup, candidate_ids, effective_anchor_stride
 from .rng import stream
 
@@ -107,19 +107,8 @@ class MatchResult:
         return np.flatnonzero(self.face_max_iou < t_high)
 
 
-def _face_arrays(faces: Sequence[RectBox]):
-    n = len(faces)
-    x = np.empty(n, dtype=np.float64)
-    y = np.empty(n, dtype=np.float64)
-    w = np.empty(n, dtype=np.float64)
-    h = np.empty(n, dtype=np.float64)
-    for i, box in enumerate(faces):
-        x[i], y[i], w[i], h[i] = box.x, box.y, box.w, box.h
-    return x, y, w, h
-
-
 def _group_candidate_iou(group: LatticeGroup, ids: np.ndarray, x, y, w, h):
-    """IoU of each face with the candidate anchors in ``ids`` (same shape)."""
+    """IoU of each face with its row of candidate anchors in ``ids`` (faces x candidates)."""
     offset = ids - group.id_start
     col = offset % group.cols
     row = offset // group.cols
@@ -127,12 +116,7 @@ def _group_candidate_iou(group: LatticeGroup, ids: np.ndarray, x, y, w, h):
     acy = group.origin_y + row * group.stride
     ax = acx - group.box_w / 2.0
     ay = acy - group.box_h / 2.0
-    if ids.ndim == 2:
-        x = x[:, None]
-        y = y[:, None]
-        w = w[:, None]
-        h = h[:, None]
-    return iou_xywh(ax, ay, group.box_w, group.box_h, x, y, w, h)
+    return iou_xywh(ax, ay, group.box_w, group.box_h, x[:, None], y[:, None], w[:, None], h[:, None])
 
 
 def _broadcast_boxes(x, y, w, h):
@@ -179,11 +163,15 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
     x, y, w, h = _broadcast_boxes(x, y, w, h)
     best = max_overlap_values(layout, x, y, w, h)
     best_id = np.full(best.shape, -1, dtype=np.int64)
-    for i in range(best.size):
-        if best[i] > 0.0:
-            ids, ious = overlapping_anchors(layout, RectBox(x[i], y[i], w[i], h[i]))
-            best_id[i] = ids[ious == best[i]].min()
+    for i in np.flatnonzero(best > 0.0):
+        ids, ious = overlapping_anchors(layout, RectBox(x[i], y[i], w[i], h[i]))
+        best_id[i] = _argmax_id(ids, ious, best[i])
     return best, best_id
+
+
+def _argmax_id(ids: np.ndarray, ious: np.ndarray, best: float) -> int:
+    """Lowest ID whose IoU equals ``best``, as an ascending-ID scan keeps; -1 if 0."""
+    return int(ids[ious == best].min()) if best > 0.0 else -1
 
 
 def _overlap_window(group: LatticeGroup, box: RectBox):
@@ -233,11 +221,11 @@ def jitter_offset_bound(layout: AnchorLayout) -> float:
 
 
 def apply_jitter(
-    faces: Sequence[RectBox],
+    faces: FaceTable | Sequence[RectBox],
     anchor_stride: float,
     seed: int,
     stream_index: int = 0,
-) -> tuple[list[RectBox], tuple[int, int]]:
+) -> tuple[FaceTable, tuple[int, int]]:
     """Translate every face by one shared random integer offset.
 
     The offset components are drawn independently and uniformly from
@@ -252,11 +240,11 @@ def apply_jitter(
     rng = stream(seed, stream_index)
     dx = int(rng.integers(0, bound))
     dy = int(rng.integers(0, bound))
-    return [box.translated(dx, dy) for box in faces], (dx, dy)
+    return FaceTable.of(faces).translated(dx, dy), (dx, dy)
 
 
 def match_faces(
-    faces: Sequence[RectBox], layout: AnchorLayout, cfg: MatchConfig
+    faces: FaceTable | Sequence[RectBox], layout: AnchorLayout, cfg: MatchConfig
 ) -> MatchResult:
     """Assign faces to anchors and label every anchor.
 
@@ -269,34 +257,22 @@ def match_faces(
     if layout.anchor_count == 0:
         raise ValueError("layout holds no anchors")
     offset = (0, 0)
-    boxes = list(faces)
-    if cfg.jitter and boxes:
-        boxes, offset = apply_jitter(boxes, jitter_offset_bound(layout), cfg.jitter_seed)
+    faces = FaceTable.of(faces)
+    if cfg.jitter and faces:
+        faces, offset = apply_jitter(faces, jitter_offset_bound(layout), cfg.jitter_seed)
 
-    n_faces = len(boxes)
+    n_faces = len(faces)
     labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
     source = np.full(layout.anchor_count, -1, dtype=np.int64)
-    if n_faces == 0:
-        return MatchResult(
-            face_max_iou=np.empty(0, dtype=np.float64),
-            face_argmax=np.empty(0, dtype=np.int64),
-            face_assigned=(),
-            anchor_labels=labels,
-            anchor_source=source,
-            jitter_offset=offset,
-        )
-
-    fx, fy, fw, fh = _face_arrays(boxes)
-    face_max = max_overlap_values(layout, fx, fy, fw, fh)
+    face_max = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
     face_argmax = np.full(n_faces, -1, dtype=np.int64)
 
     anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
     anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
     assigned: list[np.ndarray] = []
-    for f, box in enumerate(boxes):
-        ids, ious = overlapping_anchors(layout, box)
-        if face_max[f] > 0.0:
-            face_argmax[f] = ids[ious == face_max[f]].min()
+    for f in range(n_faces):
+        ids, ious = overlapping_anchors(layout, faces[f])
+        face_argmax[f] = _argmax_id(ids, ious, face_max[f])
         better = ious > anchor_best[ids]
         anchor_best[ids[better]] = ious[better]
         anchor_best_face[ids[better]] = f
@@ -324,7 +300,7 @@ def match_faces(
 
 def compensate_hard_faces(
     result: MatchResult,
-    faces: Sequence[RectBox],
+    faces: FaceTable | Sequence[RectBox],
     layout: AnchorLayout,
     cfg: MatchConfig,
 ) -> MatchResult:
@@ -334,23 +310,25 @@ def compensate_hard_faces(
     are ranked by IoU (ties to the lower ID) and the best ``cfg.hc_n`` with
     positive IoU become positive for it.  Existing positives are never
     demoted or re-sourced, and non-hard faces are untouched.  ``faces``
-    must be the same list that produced ``result``; the recorded jitter
+    must be the same faces that produced ``result``; the recorded jitter
     offset is re-applied internally.
     """
     if cfg.hc_n < 1:
         raise ValueError(f"compensation needs hc_n >= 1, got {cfg.hc_n!r}")
+    faces = FaceTable.of(faces)
     if result.num_faces != len(faces):
         raise ValueError(
             f"result covers {result.num_faces} faces but {len(faces)} were given"
         )
     dx, dy = result.jitter_offset
-    boxes = [box.translated(dx, dy) for box in faces] if (dx or dy) else list(faces)
+    if dx or dy:
+        faces = faces.translated(dx, dy)
 
     labels = result.anchor_labels.copy()
     source = result.anchor_source.copy()
     assigned = list(result.face_assigned)
     for f in np.flatnonzero(result.face_max_iou < cfg.t_high):
-        ids, ious = overlapping_anchors(layout, boxes[f])
+        ids, ious = overlapping_anchors(layout, faces[f])
         if len(ids) == 0:
             continue
         order = np.lexsort((ids, -ious))

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import bounding_plane, bucket_stats
-from .layout import AnchorSpec, build_layout
+from .geometry import FaceTable
+from .layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, build_layout
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
-
-_ALLOWED_DIVISORS = (1, 2, 4)
-_ALLOWED_SHIFTS = (0, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -46,22 +44,15 @@ class SearchSpace:
         )
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(self, "base_stride", float(self.base_stride))
-        if not self.stride_divisors:
-            raise ValueError("stride_divisors must be non-empty")
-        if any(d not in _ALLOWED_DIVISORS for d in self.stride_divisors):
-            raise ValueError(
-                f"stride_divisors must be a subset of {_ALLOWED_DIVISORS}, got {self.stride_divisors!r}"
-            )
-        if len(set(self.stride_divisors)) != len(self.stride_divisors):
-            raise ValueError(f"duplicate stride_divisors in {self.stride_divisors!r}")
-        if not self.shift_choices:
-            raise ValueError("shift_choices must be non-empty")
-        if any(c not in _ALLOWED_SHIFTS for c in self.shift_choices):
-            raise ValueError(
-                f"shift_choices must be a subset of {_ALLOWED_SHIFTS}, got {self.shift_choices!r}"
-            )
-        if len(set(self.shift_choices)) != len(self.shift_choices):
-            raise ValueError(f"duplicate shift_choices in {self.shift_choices!r}")
+        for name, allowed in (("stride_divisors", ALLOWED_DIVISORS),
+                              ("shift_choices", ALLOWED_SHIFT_COUNTS)):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if any(v not in allowed for v in values):
+                raise ValueError(f"{name} must be a subset of {allowed}, got {values!r}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {values!r}")
         if not self.scale_sets:
             raise ValueError("scale_sets must be non-empty")
         if self.budget < 1:
@@ -114,13 +105,12 @@ def enumerate_configs(space: SearchSpace) -> list[AnchorSpec]:
 
 def evaluate_config(
     spec: AnchorSpec,
-    faces: Sequence,
+    faces: FaceTable | Sequence,
     tau: float = 0.5,
     plane: tuple[float, float] | None = None,
 ) -> ConfigScore:
     """Mean max IoU and recall@tau of ``faces`` against the spec's layout."""
-    if not faces:
-        raise ValueError("faces must be non-empty")
+    faces = FaceTable.of(faces)
     if plane is None:
         plane = bounding_plane(faces)
     layout = build_layout(spec, plane[0], plane[1])
@@ -133,7 +123,7 @@ def evaluate_config(
     )
 
 
-def optimize(space: SearchSpace, faces: Sequence, tau: float = 0.5) -> list[ConfigScore]:
+def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) -> list[ConfigScore]:
     """Rank every admissible config by objective, best first.
 
     Ties prefer fewer anchors per location, then the lexicographically
@@ -143,6 +133,7 @@ def optimize(space: SearchSpace, faces: Sequence, tau: float = 0.5) -> list[Conf
     configs = enumerate_configs(space)
     if not configs:
         raise ValueError("no configuration fits the budget")
+    faces = FaceTable.of(faces)
     plane = bounding_plane(faces)
     scores = [evaluate_config(spec, faces, tau, plane) for spec in configs]
     scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))

@@ -353,6 +353,36 @@ class TestReplay:
         assert main(["replay", "--manifest", str(bad),
                      "--out", str(files["dir"] / "r.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda m: [m],
+            lambda m: m.pop("parameters") and m,
+            lambda m: m.pop("inputs") and m,
+            lambda m: m.pop("outputs") and m,
+            lambda m: {**m, "subcommand": "frobnicate"},
+            lambda m: {**m, "subcommand": ["stats"]},
+            lambda m: {**m, "parameters": []},
+            lambda m: {**m, "outputs": {}},
+            lambda m: m["inputs"]["spec"].pop("sha256") and m,
+            lambda m: {**m, "outputs": ["stats.csv"]},
+            lambda m: {**m, "parameters": {}},
+        ],
+        ids=["list", "no-parameters", "no-inputs", "no-outputs", "unknown-subcommand",
+             "unhashable-subcommand", "parameters-list", "outputs-object", "input-no-sha256",
+             "output-not-object", "empty-parameters"],
+    )
+    def test_malformed_manifest_exits_1(self, files, capsys, mangle):
+        out = files["dir"] / "stats.csv"
+        assert main(["stats", "--annotations", files["ann"], "--spec", files["spec"],
+                     "--out", str(out)]) == 0
+        mpath = files["dir"] / "stats.csv.manifest.json"
+        mpath.write_text(json.dumps(mangle(json.loads(mpath.read_text()))))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath),
+                     "--out", str(files["dir"] / "r.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: manifest")
+
 
 class TestManifest:
     def test_structure(self, files):

@@ -8,7 +8,6 @@ import pytest
 from anchorlap.dataset import (
     DEFAULT_BUCKET_EDGES,
     AnnotationError,
-    FaceRecord,
     ParsedAnnotations,
     bounding_plane,
     bucket_stats,
@@ -36,11 +35,13 @@ class TestParsing:
         parsed = parse_annotations(LISTING)
         assert isinstance(parsed, ParsedAnnotations)
         assert parsed.skipped == 0
-        assert [r.image_id for r in parsed.records] == [
+        table = parsed.records
+        assert [table.image_ids[k] for k in table.image] == [
             "events/a.jpg", "events/a.jpg", "events/b.jpg"
         ]
-        first = parsed.records[0]
-        assert (first.box.x, first.box.y, first.box.w, first.box.h) == (10, 20, 30, 40)
+        assert table.image_ids == ("events/a.jpg", "events/b.jpg")
+        first = table[0]
+        assert (first.x, first.y, first.w, first.h) == (10, 20, 30, 40)
 
     def test_accepts_line_iterables(self, tmp_path):
         path = tmp_path / "faces.txt"
@@ -55,7 +56,7 @@ class TestParsing:
 
     def test_extra_columns_ignored(self):
         parsed = parse_annotations("a.jpg\n1\n1 2 3 4 0 0 1 0 2 0\n")
-        box = parsed.records[0].box
+        box = parsed.records[0]
         assert (box.x, box.y, box.w, box.h) == (1.0, 2.0, 3.0, 4.0)
 
     def test_blank_lines_between_groups(self):
@@ -66,8 +67,13 @@ class TestParsing:
         text = "empty.jpg\n0\n0 0 0 0 0 0 0 0 0 0\nnext.jpg\n1\n3 3 9 9\n"
         parsed = parse_annotations(text)
         assert len(parsed.records) == 1
-        assert parsed.records[0].image_id == "next.jpg"
+        assert parsed.records.image_ids[parsed.records.image[0]] == "next.jpg"
         assert parsed.skipped == 1
+
+    def test_image_index_follows_first_appearance(self):
+        table = parse_annotations("a.jpg\n0\nb.jpg\n1\n1 1 4 4\na.jpg\n1\n2 2 4 4\n").records
+        assert table.image_ids == ("a.jpg", "b.jpg")
+        assert table.image.tolist() == [1, 0]
 
     def test_zero_count_without_placeholder(self):
         parsed = parse_annotations("empty.jpg\n0\nnext.jpg\n1\n3 3 9 9\n")
@@ -76,7 +82,7 @@ class TestParsing:
 
     def test_degenerate_box_skipped(self):
         parsed = parse_annotations("b.jpg\n1\n0 0 0 0\n")
-        assert parsed.records == ()
+        assert len(parsed.records) == 0
         assert parsed.skipped == 1
         assert parsed.face_lines == 1
 
@@ -108,15 +114,7 @@ class TestParsing:
 
     def test_empty_source(self):
         parsed = parse_annotations("")
-        assert parsed.records == () and parsed.skipped == 0
-
-    def test_face_record_scale(self):
-        rec = FaceRecord(image_id="a", box=RectBox(0, 0, 9, 16))
-        assert rec.scale == 12.0
-        with pytest.raises(ValueError):
-            FaceRecord(image_id="", box=RectBox(0, 0, 4, 4))
-        with pytest.raises(ValueError):
-            FaceRecord(image_id="a", box=RectBox(0, 0, 4, 4), image_w=-1.0)
+        assert len(parsed.records) == 0 and parsed.skipped == 0
 
 
 def l16_layout(plane=256.0, divisor=1):
@@ -151,8 +149,8 @@ class TestBucketStats:
     def test_records_and_boxes_agree(self):
         layout = l16_layout(64.0)
         boxes = [RectBox(3.0, 5.0, 16.0, 16.0), RectBox(20.0, 9.0, 40.0, 40.0)]
-        recs = [FaceRecord(image_id="x", box=b) for b in boxes]
-        assert bucket_stats(boxes, layout) == bucket_stats(recs, layout)
+        table = parse_annotations("x.jpg\n2\n3 5 16 16\n20 9 40 40\n").records
+        assert bucket_stats(boxes, layout) == bucket_stats(table, layout)
 
     def test_recall_never_rises_with_tau(self):
         layout = l16_layout(128.0)

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorlap.geometry import RectBox, intersect_area, iou, iou_offset_square, iou_xywh
+from anchorlap.geometry import FaceTable, RectBox, intersect_area, iou, iou_offset_square, iou_xywh
 
 
 class TestRectBox:
@@ -68,6 +68,7 @@ class TestIou:
         st.floats(-100, 100), st.floats(-100, 100), st.floats(0.1, 50), st.floats(0.1, 50),
         st.floats(-100, 100), st.floats(-100, 100), st.floats(0.1, 50), st.floats(0.1, 50),
     )
+    @example(1.0, 0.1, 0.1, 1.0, 1.0, 0.1, 0.1, 1.0)  # identical: union rounds below inter
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_range(self, ax, ay, aw, ah, bx, by, bw, bh):
         a = RectBox(ax, ay, aw, ah)
@@ -92,6 +93,9 @@ class TestIou:
         a = RectBox(0, 0, 10, 10)
         assert iou(a, RectBox(0, 0, 10, 10)) == 1.0
         assert iou(a, RectBox(0, 0, 10, 10.00001)) < 1.0
+        thin = RectBox(1.0, 0.1, 0.1, 1.0)
+        assert iou(thin, thin) == 1.0
+        assert iou_xywh(1.0, 0.1, 0.1, 1.0, 1.0, 0.1, 0.1, 1.0) == 1.0
 
 
 class TestIouOffsetSquare:
@@ -115,6 +119,13 @@ class TestIouOffsetSquare:
             iou_offset_square(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             iou_offset_square(math.inf, 0.0, 0.0)
+
+    def test_arrays_match_scalars_bitwise(self):
+        dx = np.array([0.0, 3.25, 8.0, 15.5])
+        got = iou_offset_square(16.0, dx, 5.0)
+        assert got.tolist() == [iou_offset_square(16.0, float(d), 5.0) for d in dx]
+        with pytest.raises(ValueError):
+            iou_offset_square(16.0, np.array([0.0, 16.0]), 5.0)
 
     def test_matches_generic_iou_on_random_offsets(self):
         rng = np.random.default_rng(2024)
@@ -161,3 +172,45 @@ class TestIouXywh:
         assert float(iou_xywh(0.0, 0.0, 16.0, 16.0, 8.0, 8.0, 16.0, 16.0)) == pytest.approx(
             1.0 / 7.0, rel=1e-15
         )
+
+
+class TestFaceTable:
+    BOXES = [RectBox(1.0, 2.0, 3.0, 4.0), RectBox(-5.5, 6.0, 7.0, 8.25)]
+
+    def test_of_boxes_round_trips(self):
+        table = FaceTable.of(self.BOXES)
+        assert len(table) == 2
+        assert [table[i] for i in range(len(table))] == self.BOXES
+        assert table[-1] == self.BOXES[-1]
+        assert table.image.tolist() == [0, 0] and table.image_ids == ("",)
+        assert FaceTable.of(table) is table
+        assert len(FaceTable.of([])) == 0
+
+    def test_columns_are_read_only(self):
+        table = FaceTable.of(self.BOXES)
+        assert table.x.dtype == np.float64 and table.image.dtype == np.int64
+        with pytest.raises(ValueError):
+            table.x[0] = 9.0
+
+    def test_scale_and_translation(self):
+        table = FaceTable.of([RectBox(0.0, 0.0, 9.0, 16.0)])
+        assert table.scale.tolist() == [12.0]
+        moved = table.translated(3, 1)
+        assert moved[0] == RectBox(0.0, 0.0, 9.0, 16.0).translated(3, 1)
+        assert table.x[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0.0], [0.0], [0.0], [4.0], [0]),       # zero width
+            ([0.0], [0.0], [4.0], [-1.0], [0]),      # negative height
+            ([math.nan], [0.0], [4.0], [4.0], [0]),  # non-finite coordinate
+            ([0.0], [0.0], [math.inf], [4.0], [0]),  # non-finite size
+            ([0.0, 1.0], [0.0], [4.0], [4.0], [0]),  # ragged columns
+            ([0.0], [0.0], [4.0], [4.0], [1]),       # image index past image_ids
+            ([0.0], [0.0], [4.0], [4.0], [-1]),      # negative image index
+        ],
+    )
+    def test_rejects_invalid_rows(self, columns):
+        with pytest.raises(ValueError):
+            FaceTable(*columns, ("a.jpg",))
