@@ -3,7 +3,7 @@
 Exact IoU geometry, expected-max-overlap (EMO) estimation, anchor lattice
 construction with stride reduction and shifted sub-lattices, max-IoU
 matching with jittering and hard-face compensation, annotation coverage
-analytics, and an exhaustive anchor-design optimizer.
+analytics, and an exact anchor-design optimizer.
 """
 
 from .geometry import FaceTable, RectBox, intersect_area, iou, iou_offset_square, iou_xywh

@@ -32,6 +32,9 @@ __all__ = [
 
 ALLOWED_DIVISORS = (1, 2, 4)
 ALLOWED_SHIFT_COUNTS = (0, 1, 3)
+# Largest layout build_layout accepts.  Consumers materialize up to a few
+# hundred bytes per anchor (``grid`` output rows), so this bounds them.
+MAX_ANCHORS = 2**22
 
 # Sub-lattice origins in units of the sliding stride.  One extra anchor sits
 # at the bottom-right half-step; three extra anchors fill right, down, and
@@ -222,13 +225,18 @@ def build_layout(spec: AnchorSpec, plane_w: float, plane_h: float) -> AnchorLayo
     stride ``s``, covering the plane with ``ceil(extent / s)`` locations per
     axis.  Shifted sub-lattices reuse the same grid shape at half-stride
     offsets, so a scale with ``n`` extra anchors holds ``(1+n) * rows *
-    cols`` boxes.  Boxes are never clipped to the plane.
+    cols`` boxes.  Boxes are never clipped to the plane.  A layout of more
+    than ``MAX_ANCHORS`` anchors raises ``ValueError`` before anything is
+    built.
     """
     if not (plane_w > 0 and math.isfinite(plane_w)) or not (plane_h > 0 and math.isfinite(plane_h)):
         raise ValueError(f"plane dimensions must be positive finite, got {plane_w!r} x {plane_h!r}")
     stride = spec.sliding_stride
     cols = _grid_size(plane_w, stride)
     rows = _grid_size(plane_h, stride)
+    needed = rows * cols * spec.anchors_per_location
+    if needed > MAX_ANCHORS:
+        raise ValueError(f"{plane_w:g} x {plane_h:g} plane needs {needed} anchors, over the cap of {MAX_ANCHORS}")
     groups: list[LatticeGroup] = []
     next_id = 0
     for scale in spec.scales:

@@ -77,3 +77,19 @@ def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):
         stride_divisor=int(rng.choice([1, 2, 4])),
         shifts_per_scale=shifts,
     )
+
+
+def brute_optimize(space, faces, tau=0.5):
+    """Rank every config by a full ``build_layout`` + ``bucket_stats`` scan each."""
+    from anchorlap.dataset import bounding_plane, bucket_stats
+    from anchorlap.layout import build_layout
+    from anchorlap.optimizer import ConfigScore, enumerate_configs
+
+    plane_w, plane_h = bounding_plane(faces)
+    scores = []
+    for spec in enumerate_configs(space):
+        report = bucket_stats(faces, build_layout(spec, plane_w, plane_h), edges=(), tau=tau)
+        scores.append(ConfigScore(spec, report.mean_max_iou[0], report.recall[0],
+                                  spec.anchors_per_location))
+    scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
+    return scores

@@ -153,6 +153,12 @@ class TestGrid:
     def test_zero_plane_exits_2(self, files):
         assert main(["grid", "--spec", files["spec"], "--plane", "0x64"]) == 2
 
+    def test_oversized_plane_exits_2_without_traceback(self, files):
+        proc = run_console_script("grid", "--spec", files["spec"], "--plane", "1e7x1e7")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_plane_is_a_usage_error(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--spec", files["spec"], "--plane", "64"])
@@ -296,6 +302,13 @@ class TestOptimize:
         code = main(["optimize", "--annotations", files["ann"], "--space", str(space)])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["0", "1"])
+    def test_tau_outside_unit_interval_exits_2(self, files, capsys, tau):
+        code = main(["optimize", "--annotations", files["ann"], "--space", files["space"],
+                     "--tau", tau])
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -450,15 +463,14 @@ def _project_metadata():
         return tomllib.load(fh)["project"]
 
 
-def test_installed_entry_point_reports_version():
+def run_console_script(*argv):
     """Run the declared ``anchorlap`` console script as its generated wrapper would.
 
     The script target comes from ``[project.scripts]``; the subprocess imports
-    the same ``anchorlap`` package as this test process, so the check needs no
+    the same ``anchorlap`` package as this test process, so the run needs no
     installation and cannot pick up another copy from ``PATH``.
     """
-    project = _project_metadata()
-    module, attr = project["scripts"]["anchorlap"].split(":")
+    module, attr = _project_metadata()["scripts"]["anchorlap"].split(":")
     wrapper = (
         f"import sys; from {module} import {attr}; "
         f"sys.argv[0] = 'anchorlap'; sys.exit({attr}())"
@@ -468,10 +480,14 @@ def test_installed_entry_point_reports_version():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (import_root, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "--version"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env=env,
     )
+
+
+def test_installed_entry_point_reports_version():
+    project = _project_metadata()
+    proc = run_console_script("--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"anchorlap {project['version']}"
 

@@ -7,6 +7,7 @@ import pytest
 
 from anchorlap.geometry import iou, RectBox
 from anchorlap.layout import (
+    MAX_ANCHORS,
     AnchorSpec,
     build_layout,
     candidate_ids,
@@ -144,6 +145,16 @@ class TestBuildLayout:
             build_layout(plain16(), 0.0, 64.0)
         with pytest.raises(ValueError):
             build_layout(plain16(), 64.0, -1.0)
+
+    def test_anchor_cap(self):
+        # 2 ratios x (1 + 3 shifted) = 8 anchors per 16 px location.
+        spec = AnchorSpec(scales=(16.0,), ratios=(0.5, 1.0), shifts_per_scale={16.0: 3})
+        cols = 1024
+        rows = MAX_ANCHORS // (8 * cols)
+        layout = build_layout(spec, 16.0 * cols, 16.0 * rows)
+        assert layout.anchor_count == MAX_ANCHORS
+        with pytest.raises(ValueError, match="cap"):
+            build_layout(spec, 16.0 * cols, 16.0 * rows + 1.0)
 
     def test_all_boxes_matches_anchor_box(self):
         spec = AnchorSpec(

@@ -1,9 +1,13 @@
-"""Exhaustive anchor-design search under a per-location budget."""
+"""Exact anchor-design search under a per-location budget."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anchorlap.geometry import RectBox
+from anchorlap import optimizer
+from anchorlap.dataset import parse_annotations
+from anchorlap.geometry import FaceTable, RectBox
 from anchorlap.layout import AnchorSpec
 from anchorlap.optimizer import (
     ConfigScore,
@@ -12,6 +16,10 @@ from anchorlap.optimizer import (
     evaluate_config,
     optimize,
 )
+from anchorlap.specfile import load_space
+from helpers import brute_optimize
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def small_faces(n, seed, side=16.0, lo=0.0, hi=96.0):
@@ -109,6 +117,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_config(AnchorSpec(scales=(16.0,)), [])
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5])
+    def test_tau_must_lie_in_unit_interval(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            evaluate_config(AnchorSpec(scales=(16.0,)), small_faces(5, 0), tau=tau)
+
     def test_score_bounds_checked(self):
         with pytest.raises(ValueError):
             ConfigScore(AnchorSpec(scales=(16.0,)), objective=1.2, recall=0.5,
@@ -150,6 +163,11 @@ class TestOptimize:
         assert all(s.objective == 1.0 for s in scores)
         assert [s.anchors_per_location for s in scores] == [1, 2, 4]
 
+    def test_needs_faces(self):
+        space = SearchSpace(stride_divisors=(1,), shift_choices=(0,), scale_sets=((16.0,),), budget=1)
+        with pytest.raises(ValueError, match="non-empty"):
+            optimize(space, [])
+
     def test_deterministic(self):
         faces = small_faces(100, seed=9)
         space = SearchSpace(
@@ -168,3 +186,102 @@ class TestOptimize:
         )
         scores = optimize(space, faces, tau=0.2)
         assert all(0.0 <= s.recall <= 1.0 for s in scores)
+
+
+def mixed_faces(n, seed, plane=300.0):
+    """Faces of 6-200 px with h/w in [0.7, 1.6] inside a ``plane`` square."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(rng.uniform(np.log(6.0), np.log(200.0), n))
+    h = w * rng.uniform(0.7, 1.6, n)
+    x = rng.uniform(0.0, plane - w)
+    y = rng.uniform(0.0, np.maximum(plane - h, 1.0))
+    return one_image(x, y, w, h)
+
+
+def one_image(x, y, w, h):
+    return FaceTable(x, y, w, h, np.zeros(len(x), dtype=np.int64), ("",))
+
+
+def assert_same_ranking(fast, slow):
+    assert len(fast) == len(slow) > 0
+    assert [sc.spec for sc in fast] == [sc.spec for sc in slow]
+    assert [sc.objective for sc in fast] == [sc.objective for sc in slow]
+    assert [sc.recall for sc in fast] == [sc.recall for sc in slow]
+
+
+class TestExactness:
+    """``optimize`` equals a full layout scan per config, bit for bit."""
+
+    def test_golden_space(self):
+        faces = parse_annotations((DATA / "golden_faces.txt").read_text()).records
+        space = load_space(str(DATA / "golden_space.json"))
+        assert_same_ranking(optimize(space, faces), brute_optimize(space, faces))
+
+    @pytest.mark.parametrize("tau", [0.35, 0.5])
+    def test_ratios_and_shared_scales(self, tau):
+        # Two scale sets share 16 and 64, and two ratios double every
+        # scale's groups, so cached vectors are reused across both.
+        faces = mixed_faces(150, seed=11)
+        space = SearchSpace(
+            stride_divisors=(1, 2, 4), shift_choices=(0, 1, 3),
+            scale_sets=((16.0, 32.0, 64.0), (16.0, 64.0, 128.0)), budget=12,
+            ratios=(1.0, 1.5),
+        )
+        assert_same_ranking(optimize(space, faces, tau), brute_optimize(space, faces, tau))
+
+    def test_recall_counts_faces_exactly_at_tau(self):
+        # The top half of a base-grid anchor (IoU exactly 0.5 in every
+        # config) and a face on a base-grid anchor (IoU 1).
+        faces = [RectBox(0.0, 0.0, 16.0, 8.0), RectBox(32.0, 48.0, 16.0, 16.0)]
+        space = SearchSpace(stride_divisors=(1,), shift_choices=(0, 1, 3),
+                            scale_sets=((16.0, 32.0),), budget=8)
+        scores = optimize(space, faces)
+        assert_same_ranking(scores, brute_optimize(space, faces))
+        assert [(sc.objective, sc.recall) for sc in scores] == [(0.75, 1.0)] * len(scores)
+
+    def test_evaluate_config_is_the_one_config_case(self):
+        faces = mixed_faces(60, seed=12)
+        space = SearchSpace(
+            stride_divisors=(2,), shift_choices=(0, 3), scale_sets=((16.0, 64.0),), budget=8,
+            ratios=(1.0, 1.5),
+        )
+        ranked = optimize(space, faces)
+        assert sorted(ranked, key=lambda sc: sc.spec.sort_key()) == sorted(
+            (evaluate_config(spec, faces) for spec in enumerate_configs(space)),
+            key=lambda sc: sc.spec.sort_key(),
+        )
+
+
+class TestKernelCount:
+    """One overlap kernel per distinct lattice group, however many configs share it."""
+
+    SCALES = ((16.0, 32.0, 64.0, 128.0, 256.0, 512.0),)
+
+    def count_kernels(self, monkeypatch, space):
+        calls = []
+        kernel = optimizer.max_overlap_values
+
+        def counting(layout, *boxes):
+            calls.append(layout.groups)
+            return kernel(layout, *boxes)
+
+        monkeypatch.setattr(optimizer, "max_overlap_values", counting)
+        rng = np.random.default_rng(13)
+        faces = one_image(rng.uniform(0, 900, 40), rng.uniform(0, 650, 40),
+                          np.full(40, 24.0), np.full(40, 30.0))
+        scores = optimize(space, faces)
+        assert all(len(groups) == 1 for groups in calls)
+        keys = {(g.box_w, g.box_h, g.stride, g.origin_x, g.origin_y) for (g,) in calls}
+        assert len(keys) == len(calls)
+        return len(scores), len(calls)
+
+    def test_wide_space(self, monkeypatch):
+        space = SearchSpace(stride_divisors=(1, 2, 4), shift_choices=(0, 1, 3),
+                            scale_sets=self.SCALES, budget=12)
+        # 6 scales x 3 divisors x 4 sub-lattice origins, for 7,470 groups in total.
+        assert self.count_kernels(monkeypatch, space) == (705, 72)
+
+    def test_narrow_space(self, monkeypatch):
+        space = SearchSpace(stride_divisors=(1, 2), shift_choices=(0, 1, 3),
+                            scale_sets=self.SCALES, budget=9)
+        assert self.count_kernels(monkeypatch, space) == (96, 48)
