@@ -49,11 +49,8 @@ __all__ = ["main", "build_parser"]
 _LABEL_NAMES = {LABEL_POSITIVE: "positive", LABEL_NEGATIVE: "negative", LABEL_IGNORE: "ignore"}
 
 _EMO_COLS = ("scale", "stride", "emo", "std_error", "method")
-_GRID_COLS = ("id", "scale", "ratio", "sublattice", "cx", "cy", "w", "h")
 _STATS_COLS = ("bucket_lo", "bucket_hi", "count", "mean_max_iou", "recall_at_tau")
 _JITTER_COLS = ("bucket_lo", "bucket_hi", "count", "mean_max_iou", "min_mean_max_iou", "max_mean_max_iou")
-_FACE_COLS = ("face", "image_id", "scale", "max_iou", "argmax_anchor", "assigned_count")
-_ANCHOR_COLS = ("anchor", "label", "source_face")
 _OPT_COLS = ("rank", "objective", "recall", "anchors_per_location", "spec_json")
 
 
@@ -71,15 +68,6 @@ def _cell_text(v) -> str:
     return str(v)
 
 
-def _csv_text(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_text(row[c]) for c in columns])
-    return buf.getvalue()
-
-
 def _json_value(v):
     if isinstance(v, float):
         if not math.isfinite(v):
@@ -88,13 +76,48 @@ def _json_value(v):
     return v
 
 
-def _json_text(rows) -> str:
-    data = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+# Rows formatted at a time, which bounds the per-cell objects alive at once.
+_RENDER_ROWS = 1 << 16
 
 
-def _render(columns, rows, fmt: str) -> str:
-    return _csv_text(columns, rows) if fmt == "csv" else _json_text(rows)
+def _cells(column, lo: int, fmt: str) -> list:
+    """One chunk of a column, from row ``lo``, as CSV text or JSON values."""
+    part = column[lo : lo + _RENDER_ROWS]
+    if isinstance(part, np.ndarray):
+        kind, part = part.dtype.kind, part.tolist()
+        if fmt == "csv" and kind in "fiu":
+            return list(map("{:.9g}".format if kind == "f" else str, part))
+    return list(map(_cell_text if fmt == "csv" else _json_value, part))
+
+
+def _render(columns: dict, fmt: str) -> str:
+    """CSV or JSON text of a table given as ``{name: values}`` in column order.
+
+    Values are numpy arrays or Python sequences of equal length.  CSV cells
+    go through ``csv.writer`` quoting; JSON is a list of one object per row
+    with sorted keys.  Rows are formatted in chunks and the JSON list is
+    joined from per-chunk dumps, which give the same text as one dump.
+    """
+    names = list(columns)
+    n_rows = len(columns[names[0]])
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        for lo in range(0, n_rows, _RENDER_ROWS):
+            writer.writerows(zip(*(_cells(col, lo, fmt) for col in columns.values())))
+        return buf.getvalue()
+    items = []
+    for lo in range(0, n_rows, _RENDER_ROWS):
+        rows = [dict(zip(names, row)) for row in zip(*(_cells(col, lo, fmt) for col in columns.values()))]
+        items.append(json.dumps(rows, indent=2, sort_keys=True)[2:-2])
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+
+
+def _columns(names, rows) -> dict:
+    """``{name: values}`` from row tuples, in ``names`` order."""
+    rows = list(rows)
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,36 +195,41 @@ def _run_emo(params: dict, inputs: dict, workers: int):
                 est = emo_monte_carlo(
                     layout, scale, scale, params["samples"], params["seed"], workers
                 )
-                rows.append(
-                    {"scale": float(scale), "stride": float(stride), "emo": est.value,
-                     "std_error": est.std_error, "method": est.method}
-                )
+                rows.append((float(scale), float(stride), est.value, est.std_error, est.method))
     else:
         for cell in emo_table(scales, strides, params["cells"]):
             if cell.estimate is None:
                 raise ValueError(f"scale {cell.scale:g} with stride {cell.stride:g}: {cell.reason}")
-            rows.append(
-                {"scale": cell.scale, "stride": cell.stride, "emo": cell.estimate.value,
-                 "std_error": cell.estimate.std_error, "method": cell.estimate.method}
-            )
-    return [("", _render(_EMO_COLS, rows, params["format"]))]
+            rows.append((cell.scale, cell.stride, cell.estimate.value,
+                         cell.estimate.std_error, cell.estimate.method))
+    return [("", _render(_columns(_EMO_COLS, rows), params["format"]))]
 
 
 def _run_grid(params: dict, inputs: dict, workers: int):
     spec = load_spec(inputs["spec"])
     layout = build_layout(spec, params["plane_w"], params["plane_h"])
-    rows = []
-    for g in layout.groups:
-        idx = np.arange(g.count)
-        cx = (g.origin_x + (idx % g.cols) * g.stride).tolist()
-        cy = (g.origin_y + (idx // g.cols) * g.stride).tolist()
-        for k in range(g.count):
-            rows.append(
-                {"id": int(g.id_start + k), "scale": g.scale, "ratio": g.ratio,
-                 "sublattice": g.sublattice, "cx": cx[k], "cy": cy[k],
-                 "w": g.box_w, "h": g.box_h}
-            )
-    return [("", _render(_GRID_COLS, rows, params["format"]))]
+    groups = layout.groups
+    counts = [g.count for g in groups]
+
+    def per_group(attr):
+        return np.repeat([getattr(g, attr) for g in groups], counts)
+
+    def centers(origin, index):
+        return np.concatenate(
+            [getattr(g, origin) + index(np.arange(g.count), g.cols) * g.stride for g in groups]
+        )
+
+    columns = {
+        "id": np.arange(layout.anchor_count),
+        "scale": per_group("scale"),
+        "ratio": per_group("ratio"),
+        "sublattice": per_group("sublattice"),
+        "cx": centers("origin_x", np.remainder),
+        "cy": centers("origin_y", np.floor_divide),
+        "w": per_group("box_w"),
+        "h": per_group("box_h"),
+    }
+    return [("", _render(columns, params["format"]))]
 
 
 def _run_stats(params: dict, inputs: dict, workers: int):
@@ -220,8 +248,7 @@ def _run_stats(params: dict, inputs: dict, workers: int):
     else:
         rep = bucket_stats(records, layout, edges, params["tau"])
         columns = _STATS_COLS
-    rows = [dict(zip(columns, row)) for row in rep.rows()]
-    return [("", _render(columns, rows, params["format"]))]
+    return [("", _render(_columns(columns, rep.rows()), params["format"]))]
 
 
 def _run_match(params: dict, inputs: dict, workers: int):
@@ -242,22 +269,23 @@ def _run_match(params: dict, inputs: dict, workers: int):
     if cfg.hc_n > 0:
         result = compensate_hard_faces(result, faces, layout, cfg)
 
-    per_face = zip(faces.image.tolist(), faces.scale.tolist(), result.face_max_iou.tolist(),
-                   result.face_argmax.tolist(), result.face_assigned)
-    face_rows = [
-        {"face": i, "image_id": faces.image_ids[image], "scale": scale, "max_iou": best,
-         "argmax_anchor": argmax, "assigned_count": len(assigned)}
-        for i, (image, scale, best, argmax, assigned) in enumerate(per_face)
-    ]
-    per_anchor = zip(result.anchor_labels.tolist(), result.anchor_source.tolist())
-    anchor_rows = [
-        {"anchor": a, "label": _LABEL_NAMES[label], "source_face": source}
-        for a, (label, source) in enumerate(per_anchor)
-    ]
+    face_cols = {
+        "face": np.arange(len(faces)),
+        "image_id": [faces.image_ids[i] for i in faces.image.tolist()],
+        "scale": faces.scale,
+        "max_iou": result.face_max_iou,
+        "argmax_anchor": result.face_argmax,
+        "assigned_count": np.array([len(a) for a in result.face_assigned], dtype=np.int64),
+    }
+    anchor_cols = {
+        "anchor": np.arange(layout.anchor_count),
+        "label": [_LABEL_NAMES[label] for label in result.anchor_labels.tolist()],
+        "source_face": result.anchor_source,
+    }
     fmt = params["format"]
     return [
-        ("", _render(_FACE_COLS, face_rows, fmt)),
-        (f".anchors.{fmt}", _render(_ANCHOR_COLS, anchor_rows, fmt)),
+        ("", _render(face_cols, fmt)),
+        (f".anchors.{fmt}", _render(anchor_cols, fmt)),
     ]
 
 
@@ -267,13 +295,9 @@ def _run_optimize(params: dict, inputs: dict, workers: int):
     if not records:
         raise ValueError("annotation listing contains no usable faces")
     scores = optimize(space, records, params["tau"])
-    rows = []
-    for rank, sc in enumerate(scores, start=1):
-        rows.append(
-            {"rank": rank, "objective": sc.objective, "recall": sc.recall,
-             "anchors_per_location": sc.anchors_per_location, "spec_json": spec_json(sc.spec)}
-        )
-    return [("", _render(_OPT_COLS, rows, params["format"]))]
+    rows = [(rank, sc.objective, sc.recall, sc.anchors_per_location, spec_json(sc.spec))
+            for rank, sc in enumerate(scores, start=1)]
+    return [("", _render(_columns(_OPT_COLS, rows), params["format"]))]
 
 
 _RUNNERS = {

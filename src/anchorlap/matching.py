@@ -8,7 +8,17 @@ compensated by force-assigning their top-N overlapping anchors.
 
 All heavy paths here are exact accelerations: results are defined to be
 identical to an exhaustive faces-by-anchors scan, and the test suite holds
-them to that.
+them to that.  Per-face maxima come from the cell-corner kernel
+(:func:`max_overlap_values`).  Everything else comes from one batched
+window scan (:func:`_scan`): per lattice group, each face's window is cut
+to the anchors that can reach an IoU floor, and faces with similar windows
+are evaluated together in bounded blocks, each reduced into running
+results and dropped.  ``match_faces`` scans every face at ``t_low`` (a
+hard face down to its own max), which gives the labels, the sources, the
+argmax anchors and the assigned sets; an argmax anchor that no pair at or
+above ``t_low`` reaches gets its source from all faces.
+``compensate_hard_faces`` scans the hard faces down to a lower bound on
+their N-th best IoU.
 """
 
 from __future__ import annotations
@@ -155,62 +165,192 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
     A corner anchor attains the max value, but when several anchors tie
     (commonly: a large anchor fully containing a small box keeps the same
     IoU across a run of lattice positions) the lowest-ID maximizer may sit
-    outside the corner set.  This scans each box's full overlap window for
-    anchors whose IoU equals the max, so the returned ID is exactly the
-    first maximizer an exhaustive ascending-ID scan would keep.  Boxes
-    overlapping no anchor get ID -1.
+    outside the corner set.  So each box's window of anchors able to reach
+    its max is scanned (:func:`_scan` with the max as floor), and the ID
+    returned is exactly the first maximizer an exhaustive ascending-ID scan
+    would keep.  Boxes overlapping no anchor get ID -1.
     """
     x, y, w, h = _broadcast_boxes(x, y, w, h)
     best = max_overlap_values(layout, x, y, w, h)
+    live = np.flatnonzero(best > 0.0)
+    found = np.full(live.shape, -1, dtype=np.int64)
+    for block in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
+        _take_argmax(found, best[live], *block)
     best_id = np.full(best.shape, -1, dtype=np.int64)
-    for i in np.flatnonzero(best > 0.0):
-        ids, ious = overlapping_anchors(layout, RectBox(x[i], y[i], w[i], h[i]))
-        best_id[i] = _argmax_id(ids, ious, best[i])
+    best_id[live] = found
     return best, best_id
 
 
-def _argmax_id(ids: np.ndarray, ious: np.ndarray, best: float) -> int:
-    """Lowest ID whose IoU equals ``best``, as an ascending-ID scan keeps; -1 if 0."""
-    return int(ids[ious == best].min()) if best > 0.0 else -1
+# IoU pairs in one streamed block of the window scan.  A block's working
+# memory is about ten float64 arrays of this size.
+_BLOCK_PAIRS = 1 << 15
+
+# Relative slack on the least intersection an anchor needs to reach an IoU
+# floor, so that rounding in the bound never drops an anchor whose computed
+# IoU sits exactly on the floor.
+_SLACK = 1.0 - 1e-6
 
 
-def _overlap_window(group: LatticeGroup, box: RectBox):
-    """IDs and IoUs of every anchor in ``group`` that can overlap ``box``.
+def _size_class(n: np.ndarray) -> np.ndarray:
+    """``n`` rounded up to one of four window extents per octave, so that
+    boxes with similar windows share a block."""
+    step = np.left_shift(1, np.maximum(np.floor(np.log2(np.maximum(n, 1))).astype(np.int64) - 2, 0))
+    return -(-n // step) * step
 
-    The window is conservative (it may include zero-IoU anchors on its rim)
-    but never misses an overlapping anchor.
+
+def _scan(layout: AnchorLayout, x, y, w, h, floor):
+    """Stream, group by group, each box's window of anchors able to reach
+    IoU ``floor[i]`` with box ``i``.
+
+    Yields ``(faces, group, row0, col0, ious)`` blocks: ``ious[k]`` holds the
+    IoU of box ``faces[k]`` with the anchors of ``group`` at rows
+    ``row0[k] + r`` and columns ``col0[k] + c``, so flattening a window
+    lists its anchors in ascending ID.  A box is in at most one block per
+    group; its window lies inside the group, holds no anchor twice, and
+    holds every anchor with IoU >= ``floor[i]`` (every overlapping anchor
+    when the floor is 0).
+
+    The bound: an IoU of at least ``t`` needs an intersection of at least
+    ``t * (A_anchor + A_box) / (1 + t)``.  The overlap along y is at most
+    ``min(h_anchor, h_box)``, so the x overlap must be at least that area
+    over it; and the x overlap is at most ``min(w_anchor, w_box,
+    (w_anchor + w_box)/2 - |dx|)``, which bounds the center offset ``dx``.
+    The same holds with the axes swapped.  A group drops out for a box when
+    the least overlap exceeds the smaller side.  Windows are widened one
+    cell against rounding, then padded to a size class (and shifted to stay
+    inside the group) so that boxes of similar windows share one broadcast
+    IoU evaluation, ``iw`` per column times ``ih`` per row.
     """
-    half_w = (box.w + group.box_w) / 2.0
-    half_h = (box.h + group.box_h) / 2.0
-    c_lo = max(0, int(math.floor((box.cx - half_w - group.origin_x) / group.stride)))
-    c_hi = min(group.cols - 1, int(math.ceil((box.cx + half_w - group.origin_x) / group.stride)))
-    r_lo = max(0, int(math.floor((box.cy - half_h - group.origin_y) / group.stride)))
-    r_hi = min(group.rows - 1, int(math.ceil((box.cy + half_h - group.origin_y) / group.stride)))
-    if c_lo > c_hi or r_lo > r_hi:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    cols = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-    rows = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    ids = (group.id_start + rows[:, None] * group.cols + cols[None, :]).ravel()
-    acx = group.origin_x + cols * group.stride
-    acy = group.origin_y + rows * group.stride
-    ax = (acx - group.box_w / 2.0)[None, :]
-    ay = (acy - group.box_h / 2.0)[:, None]
-    ious = iou_xywh(ax, ay, group.box_w, group.box_h, box.x, box.y, box.w, box.h)
-    return ids, ious.ravel()
+    cx = x + w / 2.0
+    cy = y + h / 2.0
+    gain = floor / (1.0 + floor) * _SLACK
+    for g in layout.groups:
+        inter = gain * (g.box_w * g.box_h + w * h)
+        span_x = np.minimum(w, g.box_w)
+        span_y = np.minimum(h, g.box_h)
+        reach_x = (w + g.box_w) / 2.0 - inter / span_y
+        reach_y = (h + g.box_h) / 2.0 - inter / span_x
+        c0 = np.maximum(np.ceil((cx - reach_x - g.origin_x) / g.stride) - 1.0, 0.0)
+        c1 = np.minimum(np.floor((cx + reach_x - g.origin_x) / g.stride) + 1.0, g.cols - 1.0)
+        r0 = np.maximum(np.ceil((cy - reach_y - g.origin_y) / g.stride) - 1.0, 0.0)
+        r1 = np.minimum(np.floor((cy + reach_y - g.origin_y) / g.stride) + 1.0, g.rows - 1.0)
+        live = np.flatnonzero(
+            (inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1)
+        )
+        if not live.size:
+            continue
+        c0, c1, r0, r1 = (v[live].astype(np.int64) for v in (c0, c1, r0, r1))
+        ncols = np.minimum(_size_class(c1 - c0 + 1), g.cols)
+        nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
+        c0 = np.minimum(c0, g.cols - ncols)
+        r0 = np.minimum(r0, g.rows - nrows)
+        shape = nrows * (g.cols + 1) + ncols
+        order = np.argsort(shape, kind="stable")
+        cuts = np.flatnonzero(np.diff(shape[order])) + 1
+        for run in np.split(order, cuts):
+            nr, nc = int(nrows[run[0]]), int(ncols[run[0]])
+            step = max(1, _BLOCK_PAIRS // (nr * nc))
+            for lo in range(0, len(run), step):
+                k = run[lo : lo + step]
+                f = live[k]
+                cols = c0[k, None, None] + np.arange(nc)
+                rows = r0[k, None, None] + np.arange(nr)[:, None]
+                ax = (g.origin_x + cols * g.stride) - g.box_w / 2.0
+                ay = (g.origin_y + rows * g.stride) - g.box_h / 2.0
+                ious = iou_xywh(
+                    ax, ay, g.box_w, g.box_h,
+                    x[f, None, None], y[f, None, None], w[f, None, None], h[f, None, None],
+                )
+                yield f, g, r0[k], c0[k], ious
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sorting, which its hashing path is far slower than
+    on the large integer arrays here."""
+    a.sort()
+    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+
+
+def _hits(group: LatticeGroup, row0, col0, mask):
+    """Block positions and anchor IDs of the ``True`` entries of ``mask``,
+    in the order boolean indexing lists them."""
+    k, r, c = np.nonzero(mask)
+    return k, group.id_start + (row0[k] + r) * group.cols + col0[k] + c
+
+
+def _take_argmax(argmax, best, faces, group, row0, col0, ious) -> None:
+    """The lowest-ID-at-max rule: give each box of the block that has no
+    argmax yet, and a positive ``best``, the first ID in its window whose
+    IoU equals ``best``.  Groups are scanned in ascending ID, so the first
+    group to set it holds the lowest maximizer."""
+    n, _, ncols = ious.shape
+    at_max = (ious == best[faces, None, None]).reshape(n, -1)
+    first = at_max.argmax(axis=1)
+    take = at_max[np.arange(n), first] & (argmax[faces] < 0) & (best[faces] > 0.0)
+    r, c = np.divmod(first[take], ncols)
+    argmax[faces[take]] = group.id_start + (row0[take] + r) * group.cols + col0[take] + c
+
+
+def _keep_best(best, owner, ids, ious, faces) -> None:
+    """Fold pairs into each anchor's max IoU and the lowest face attaining it,
+    which is what a strict ``>`` over faces in ascending order keeps."""
+    before = best[ids]
+    np.maximum.at(best, ids, ious)
+    after = best[ids]
+    owner[ids[after > before]] = np.iinfo(np.int64).max
+    top = ious == after
+    np.minimum.at(owner, ids[top], faces[top])
+
+
+def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.ndarray:
+    """For each anchor in ``ids``: the lowest-index face of max IoU with it,
+    over every face."""
+    out = np.empty(ids.shape, dtype=np.int64)
+    step = max(1, _BLOCK_PAIRS // max(len(faces), 1))
+    for g in layout.groups:
+        sel = np.flatnonzero((ids >= g.id_start) & (ids < g.id_start + g.count))
+        row, col = np.divmod(ids[sel] - g.id_start, g.cols)
+        ax = (g.origin_x + col * g.stride) - g.box_w / 2.0
+        ay = (g.origin_y + row * g.stride) - g.box_h / 2.0
+        for lo in range(0, len(sel), step):
+            part = slice(lo, lo + step)
+            ious = iou_xywh(
+                ax[part, None], ay[part, None], g.box_w, g.box_h,
+                faces.x[None, :], faces.y[None, :], faces.w[None, :], faces.h[None, :],
+            )
+            out[sel[part]] = ious.argmax(axis=1)
+    return out
+
+
+def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
+    """A lower bound on each box's ``n``-th best IoU over distinct anchors:
+    the ``n``-th best over the corner anchors of its enclosing cells, with
+    corners repeated by clamping at the plane edge counted once.  0 when
+    fewer than ``n`` of them overlap the box."""
+    cx = x + w / 2.0
+    cy = y + h / 2.0
+    parts = []
+    for g in layout.groups:
+        ids = candidate_ids(g, cx, cy)
+        ious = _group_candidate_iou(g, ids, x, y, w, h)
+        for j in range(1, 4):
+            ious[(ids[:, j : j + 1] == ids[:, :j]).any(axis=1), j] = 0.0
+        parts.append(ious)
+    corners = np.concatenate(parts, axis=1)
+    if corners.shape[1] < n:
+        return np.zeros(len(x))
+    return np.partition(corners, -n, axis=1)[:, -n]
 
 
 def overlapping_anchors(layout: AnchorLayout, box: RectBox):
     """All anchors with positive IoU against ``box``: (ids, ious), ID-sorted."""
-    id_parts = []
-    iou_parts = []
-    for group in layout.groups:
-        ids, ious = _overlap_window(group, box)
+    id_parts = [np.empty(0, dtype=np.int64)]
+    iou_parts = [np.empty(0, dtype=np.float64)]
+    one = [np.array([v], dtype=np.float64) for v in (box.x, box.y, box.w, box.h, 0.0)]
+    for _, group, row0, col0, ious in _scan(layout, *one):
         keep = ious > 0.0
-        if keep.any():
-            id_parts.append(ids[keep])
-            iou_parts.append(ious[keep])
-    if not id_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        id_parts.append(_hits(group, row0, col0, keep)[1])
+        iou_parts.append(ious[keep])
     return np.concatenate(id_parts), np.concatenate(iou_parts)
 
 
@@ -248,9 +388,11 @@ def match_faces(
 ) -> MatchResult:
     """Assign faces to anchors and label every anchor.
 
-    Per-face max IoU and argmax come from the accelerated candidate path
-    and equal an exhaustive scan exactly.  An empty face list labels all
-    anchors negative.  When ``cfg.jitter`` is set, faces are first shifted
+    Per-face max IoU comes from the cell-corner kernel; argmax, labels,
+    sources and assigned sets from one window scan of the anchors each
+    face can lift to ``t_low`` (see the module docstring).  All equal an
+    exhaustive scan exactly.  An empty face list labels all anchors
+    negative.  When ``cfg.jitter`` is set, faces are first shifted
     by a shared random offset whose range follows the smallest effective
     anchor stride in the layout.
     """
@@ -263,30 +405,39 @@ def match_faces(
 
     n_faces = len(faces)
     labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
-    source = np.full(layout.anchor_count, -1, dtype=np.int64)
     face_max = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
     face_argmax = np.full(n_faces, -1, dtype=np.int64)
-
     anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
     anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
-    assigned: list[np.ndarray] = []
-    for f in range(n_faces):
-        ids, ious = overlapping_anchors(layout, faces[f])
-        face_argmax[f] = _argmax_id(ids, ious, face_max[f])
-        better = ious > anchor_best[ids]
-        anchor_best[ids[better]] = ious[better]
-        anchor_best_face[ids[better]] = f
-        assigned.append(ids[ious >= cfg.t_high])
+    # (face, anchor) keys of pairs at or above t_high, plus each argmax.
+    keys = [np.empty(0, dtype=np.int64)]
+    floor = np.where(face_max > 0.0, np.minimum(face_max, cfg.t_low), cfg.t_low)
+    for faces_k, group, row0, col0, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
+        _take_argmax(face_argmax, face_max, faces_k, group, row0, col0, ious)
+        near = ious >= cfg.t_low
+        k, ids = _hits(group, row0, col0, near)
+        vals = ious[near]
+        _keep_best(anchor_best, anchor_best_face, ids, vals, faces_k[k])
+        high = vals >= cfg.t_high
+        keys.append(faces_k[k[high]] * layout.anchor_count + ids[high])
 
     labels[anchor_best >= cfg.t_low] = LABEL_IGNORE
     labels[anchor_best >= cfg.t_high] = LABEL_POSITIVE
-    for f in range(n_faces):
-        if face_max[f] > 0.0:
-            labels[face_argmax[f]] = LABEL_POSITIVE
-            if face_argmax[f] not in assigned[f]:
-                assigned[f] = np.append(assigned[f], face_argmax[f])
-        assigned[f] = np.unique(assigned[f])
-    source[labels == LABEL_POSITIVE] = anchor_best_face[labels == LABEL_POSITIVE]
+    owned = np.flatnonzero(face_argmax >= 0)
+    labels[face_argmax[owned]] = LABEL_POSITIVE
+    keys.append(owned * layout.anchor_count + face_argmax[owned])
+    # An argmax anchor no pair at or above t_low reached: its owner may be
+    # any face, so it is found over all of them.
+    lost = _sorted_unique(face_argmax[owned])
+    lost = lost[anchor_best_face[lost] < 0]
+    anchor_best_face[lost] = _best_faces(layout, lost, faces)
+    source = np.where(labels == LABEL_POSITIVE, anchor_best_face, -1)
+
+    keys = np.concatenate(keys)
+    keys = _sorted_unique(keys)
+    face_of = keys // layout.anchor_count
+    np.remainder(keys, layout.anchor_count, out=keys)
+    assigned = np.split(keys, np.searchsorted(face_of, np.arange(1, n_faces))) if n_faces else []
 
     return MatchResult(
         face_max_iou=face_max,
@@ -311,7 +462,9 @@ def compensate_hard_faces(
     positive IoU become positive for it.  Existing positives are never
     demoted or re-sourced, and non-hard faces are untouched.  ``faces``
     must be the same faces that produced ``result``; the recorded jitter
-    offset is re-applied internally.
+    offset is re-applied internally.  Only the hard faces are scanned, each
+    over the anchors that can reach the N-th best IoU of its cell corners,
+    a set that holds its exact top N.
     """
     if cfg.hc_n < 1:
         raise ValueError(f"compensation needs hc_n >= 1, got {cfg.hc_n!r}")
@@ -324,19 +477,36 @@ def compensate_hard_faces(
     if dx or dy:
         faces = faces.translated(dx, dy)
 
+    hard = np.flatnonzero(result.face_max_iou < cfg.t_high)
+    x, y, w, h = (col[hard] for col in (faces.x, faces.y, faces.w, faces.h))
+    # Every anchor of a face's top N reaches its N-th best IoU, which is at
+    # least the N-th best over its cell corners.
+    floor = _nth_corner_iou(layout, x, y, w, h, cfg.hc_n)
+    pos, ids, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for faces_k, group, row0, col0, ious in _scan(layout, x, y, w, h, floor):
+        near = (ious >= floor[faces_k, None, None]) & (ious > 0.0)
+        k, block_ids = _hits(group, row0, col0, near)
+        pos.append(faces_k[k])
+        ids.append(block_ids)
+        vals.append(ious[near])
+    pos, ids, vals = (np.concatenate(v) for v in (pos, ids, vals))
+    order = np.lexsort((ids, -vals, pos))
+    pos, ids = pos[order], ids[order]
+    top = np.arange(len(pos)) - np.searchsorted(pos, pos) < cfg.hc_n
+    pos, ids = pos[top], ids[top]
+
     labels = result.anchor_labels.copy()
     source = result.anchor_source.copy()
+    # Faces are promoted in ascending order and never re-source a positive,
+    # so a fresh anchor goes to the first hard face listing it.
+    fresh, first = np.unique(ids, return_index=True)
+    keep = labels[fresh] != LABEL_POSITIVE
+    labels[fresh[keep]] = LABEL_POSITIVE
+    source[fresh[keep]] = hard[pos[first[keep]]]
     assigned = list(result.face_assigned)
-    for f in np.flatnonzero(result.face_max_iou < cfg.t_high):
-        ids, ious = overlapping_anchors(layout, faces[f])
-        if len(ids) == 0:
-            continue
-        order = np.lexsort((ids, -ious))
-        top = ids[order[: cfg.hc_n]]
-        fresh = top[labels[top] != LABEL_POSITIVE]
-        labels[fresh] = LABEL_POSITIVE
-        source[fresh] = f
-        assigned[f] = np.unique(np.concatenate([assigned[f], top]))
+    for f, extra in zip(hard, np.split(ids, np.searchsorted(pos, np.arange(1, len(hard))))):
+        if extra.size:
+            assigned[f] = np.union1d(assigned[f], extra)
     return MatchResult(
         face_max_iou=result.face_max_iou,
         face_argmax=result.face_argmax,

@@ -93,7 +93,10 @@ def enumerate_configs(space: SearchSpace) -> list[AnchorSpec]:
             for assignment in itertools.product(
                 sorted(space.shift_choices), repeat=len(scale_set)
             ):
-                spec = AnchorSpec(
+                # AnchorSpec.anchors_per_location, checked before building the spec.
+                if len(space.ratios) * (len(scale_set) + sum(assignment)) > space.budget:
+                    continue
+                configs.append(AnchorSpec(
                     scales=scale_set,
                     ratios=space.ratios,
                     base_stride=space.base_stride,
@@ -101,9 +104,7 @@ def enumerate_configs(space: SearchSpace) -> list[AnchorSpec]:
                     shifts_per_scale={
                         s: n for s, n in zip(scale_set, assignment) if n > 0
                     },
-                )
-                if spec.anchors_per_location <= space.budget:
-                    configs.append(spec)
+                ))
     return configs
 
 

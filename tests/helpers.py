@@ -60,6 +60,60 @@ def brute_top_n(layout: AnchorLayout, box, n: int):
     return top
 
 
+def brute_match(layout: AnchorLayout, boxes, cfg):
+    """Exhaustive ``match_faces`` and ``compensate_hard_faces`` from the dense
+    IoU matrix: ``(matched, compensated)``, compensated None when hc_n is 0.
+
+    Every rule is read straight off the matrix: a face's argmax is the lowest
+    ID at its max, an anchor's source the lowest face index at its max.
+    """
+    from anchorlap.matching import MatchResult, apply_jitter, jitter_offset_bound
+
+    boxes = [boxes[i] for i in range(len(boxes))]
+    offset = (0, 0)
+    if cfg.jitter and boxes:
+        moved, offset = apply_jitter(boxes, jitter_offset_bound(layout), cfg.jitter_seed)
+        boxes = [moved[i] for i in range(len(moved))]
+    ious = all_pair_ious(layout, boxes) if boxes else np.zeros((0, layout.anchor_count))
+    face_max = ious.max(axis=1)
+    face_argmax = np.where(face_max > 0.0, ious.argmax(axis=1), -1)
+    anchor_best = ious.max(axis=0) if boxes else np.zeros(layout.anchor_count)
+    anchor_face = np.where(anchor_best > 0.0, ious.argmax(axis=0) if boxes else -1, -1)
+    labels = np.zeros(layout.anchor_count, dtype=np.int8)
+    labels[anchor_best >= cfg.t_low] = -1
+    labels[anchor_best >= cfg.t_high] = 1
+    labels[face_argmax[face_max > 0.0]] = 1
+    source = np.where(labels == 1, anchor_face, -1)
+    assigned = [
+        np.union1d(np.flatnonzero(ious[f] >= cfg.t_high), face_argmax[f : f + 1][face_max[f : f + 1] > 0.0])
+        for f in range(len(boxes))
+    ]
+    matched = MatchResult(face_max, face_argmax, tuple(assigned), labels, source, offset)
+    if cfg.hc_n == 0:
+        return matched, None
+
+    labels, source = labels.copy(), source.copy()
+    for f in np.flatnonzero(face_max < cfg.t_high):
+        overlap = np.flatnonzero(ious[f] > 0.0)
+        top = overlap[np.lexsort((overlap, -ious[f, overlap]))][: cfg.hc_n]
+        fresh = top[labels[top] != 1]
+        labels[fresh] = 1
+        source[fresh] = f
+        assigned[f] = np.union1d(assigned[f], top)
+    return matched, MatchResult(face_max, face_argmax, tuple(assigned), labels, source, offset)
+
+
+def assert_same_match(got, want):
+    """Field-by-field ``==`` (values and dtypes) of two MatchResults."""
+    for name in ("face_max_iou", "face_argmax", "anchor_labels", "anchor_source"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got.face_assigned) == len(want.face_assigned)
+    for f, (a, b) in enumerate(zip(got.face_assigned, want.face_assigned)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"face_assigned[{f}]"
+    assert got.jitter_offset == want.jitter_offset
+
+
 def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):
     """A random small AnchorSpec for equivalence sweeps."""
     from anchorlap.layout import AnchorSpec

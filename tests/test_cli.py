@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, exit codes, manifests, replay."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -9,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anchorlap
+from anchorlap import cli
 from anchorlap.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -454,6 +457,51 @@ class TestJsonFormat:
         for row, ref in zip(rows_of(as_csv), got):
             assert float(row["cx"]) == ref["cx"]
             assert int(row["id"]) == ref["id"]
+
+
+class TestRender:
+    """``_render`` writes columns exactly as ``csv.writer`` and one ``json.dumps``
+    of row dicts would, however the rows are chunked."""
+
+    COLUMNS = {
+        "id": np.arange(7),
+        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x"],
+        "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12]),
+        "mixed": [1, 2.5, "s", None, 3, 4.0, "t"],
+    }
+
+    @staticmethod
+    def reference(columns, fmt):
+        def cell(v):
+            return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+        def value(v):
+            if isinstance(v, float):
+                return float(f"{v:.9g}") if math.isfinite(v) else None
+            return v
+
+        names = list(columns)
+        rows = list(zip(*(list(c.tolist() if isinstance(c, np.ndarray) else c)
+                          for c in columns.values())))
+        if fmt == "json":
+            data = [{k: value(v) for k, v in zip(names, row)} for row in rows]
+            return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([cell(v) for v in row] for row in rows)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+    def test_chunked_columns_match_row_rendering(self, monkeypatch, fmt, chunk):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
+        assert cli._render(self.COLUMNS, fmt) == self.reference(self.COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, fmt):
+        columns = {"a": [], "b": np.array([], dtype=np.float64)}
+        assert cli._render(columns, fmt) == self.reference(columns, fmt)
 
 
 def _project_metadata():
