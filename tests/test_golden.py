@@ -3,8 +3,10 @@
 Runs ``stats``, ``stats --jitter``, ``match`` and ``optimize`` on a small
 fixed listing (tests/data/golden_faces.txt: three images with faces, one
 empty image, sides from 6 to 300 px, one degenerate line, one face sitting
-exactly on an anchor) in both output formats, and compares the sha256 of
-every artifact with digests frozen from an earlier build.  A refactor that
+exactly on an anchor), and ``emo --mc`` at 1 and 2 workers with 70,000
+samples per cell (one full 65,536-sample chunk plus a remainder chunk), in
+both output formats, and compares the sha256 of every artifact with digests
+frozen from an earlier build.  A refactor that
 claims identical output must leave every digest alone; a deliberate output
 change must update the digest and say which rows moved.
 
@@ -19,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from anchorlap import AnchorSpec, build_layout
 from anchorlap.cli import main
+from anchorlap.emo import emo_monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = "tests/data"
@@ -34,8 +38,16 @@ RUNS = {
     "match": ["match", "--annotations", FACES, "--spec", SPEC, "--hc", "5"],
     "optimize": ["optimize", "--annotations", FACES, "--space", SPACE],
 }
+EMO_MC = ["emo", "--mc", "--scales", "6,16,40", "--strides", "4,16",
+          "--samples", "70000", "--seed", "11"]
+RUNS["emo-mc"] = EMO_MC + ["--workers", "1"]
+RUNS["emo-mc-2workers"] = EMO_MC + ["--workers", "2"]
 
 DIGESTS = {
+    "emo-mc.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
+    "emo-mc.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
+    "emo-mc-2workers.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
+    "emo-mc-2workers.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
     "match.csv": "7272e4f38f1d39a8a6e98f3035418d971b6be604ea62de0cc41c8a1577281596",
     "match.csv.anchors.csv": "8ea5c205c577e598732455c48fe85b2658da466532cb24b087826ce3699e43b1",
     "match.json": "8d3a700b2f04b27e9c7564e89dcff1476c66f0806123f0e72b03ea1968eac766",
@@ -76,3 +88,15 @@ def test_artifact_digests_are_frozen(run, fmt, tmp_path, at_root):
 def test_old_manifest_replays(name, tmp_path, at_root):
     manifest = f"{DATA}/{name}.manifest.json"
     assert main(["replay", "--manifest", manifest, "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_emo_mc_estimate_is_frozen_to_the_bit(workers):
+    # The CLI prints 9 significant digits; the estimate itself, a sum of
+    # per-chunk sums over every sample, is pinned here in full, on a layout
+    # of several ratios and shifted sub-lattices.
+    spec = AnchorSpec(scales=(8.0, 16.0, 32.0), ratios=(0.8, 1.25), stride_divisor=2,
+                      shifts_per_scale={8.0: 3, 16.0: 1})
+    est = emo_monte_carlo(build_layout(spec, 256.0, 192.0), 13.0, 17.0, 70000, 11, workers)
+    assert est.value.hex() == "0x1.67f1098588894p-1"
+    assert est.std_error.hex() == "0x1.309b8cb89e1dfp-12"
