@@ -14,7 +14,6 @@ from .layout import (
     build_layout,
     covering_radius,
     effective_anchor_stride,
-    nearest_centers,
 )
 from .emo import (
     EmoCell,
@@ -68,7 +67,6 @@ __all__ = [
     "build_layout",
     "effective_anchor_stride",
     "covering_radius",
-    "nearest_centers",
     "EmoQuery",
     "EmoEstimate",
     "EmoCell",

@@ -186,6 +186,18 @@ def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh):
     """
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    return iou_from_overlaps(iw, ih, aw * ah + bw * bh)
+
+
+def iou_from_overlaps(iw, ih, areas):
+    """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
+    of their areas, ``areas = aw*ah + bw*bh`` (in that order).
+
+    The one IoU rule of the package: the intersection is ``iw * ih`` where
+    both overlaps are positive, else 0, and the union is bounded below by
+    the intersection.  Every step is a correctly rounded monotone
+    operation, so the result never decreases as ``iw`` or ``ih`` grows,
+    in floating point too.
+    """
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    union = np.maximum(aw * ah + bw * bh - inter, inter)
-    return np.where(inter > 0.0, inter / union, 0.0)
+    return np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)

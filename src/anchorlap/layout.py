@@ -26,7 +26,6 @@ __all__ = [
     "LatticeGroup",
     "build_layout",
     "effective_anchor_stride",
-    "nearest_centers",
     "covering_radius",
 ]
 
@@ -303,45 +302,3 @@ def _bracket(values: np.ndarray, origin: float, stride: float, n: int):
     lo = np.clip(raw, 0, n - 1)
     hi = np.clip(raw + 1, 0, n - 1)
     return lo, hi
-
-
-def candidate_ids(group: LatticeGroup, px, py) -> np.ndarray:
-    """Anchor IDs at the corners of the group cell(s) enclosing each point.
-
-    Returns an ``(n_points, 4)`` array; entries may repeat where clamping
-    at the plane edge collapses the bracket.  For any box centered at the
-    point, some corner anchor attains
-    the group's maximum IoU: per axis, the bracketing grid lines hold the
-    two smallest center offsets, overlap extent never grows with offset,
-    and the overlap product is maximized on one of those corners.  (When a
-    large anchor fully contains a small box the maximum can tie across many
-    positions; the corners still attain the maximal value.)
-    """
-    px = np.atleast_1d(np.asarray(px, dtype=np.float64))
-    py = np.atleast_1d(np.asarray(py, dtype=np.float64))
-    col_lo, col_hi = _bracket(px, group.origin_x, group.stride, group.cols)
-    row_lo, row_hi = _bracket(py, group.origin_y, group.stride, group.rows)
-    base = group.id_start
-    ids = np.stack(
-        [
-            base + row_lo * group.cols + col_lo,
-            base + row_lo * group.cols + col_hi,
-            base + row_hi * group.cols + col_lo,
-            base + row_hi * group.cols + col_hi,
-        ],
-        axis=1,
-    )
-    return ids
-
-
-def nearest_centers(layout: AnchorLayout, px: float, py: float, scale: float) -> np.ndarray:
-    """Candidate anchors of ``scale`` nearest to the point ``(px, py)``.
-
-    All anchors on the enclosing lattice cell of each of the scale's
-    sub-lattices (every ratio included), as sorted unique IDs.  For any box
-    centered at the point, the set is guaranteed to contain an anchor
-    attaining the scale's maximum IoU.
-    """
-    groups = layout.groups_for_scale(scale)
-    ids = np.concatenate([candidate_ids(g, px, py).ravel() for g in groups])
-    return np.unique(ids)

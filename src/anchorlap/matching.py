@@ -8,12 +8,13 @@ compensated by force-assigning their top-N overlapping anchors.
 
 All heavy paths here are exact accelerations: results are defined to be
 identical to an exhaustive faces-by-anchors scan, and the test suite holds
-them to that.  Per-face maxima come from the cell-corner kernel
-(:func:`max_overlap_values`).  Everything else comes from one batched
-window scan (:func:`_scan`): per lattice group, each face's window is cut
-to the anchors that can reach an IoU floor, and faces with similar windows
-are evaluated together in bounded blocks, each reduced into running
-results and dropped.  ``match_faces`` scans every face at ``t_low`` (a
+them to that.  Per-face maxima come from the per-axis cell-corner kernel
+(:func:`max_overlap_values`), which can fall a few ulps short of the
+exhaustive maximum for anchors of non-dyadic sides (see there).
+Everything else comes from one batched window scan (:func:`_scan`): per
+lattice group, each face's window is cut to the anchors that can reach an
+IoU floor, and faces with similar windows are evaluated together in
+bounded blocks, each reduced into running results and dropped.  ``match_faces`` scans every face at ``t_low`` (a
 hard face down to its own max), which gives the labels, the sources, the
 argmax anchors and the assigned sets; an argmax anchor that no pair at or
 above ``t_low`` reaches gets its source from all faces.
@@ -29,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import FaceTable, RectBox, iou_xywh
-from .layout import AnchorLayout, LatticeGroup, candidate_ids, effective_anchor_stride
+from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
+from .layout import AnchorLayout, LatticeGroup, _bracket, effective_anchor_stride
 from .rng import stream
 
 __all__ = [
@@ -117,60 +118,90 @@ class MatchResult:
         return np.flatnonzero(self.face_max_iou < t_high)
 
 
-def _group_candidate_iou(group: LatticeGroup, ids: np.ndarray, x, y, w, h):
-    """IoU of each face with its row of candidate anchors in ``ids`` (faces x candidates)."""
-    offset = ids - group.id_start
-    col = offset % group.cols
-    row = offset // group.cols
-    acx = group.origin_x + col * group.stride
-    acy = group.origin_y + row * group.stride
-    ax = acx - group.box_w / 2.0
-    ay = acy - group.box_h / 2.0
-    return iou_xywh(ax, ay, group.box_w, group.box_h, x[:, None], y[:, None], w[:, None], h[:, None])
-
-
-def _broadcast_boxes(x, y, w, h):
-    return np.broadcast_arrays(
+def _flat_boxes(x, y, w, h):
+    """Box coordinates broadcast together and flattened, and their shape."""
+    x, y, w, h = np.broadcast_arrays(
         np.atleast_1d(np.asarray(x, dtype=np.float64)),
         np.asarray(y, dtype=np.float64),
         np.asarray(w, dtype=np.float64),
         np.asarray(h, dtype=np.float64),
     )
+    return [v.ravel() for v in (x, y, w, h)], x.shape
+
+
+# Boxes per pass of the overlap kernel.  Its temporaries then stay in
+# cache, which makes a 65,536-box call about twice as fast.
+_KERNEL_BLOCK = 8192
+
+
+def _axis_overlaps(lo, hi, center, origin: float, stride: float, n: int, side: float):
+    """Overlaps of the box extents ``[lo, hi]`` along one axis with the
+    anchors of side ``side`` on the two grid lines (of ``n`` from
+    ``origin``, clamped) bracketing each box ``center``: ``(at_lo, at_hi)``.
+    ``at_hi`` is 0 where clamping at the plane edge makes the lines one, so
+    no anchor is counted twice."""
+    i_lo, i_hi = _bracket(center, origin, stride, n)
+    at_lo, at_hi = (
+        np.minimum(a + side, hi) - np.maximum(a, lo)
+        for a in ((origin + i * stride) - side / 2.0 for i in (i_lo, i_hi))
+    )
+    at_hi[i_hi == i_lo] = 0.0
+    return at_lo, at_hi
+
+
+def _corner_overlaps(layout: AnchorLayout, x, y, w, h):
+    """Per lattice group: the per-axis overlaps ``(iw_lo, iw_hi)`` and
+    ``(ih_lo, ih_hi)`` of each box with the anchors on the corners of the
+    cell enclosing its center, and the summed areas of anchor and box.
+    The corner ``(row, col)`` anchor's IoU is ``iou_from_overlaps(iw_col,
+    ih_row, areas)``."""
+    x2, y2 = x + w, y + h
+    cx, cy = x + w / 2.0, y + h / 2.0
+    area = w * h
+    for g in layout.groups:
+        iw = _axis_overlaps(x, x2, cx, g.origin_x, g.stride, g.cols, g.box_w)
+        ih = _axis_overlaps(y, y2, cy, g.origin_y, g.stride, g.rows, g.box_h)
+        yield iw, ih, g.box_w * g.box_h + area
 
 
 def max_overlap_values(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
-    """Per-box max IoU over *all* anchors of the layout.
+    """Per-box max IoU over *all* anchors of the layout; 0 for boxes
+    overlapping none.
 
-    ``x, y, w, h`` are box coordinates, broadcast together.  For each
-    lattice group only the anchors on the corners of the cell enclosing
-    the box center are evaluated.  Per-axis overlap never grows with
-    center distance, so a corner anchor always attains the group maximum
-    and the result equals an exhaustive scan bit for bit.  Boxes
-    overlapping no anchor get 0.
+    ``x, y, w, h`` broadcast together, and the result keeps their shape
+    (at least 1-D).  Per lattice group only the corners of the cell around
+    the box center count, as per-axis overlap never grows with center
+    distance.  A corner's x overlap depends only on its column and its y
+    overlap only on its row, and IoU never decreases as either grows, so
+    the best corner's IoU, bit for bit, is built from the larger x overlap
+    of the two columns and the larger y overlap of the two rows.  For an
+    anchor side that is not dyadic, a column off the corners can score a
+    few ulps higher: ``(ax + aw) - ax`` rounds differently per column while
+    the box holds the anchor whole along x (likewise for rows).
     """
-    x, y, w, h = _broadcast_boxes(x, y, w, h)
-    cx = x + w / 2.0
-    cy = y + h / 2.0
+    (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     best = np.zeros(x.shape, dtype=np.float64)
-    for group in layout.groups:
-        ids = candidate_ids(group, cx, cy)
-        ious = _group_candidate_iou(group, ids, x, y, w, h)
-        np.maximum(best, ious.max(axis=-1), out=best)
-    return best
+    for lo in range(0, len(best), _KERNEL_BLOCK):
+        part = slice(lo, lo + _KERNEL_BLOCK)
+        for iw, ih, areas in _corner_overlaps(layout, x[part], y[part], w[part], h[part]):
+            ious = iou_from_overlaps(np.maximum(*iw), np.maximum(*ih), areas)
+            np.maximum(best[part], ious, out=best[part])
+    return best.reshape(shape)
 
 
 def max_overlap(layout: AnchorLayout, x, y, w, h):
     """Like :func:`max_overlap_values`, plus lowest-ID argmax anchor IDs.
 
-    A corner anchor attains the max value, but when several anchors tie
-    (commonly: a large anchor fully containing a small box keeps the same
-    IoU across a run of lattice positions) the lowest-ID maximizer may sit
-    outside the corner set.  So each box's window of anchors able to reach
-    its max is scanned (:func:`_scan` with the max as floor), and the ID
-    returned is exactly the first maximizer an exhaustive ascending-ID scan
-    would keep.  Boxes overlapping no anchor get ID -1.
+    The max value comes from the per-axis kernel.  When several anchors
+    tie (commonly: a large anchor fully containing a small box keeps the
+    same IoU across a run of lattice positions) the lowest-ID maximizer may
+    sit outside the enclosing cell's corners.  So each box's window of
+    anchors able to reach its max is scanned (:func:`_scan` with the max as
+    floor), and the ID returned is the first anchor, in ascending ID,
+    whose IoU equals that max.  Boxes overlapping no anchor get ID -1.
+    Both results have the broadcast shape of the coordinates.
     """
-    x, y, w, h = _broadcast_boxes(x, y, w, h)
+    (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     best = max_overlap_values(layout, x, y, w, h)
     live = np.flatnonzero(best > 0.0)
     found = np.full(live.shape, -1, dtype=np.int64)
@@ -178,7 +209,7 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
         _take_argmax(found, best[live], *block)
     best_id = np.full(best.shape, -1, dtype=np.int64)
     best_id[live] = found
-    return best, best_id
+    return best.reshape(shape), best_id.reshape(shape)
 
 
 # IoU pairs in one streamed block of the window scan.  A block's working
@@ -324,22 +355,19 @@ def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.n
 
 def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
     """A lower bound on each box's ``n``-th best IoU over distinct anchors:
-    the ``n``-th best over the corner anchors of its enclosing cells, with
-    corners repeated by clamping at the plane edge counted once.  0 when
-    fewer than ``n`` of them overlap the box."""
-    cx = x + w / 2.0
-    cy = y + h / 2.0
-    parts = []
-    for g in layout.groups:
-        ids = candidate_ids(g, cx, cy)
-        ious = _group_candidate_iou(g, ids, x, y, w, h)
-        for j in range(1, 4):
-            ious[(ids[:, j : j + 1] == ids[:, :j]).any(axis=1), j] = 0.0
-        parts.append(ious)
-    corners = np.concatenate(parts, axis=1)
-    if corners.shape[1] < n:
+    the ``n``-th best over the corner anchors of its enclosing cells, each
+    corner's IoU the product of its column's and its row's per-axis
+    overlap, with corners repeated by clamping at the plane edge counted
+    once.  0 when fewer than ``n`` of them overlap the box."""
+    corners = [
+        iou_from_overlaps(iw_col, ih_row, areas)
+        for iw, ih, areas in _corner_overlaps(layout, x, y, w, h)
+        for ih_row in ih
+        for iw_col in iw
+    ]
+    if len(corners) < n:
         return np.zeros(len(x))
-    return np.partition(corners, -n, axis=1)[:, -n]
+    return np.partition(np.stack(corners, axis=1), -n, axis=1)[:, -n]
 
 
 def overlapping_anchors(layout: AnchorLayout, box: RectBox):

@@ -6,10 +6,12 @@ same elementwise IoU expression, so "identical" comparisons are meaningful
 at the bit level.
 """
 
+import math
+
 import numpy as np
 
 from anchorlap.geometry import iou_xywh
-from anchorlap.layout import AnchorLayout
+from anchorlap.layout import AnchorLayout, LatticeGroup, _bracket
 
 
 def face_arrays(boxes):
@@ -34,6 +36,66 @@ def brute_max_overlap(layout: AnchorLayout, boxes):
     best = ious.max(axis=1)
     best_id = np.where(best > 0.0, ious.argmax(axis=1), -1)
     return best, best_id
+
+
+def candidate_ids(group: LatticeGroup, px, py) -> np.ndarray:
+    """Anchor IDs at the corners of the group cell(s) enclosing each point.
+
+    Returns an ``(n_points, 4)`` array, corners in the order (row_lo,
+    col_lo), (row_lo, col_hi), (row_hi, col_lo), (row_hi, col_hi); entries
+    repeat where clamping at the plane edge collapses the bracket.  For any
+    box centered at the point, some corner anchor attains the group's
+    maximum IoU.
+    """
+    px = np.atleast_1d(np.asarray(px, dtype=np.float64))
+    py = np.atleast_1d(np.asarray(py, dtype=np.float64))
+    col_lo, col_hi = _bracket(px, group.origin_x, group.stride, group.cols)
+    row_lo, row_hi = _bracket(py, group.origin_y, group.stride, group.rows)
+    rows = group.id_start + np.stack([row_lo, row_lo, row_hi, row_hi], axis=1) * group.cols
+    return rows + np.stack([col_lo, col_hi, col_lo, col_hi], axis=1)
+
+
+def nearest_centers(layout: AnchorLayout, px: float, py: float, scale: float) -> np.ndarray:
+    """Sorted unique IDs of the corner anchors of ``scale`` (every ratio and
+    sub-lattice) around the point ``(px, py)``."""
+    groups = layout.groups_for_scale(scale)
+    return np.unique(np.concatenate([candidate_ids(g, px, py).ravel() for g in groups]))
+
+
+def corner_ious(layout: AnchorLayout, x, y, w, h):
+    """Per group: the four full IoUs of each box (1-D arrays) with the
+    corner anchors around its center, ``(ids, ious)`` both (boxes, 4)."""
+    cx = x + w / 2.0
+    cy = y + h / 2.0
+    for g in layout.groups:
+        ids = candidate_ids(g, cx, cy)
+        row, col = np.divmod(ids - g.id_start, g.cols)
+        ax = (g.origin_x + col * g.stride) - g.box_w / 2.0
+        ay = (g.origin_y + row * g.stride) - g.box_h / 2.0
+        ious = iou_xywh(ax, ay, g.box_w, g.box_h, x[:, None], y[:, None], w[:, None], h[:, None])
+        yield ids, ious
+
+
+def corner_max_overlap(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
+    """The four-corner kernel: per-box max over every group's corner IoUs."""
+    best = np.zeros(len(x))
+    for _, ious in corner_ious(layout, x, y, w, h):
+        np.maximum(best, ious.max(axis=1), out=best)
+    return best
+
+
+def corner_nth_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
+    """The ``n``-th best corner IoU per box, each distinct corner anchor once,
+    0 when fewer than ``n`` corners exist."""
+    parts = []
+    for ids, ious in corner_ious(layout, x, y, w, h):
+        for j in range(1, 4):
+            ious[(ids[:, j : j + 1] == ids[:, :j]).any(axis=1), j] = 0.0
+        parts.append(ious)
+    corners = np.concatenate(parts, axis=1)
+    if corners.shape[1] < n:
+        return np.zeros(len(x))
+    return np.partition(corners, -n, axis=1)[:, -n]
 
 
 def brute_labels(layout: AnchorLayout, boxes, t_high: float, t_low: float):
@@ -147,3 +209,24 @@ def brute_optimize(space, faces, tau=0.5):
                                   spec.anchors_per_location))
     scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
     return scores
+
+
+def dilog(z: float) -> float:
+    """The dilogarithm Li2(z) = sum z^k / k^2 for 0 <= z <= 1/2, where 80
+    terms leave an error below 2^-80."""
+    return math.fsum(z**k / (k * k) for k in range(1, 81))
+
+
+def emo_exact(side: float, stride: float) -> float:
+    """EMO of a ``side`` square face against equal anchors on a plain
+    ``stride`` lattice, in closed form, for ``stride / 2 < side``.
+
+    The mean of the single-period IoU over the quarter period integrates
+    exactly in dilogarithms: with h = stride/2 and a = side - h,
+    EMO = (2 side^2 (Li2(1/2) - 2 Li2(a / 2side) + Li2(a^2 / 2side^2)) - h^2) / h^2.
+    """
+    h = stride / 2.0
+    a = side - h
+    sq = side * side
+    return (2.0 * sq * (dilog(0.5) - 2.0 * dilog(a / (2.0 * side)) + dilog(a * a / (2.0 * sq)))
+            - h * h) / (h * h)

@@ -34,7 +34,7 @@ from anchorlap.matching import (
 )
 from anchorlap.dataset import bucket_stats
 
-from helpers import brute_labels, brute_max_overlap, brute_top_n, random_spec
+from helpers import brute_labels, brute_max_overlap, brute_top_n, dilog, emo_exact, random_spec
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "emo_golden.json").read_text()
@@ -94,6 +94,19 @@ def test_criterion_02_quadrature_agrees_with_monte_carlo_and_goldens():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"18-cell sweep took {elapsed:.1f}s (budget 30s)"
     _pass(2, "512^2-cell quadrature matches 10^6-sample MC and frozen oracle values")
+
+
+def test_criterion_02_dilogarithm_oracle_agrees_with_goldens_and_quadrature():
+    # An oracle that is not itself a quadrature: the EMO integral in closed form.
+    assert abs(dilog(0.5) - (math.pi**2 / 12.0 - math.log(2.0) ** 2 / 2.0)) <= 1e-15
+    for side in SCALES:
+        for stride in STRIDES:
+            exact = emo_exact(side, stride)
+            golden = GOLDEN[f"{side:g}x{stride:g}"]
+            assert abs(exact - golden) <= 2e-9, f"EMO({side:g},{stride:g}): {exact!r} vs {golden!r}"
+            value = closed(side, stride)
+            assert abs(exact - value) <= 1e-7, f"EMO({side:g},{stride:g}): {exact!r} vs {value!r}"
+    _pass(2, "dilogarithm closed form matches frozen oracle values and the quadrature")
 
 
 def test_criterion_03_emo_monotone_in_scale_and_stride():

@@ -10,13 +10,11 @@ from anchorlap.layout import (
     MAX_ANCHORS,
     AnchorSpec,
     build_layout,
-    candidate_ids,
     covering_radius,
     effective_anchor_stride,
-    nearest_centers,
 )
 
-from helpers import all_pair_ious, random_spec
+from helpers import all_pair_ious, candidate_ids, nearest_centers, random_spec
 
 SQRT2 = math.sqrt(2.0)
 

@@ -31,6 +31,8 @@ from helpers import (
     brute_match,
     brute_max_overlap,
     brute_top_n,
+    corner_max_overlap,
+    corner_nth_iou,
     random_spec,
 )
 
@@ -110,12 +112,123 @@ class TestMaxOverlap:
         assert values.shape == (3,)
         assert values[0] == 1.0
 
+    def test_2d_coordinates_keep_their_shape(self):
+        layout = grid16()
+        values = max_overlap_values(layout, np.zeros((2, 3)), 0.0, 16.0, 16.0)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values, max_overlap_values(layout, np.zeros(6), 0.0, 16.0, 16.0).reshape(2, 3))
+
+    def test_max_overlap_broadcasts_like_the_values(self):
+        layout = grid16()
+        x = np.array([[0.0, 3.0, 8.0], [40.0, 500.0, -9.0]])
+        w = np.array([[16.0], [5.0]])
+        values, ids = max_overlap(layout, x, 2.0, w, 16.0)
+        assert values.shape == ids.shape == (2, 3)
+        flat_x, flat_w = (v.ravel() for v in np.broadcast_arrays(x, w))
+        flat_values, flat_ids = max_overlap(layout, flat_x, 2.0, flat_w, 16.0)
+        assert np.array_equal(values, flat_values.reshape(2, 3))
+        assert np.array_equal(ids, flat_ids.reshape(2, 3))
+        assert ids[1, 1] == -1 and values[1, 1] == 0.0
+
     def test_overlapping_anchors_sorted_positive(self):
         layout = grid16()
         ids, ious = overlapping_anchors(layout, RectBox(8.0, 8.0, 16.0, 16.0))
         assert ids.tolist() == [0, 1, 4, 5]
         assert np.all(ious > 0.0)
         assert np.allclose(ious, 1.0 / 7.0)
+
+
+def tie_spec(rng, ratios=(0.5, 1.0, 2.0)):
+    """A random spec with shifted sub-lattices and anchors large enough to
+    hold the small boxes of :func:`tie_boxes` whole."""
+    scales = sorted(rng.choice([4.0, 8.0, 16.0, 24.0, 48.0], size=int(rng.integers(1, 4)),
+                               replace=False).tolist())
+    ratios = sorted(rng.choice(ratios, size=int(rng.integers(1, len(ratios) + 1)),
+                               replace=False).tolist())
+    shifts = {s: int(rng.choice([0, 1, 3])) for s in scales}
+    return AnchorSpec(scales=tuple(scales), ratios=tuple(ratios), base_stride=16.0,
+                      stride_divisor=int(rng.choice([1, 2, 4])),
+                      shifts_per_scale={k: v for k, v in shifts.items() if v})
+
+
+def tie_boxes(rng, layout, n):
+    """Boxes that provoke exact ties: centers on the quarter-stride grid
+    (every anchor center and cell midpoint) for 40% of them, integer sides
+    for 40%, sides down to 1 px so that large anchors hold them whole, and
+    centers up to 24 px past the plane edges, where the bracket clamps to
+    one grid line."""
+    quarter = layout.spec.sliding_stride / 4.0
+    w = rng.uniform(1.0, 40.0, n)
+    h = np.where(rng.random(n) < 0.5, w, rng.uniform(1.0, 40.0, n))
+    whole = rng.random(n) < 0.4
+    w[whole], h[whole] = np.ceil(w[whole]), np.ceil(h[whole])
+    cx = rng.uniform(-24.0, layout.plane_w + 24.0, n)
+    cy = rng.uniform(-24.0, layout.plane_h + 24.0, n)
+    aligned = rng.random(n) < 0.4
+    cx[aligned] = np.round(cx[aligned] / quarter) * quarter
+    cy[aligned] = np.round(cy[aligned] / quarter) * quarter
+    return cx - w / 2.0, cy - h / 2.0, w, h
+
+
+class TestSeparableKernel:
+    """The per-axis kernel against the four-corner kernel it replaced and
+    the exhaustive scan, with ``==``."""
+
+    def test_equals_corner_kernel_and_brute_force(self):
+        rng = np.random.default_rng(2024)
+        tied = clamped = 0
+        for _ in range(40):
+            layout = build_layout(tie_spec(rng, ratios=(1.0,)), float(rng.integers(24, 97)),
+                                  float(rng.integers(24, 97)))
+            x, y, w, h = tie_boxes(rng, layout, 60)
+            got = max_overlap_values(layout, x, y, w, h)
+            assert np.array_equal(got, corner_max_overlap(layout, x, y, w, h))
+            boxes = [RectBox(*map(float, b)) for b in zip(x, y, w, h)]
+            want, _ = brute_max_overlap(layout, boxes)
+            assert np.array_equal(got, want)
+            at_max = all_pair_ious(layout, boxes) == want[:, None]
+            tied += int(np.count_nonzero((at_max.sum(axis=1) > 1) & (want > 0.0)))
+            clamped += int(np.count_nonzero((x + w / 2.0 > layout.plane_w) & (want > 0.0)))
+        assert tied > 100 and clamped > 100
+
+    def test_non_unit_ratios_stay_a_few_ulps_below_brute_force(self):
+        # An anchor whose side is not a dyadic number has an x overlap
+        # (ax + aw) - ax that rounds differently at each column while the
+        # box holds it whole, so a column off the enclosing cell's corners
+        # can score a few ulps higher.  The corner kernel never saw those
+        # columns either; this pins the size of that divergence.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            layout = build_layout(tie_spec(rng), float(rng.integers(24, 97)),
+                                  float(rng.integers(24, 97)))
+            x, y, w, h = tie_boxes(rng, layout, 60)
+            got = max_overlap_values(layout, x, y, w, h)
+            assert np.array_equal(got, corner_max_overlap(layout, x, y, w, h))
+            want, _ = brute_max_overlap(layout, [RectBox(*map(float, b)) for b in zip(x, y, w, h)])
+            assert np.all(got <= want)
+            assert np.all(want - got <= 32 * np.spacing(want))
+
+    def test_equals_corner_kernel_on_many_boxes(self):
+        rng = np.random.default_rng(5150)
+        ties = 0
+        for _ in range(60):
+            layout = build_layout(tie_spec(rng), float(rng.integers(24, 257)),
+                                  float(rng.integers(24, 257)))
+            x, y, w, h = tie_boxes(rng, layout, 4000)
+            got = max_overlap_values(layout, x, y, w, h)
+            assert np.array_equal(got, corner_max_overlap(layout, x, y, w, h))
+            ties += int(np.count_nonzero(got == 1.0))
+        assert ties > 0  # some boxes sit exactly on an anchor
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_nth_corner_iou_equals_four_corner_version(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            layout = build_layout(tie_spec(rng), float(rng.integers(24, 161)),
+                                  float(rng.integers(24, 161)))
+            x, y, w, h = tie_boxes(rng, layout, 2000)
+            got = matching._nth_corner_iou(layout, x, y, w, h, n)
+            assert np.array_equal(got, corner_nth_iou(layout, x, y, w, h, n))
 
 
 class TestMatchFaces:
