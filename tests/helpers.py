@@ -3,7 +3,9 @@
 These deliberately avoid the library's accelerated paths: every quantity
 is recomputed from the full anchor enumeration with plain numpy, using the
 same elementwise IoU expression, so "identical" comparisons are meaningful
-at the bit level.
+at the bit level.  The ``corner_*`` functions are the four-corner overlap
+kernel the library used before its per-axis one, kept as a reference, and
+``emo_exact`` is the EMO integral in closed form.
 """
 
 import math
