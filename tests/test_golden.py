@@ -1,14 +1,14 @@
 """Artifact bytes pinned across commits.
 
-Runs ``stats``, ``stats --jitter``, ``match`` and ``optimize`` on a small
-fixed listing (tests/data/golden_faces.txt: three images with faces, one
-empty image, sides from 6 to 300 px, one degenerate line, one face sitting
-exactly on an anchor), and ``emo --mc`` at 1 and 2 workers with 70,000
-samples per cell (one full 65,536-sample chunk plus a remainder chunk), in
-both output formats, and compares the sha256 of every artifact with digests
-frozen from an earlier build.  A refactor that
-claims identical output must leave every digest alone; a deliberate output
-change must update the digest and say which rows moved.
+Runs ``stats``, ``stats --jitter`` (4 and 64 trials), ``match`` and
+``optimize`` on a small fixed listing (tests/data/golden_faces.txt: three
+images with faces, one empty image, sides from 6 to 300 px, one degenerate
+line, one face sitting exactly on an anchor), and ``emo --mc`` at 1 and 2
+workers with 70,000 samples per cell (one full 65,536-sample chunk plus a
+remainder chunk), in both output formats, and compares the sha256 of every
+artifact with digests frozen from an earlier build.  A refactor that claims
+identical output must leave every digest alone; a deliberate output change
+must update the digest and say which rows moved.
 
 The committed ``golden_*.manifest.json`` files were written by that earlier
 build with paths relative to the repository root; replaying them checks
@@ -35,6 +35,10 @@ RUNS = {
     "stats": ["stats", "--annotations", FACES, "--spec", SPEC],
     "stats-jitter": ["stats", "--annotations", FACES, "--spec", SPEC,
                      "--jitter", "--trials", "4", "--seed", "3"],
+    # 64 trials of seed 3 draw all four offsets of the golden spec; the
+    # 4-trial run above draws only two of them.
+    "stats-jitter64": ["stats", "--annotations", FACES, "--spec", SPEC,
+                       "--jitter", "--trials", "64", "--seed", "3"],
     "match": ["match", "--annotations", FACES, "--spec", SPEC, "--hc", "5"],
     "optimize": ["optimize", "--annotations", FACES, "--space", SPACE],
 }
@@ -56,6 +60,8 @@ DIGESTS = {
     "optimize.json": "2f3a5f84fd32efb2e58ecdb6f77d9ee98f2f46585f895b69bd27afbc1e7d8681",
     "stats-jitter.csv": "235d6a80d15f07d5c3254a81ebbf6a70d5f393f7aa3b7df6419d93b333fc628d",
     "stats-jitter.json": "4e96155712fd2f665650cfebb901b8f68097ca2ddabfcbad41403c8326bdbc5d",
+    "stats-jitter64.csv": "dedf996de50bcc49ce0fb1b38c6d68cbbf507f4cda78351e5120036528a83dbe",
+    "stats-jitter64.json": "f25a5445518079077cfb803e10934b0b0bcf408b53c898f71c25a7f5f48c7b7a",
     "stats.csv": "0846eb656914e283eacb81f3d1104b82de54630353b3c355d411924db7baec66",
     "stats.json": "7946256aeb83cd4cf7974ef6e230fb3e67a0dcd270bee27418d41753c3100811",
 }
