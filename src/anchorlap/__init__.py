@@ -44,7 +44,6 @@ from .dataset import (
     ScaleBucketReport,
     bounding_plane,
     bucket_stats,
-    compare_layouts,
     jitter_experiment,
     parse_annotations,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "JitterReport",
     "bucket_stats",
     "jitter_experiment",
-    "compare_layouts",
     "bounding_plane",
     "SearchSpace",
     "ConfigScore",

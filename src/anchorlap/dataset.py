@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import FaceTable, valid_boxes
-from .layout import AnchorLayout, AnchorSpec, build_layout
+from .layout import AnchorLayout
 from .matching import apply_jitter, jitter_offset_bound, max_overlap_values
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "bucket_stats",
     "JitterReport",
     "jitter_experiment",
-    "compare_layouts",
     "bounding_plane",
 ]
 
@@ -165,10 +164,6 @@ class ScaleBucketReport:
             lo, hi = self.bounds(b)
             yield lo, hi, self.counts[b], self.mean_max_iou[b], self.recall[b]
 
-    @property
-    def total_faces(self) -> int:
-        return sum(self.counts)
-
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     out = tuple(float(e) for e in edges)
@@ -228,7 +223,8 @@ class JitterReport:
     """Distribution of per-bucket mean max IoU across jitter trials.
 
     Counts are constant across trials (jitter never changes face sizes);
-    mean/min/max summarize the per-trial bucket means.
+    mean/min/max summarize the per-trial bucket means.  ``distinct_offsets``
+    is the number of different face offsets the trials drew.
     """
 
     edges: tuple[float, ...]
@@ -238,6 +234,7 @@ class JitterReport:
     mean_of_means: tuple[float, ...]
     min_mean: tuple[float, ...]
     max_mean: tuple[float, ...]
+    distinct_offsets: int
 
     def rows(self):
         """(lo, hi, count, mean, min, max) of the bucket means, per bucket."""
@@ -256,16 +253,22 @@ def jitter_experiment(
     """Repeat bucket_stats under per-trial random face shifts.
 
     Trial t draws its offset from the (seed, t) random stream, so reports
-    are reproducible and independent of evaluation order.
+    are reproducible and independent of evaluation order.  Offsets take at
+    most ``floor(b/2)**2`` values (``b`` = :func:`jitter_offset_bound`), so
+    the overlap kernel runs once per distinct offset, not once per trial;
+    the trials are then reduced in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     faces = FaceTable.of(faces)
     stride = jitter_offset_bound(layout)
+    by_offset: dict[tuple[int, int], ScaleBucketReport] = {}
     per_trial: list[ScaleBucketReport] = []
     for t in range(trials):
-        shifted, _ = apply_jitter(faces, stride, seed, stream_index=t)
-        per_trial.append(bucket_stats(shifted, layout, edges, tau))
+        shifted, offset = apply_jitter(faces, stride, seed, stream_index=t)
+        if offset not in by_offset:
+            by_offset[offset] = bucket_stats(shifted, layout, edges, tau)
+        per_trial.append(by_offset[offset])
     counts = per_trial[0].counts
     per_bucket = list(zip(*(r.mean_max_iou for r in per_trial)))
 
@@ -280,6 +283,7 @@ def jitter_experiment(
         mean_of_means=over_trials(np.mean),
         min_mean=over_trials(np.min),
         max_mean=over_trials(np.max),
+        distinct_offsets=len(by_offset),
     )
 
 
@@ -292,20 +296,3 @@ def bounding_plane(faces: FaceTable | Sequence, min_side: float = 64.0) -> tuple
     h = max(min_side, math.ceil(np.max(faces.y + faces.h)))
     return float(w), float(h)
 
-
-def compare_layouts(
-    faces: FaceTable | Sequence,
-    specs: Sequence[AnchorSpec],
-    edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
-    tau: float = 0.5,
-) -> list[tuple[AnchorSpec, ScaleBucketReport]]:
-    """bucket_stats for each spec over the same faces and shared plane."""
-    if len(specs) < 2:
-        raise ValueError(f"need at least 2 specs to compare, got {len(specs)}")
-    faces = FaceTable.of(faces)
-    plane_w, plane_h = bounding_plane(faces)
-    out = []
-    for spec in specs:
-        layout = build_layout(spec, plane_w, plane_h)
-        out.append((spec, bucket_stats(faces, layout, edges, tau)))
-    return out

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-from anchorlap.geometry import iou_xywh
+from anchorlap.dataset import DEFAULT_BUCKET_EDGES, JitterReport, bucket_stats
+from anchorlap.geometry import FaceTable, iou_xywh
 from anchorlap.layout import AnchorLayout, LatticeGroup, _bracket
+from anchorlap.matching import apply_jitter, jitter_offset_bound
 
 
 def face_arrays(boxes):
@@ -197,9 +199,39 @@ def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):
     )
 
 
+def brute_jitter(faces, layout: AnchorLayout, trials: int, seed: int,
+                 edges=DEFAULT_BUCKET_EDGES, tau: float = 0.5) -> JitterReport:
+    """``jitter_experiment`` with one full ``bucket_stats`` per trial, offsets
+    drawn repeat or not."""
+    faces = FaceTable.of(faces)
+    stride = jitter_offset_bound(layout)
+    per_trial = []
+    offsets = set()
+    for t in range(trials):
+        shifted, offset = apply_jitter(faces, stride, seed, stream_index=t)
+        offsets.add(offset)
+        per_trial.append(bucket_stats(shifted, layout, edges, tau))
+    counts = per_trial[0].counts
+    per_bucket = list(zip(*(r.mean_max_iou for r in per_trial)))
+
+    def over_trials(reduce):
+        return tuple(float(reduce(v)) if c else math.nan for c, v in zip(counts, per_bucket))
+
+    return JitterReport(
+        edges=per_trial[0].edges,
+        tau=tau,
+        trials=trials,
+        counts=counts,
+        mean_of_means=over_trials(np.mean),
+        min_mean=over_trials(np.min),
+        max_mean=over_trials(np.max),
+        distinct_offsets=len(offsets),
+    )
+
+
 def brute_optimize(space, faces, tau=0.5):
     """Rank every config by a full ``build_layout`` + ``bucket_stats`` scan each."""
-    from anchorlap.dataset import bounding_plane, bucket_stats
+    from anchorlap.dataset import bounding_plane
     from anchorlap.layout import build_layout
     from anchorlap.optimizer import ConfigScore, enumerate_configs
 

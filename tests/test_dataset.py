@@ -1,23 +1,31 @@
 """Annotation parsing and scale-bucket coverage analytics."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anchorlap import dataset
 from anchorlap.dataset import (
     DEFAULT_BUCKET_EDGES,
     AnnotationError,
+    JitterReport,
     ParsedAnnotations,
     bounding_plane,
     bucket_stats,
-    compare_layouts,
     jitter_experiment,
     parse_annotations,
 )
 from anchorlap.emo import EmoQuery, emo_closed_form
-from anchorlap.geometry import RectBox
+from anchorlap.geometry import FaceTable, RectBox
 from anchorlap.layout import AnchorSpec, build_layout
+from anchorlap.matching import jitter_offset_bound
+from anchorlap.specfile import load_spec
+from helpers import brute_jitter
+
+DATA = Path(__file__).parent / "data"
 
 LISTING = """\
 events/a.jpg
@@ -131,7 +139,7 @@ class TestBucketStats:
         assert report.mean_max_iou[b] == 1.0
         assert report.recall[b] == 1.0
         assert report.bounds(b) == (16.0, 32.0)
-        assert report.total_faces == 1
+        assert sum(report.counts) == 1
 
     def test_boundary_scale_goes_to_upper_bucket(self):
         layout = l16_layout(64.0)
@@ -233,29 +241,6 @@ class TestAgainstTheory:
         assert b.recall[0] > a.recall[0]
 
 
-class TestCompareLayouts:
-    def test_shared_plane_and_ordering(self):
-        faces = uniform_small_faces(500, seed=62)
-        specs = [
-            AnchorSpec(scales=(16.0,), base_stride=16.0),
-            AnchorSpec(scales=(16.0,), base_stride=16.0, stride_divisor=2),
-        ]
-        out = compare_layouts(faces, specs)
-        assert [s for s, _ in out] == specs
-        small = 2  # bucket [16, 32)
-        assert out[1][1].mean_max_iou[small] > out[0][1].mean_max_iou[small]
-
-    def test_identical_specs_identical_reports(self):
-        faces = uniform_small_faces(100, seed=63)
-        spec = AnchorSpec(scales=(16.0,), base_stride=16.0)
-        out = compare_layouts(faces, [spec, spec])
-        assert out[0][1] == out[1][1]
-
-    def test_needs_two_specs(self):
-        with pytest.raises(ValueError):
-            compare_layouts([RectBox(0, 0, 4, 4)], [AnchorSpec(scales=(16.0,))])
-
-
 class TestJitterExperiment:
     def test_unit_offset_layout_reduces_to_bucket_stats(self):
         # effective stride 2 forces the offset to (0, 0) in every trial
@@ -294,6 +279,85 @@ class TestJitterExperiment:
         layout = l16_layout(64.0)
         with pytest.raises(ValueError):
             jitter_experiment([RectBox(0, 0, 4, 4)], layout, trials=0, seed=0)
+
+
+# Specs over scales 16-64 whose smallest effective stride b gives
+# floor(b/2)**2 distinct jitter offsets, keyed by that count.
+OFFSET_SPECS = {
+    1: dict(stride_divisor=4, shifts_per_scale={16.0: 3}),
+    4: dict(stride_divisor=2, shifts_per_scale={16.0: 3}),
+    16: dict(stride_divisor=2),
+    25: dict(shifts_per_scale={16.0: 1}),
+    64: dict(),
+}
+
+
+def offset_layout(distinct):
+    spec = AnchorSpec(scales=(16.0, 32.0, 64.0), base_stride=16.0, **OFFSET_SPECS[distinct])
+    return build_layout(spec, 256.0, 192.0)
+
+
+def mixed_faces(n, seed):
+    """Faces of sides 6-90 px (so the buckets above 128 stay empty),
+    heights 0.9-1.3 times the width, on a 256x192 plane."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(rng.uniform(math.log(6.0), math.log(90.0), size=n))
+    h = w * rng.uniform(0.9, 1.3, size=n)
+    x = rng.uniform(0.0, 256.0 - w)
+    y = rng.uniform(0.0, 192.0 - h)
+    return FaceTable(x, y, w, h, np.zeros(n, dtype=np.int64), ("",))
+
+
+def golden_jitter_inputs():
+    faces = parse_annotations((DATA / "golden_faces.txt").read_text()).records
+    layout = build_layout(load_spec(str(DATA / "golden_spec.json")), *bounding_plane(faces))
+    return faces, layout
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Records every ``dataset.bucket_stats`` call made through the module."""
+    calls = []
+    real = dataset.bucket_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "bucket_stats", counting)
+    return calls
+
+
+class TestJitterOnePassPerOffset:
+    """``jitter_experiment`` runs the kernel once per distinct offset, and its
+    report equals one full ``bucket_stats`` per trial (``brute_jitter``)."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 16, 100])
+    @pytest.mark.parametrize("distinct", sorted(OFFSET_SPECS))
+    def test_equals_a_pass_per_trial(self, distinct, trials):
+        layout = offset_layout(distinct)
+        assert math.floor(jitter_offset_bound(layout) / 2.0) ** 2 == distinct
+        faces = mixed_faces(120, seed=distinct)
+        got = jitter_experiment(faces, layout, trials, seed=trials)
+        want = brute_jitter(faces, layout, trials, seed=trials)
+        for field in dataclasses.fields(JitterReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert 1 <= got.distinct_offsets <= min(trials, distinct)
+
+    def test_golden_spec_draws_each_of_its_four_offsets_once(self, kernel_passes):
+        faces, layout = golden_jitter_inputs()
+        report = jitter_experiment(faces, layout, trials=64, seed=3)
+        assert len(kernel_passes) == report.distinct_offsets == 4
+
+    def test_single_offset_spec_makes_one_pass_of_unshifted_faces(self, kernel_passes):
+        faces = mixed_faces(60, seed=7)
+        layout = offset_layout(1)
+        report = jitter_experiment(faces, layout, trials=16, seed=5)
+        assert len(kernel_passes) == report.distinct_offsets == 1
+        shifted = kernel_passes[0][0]
+        assert all(np.array_equal(getattr(shifted, c), getattr(faces, c)) for c in "xywh")
+        plain = bucket_stats(faces, layout)
+        assert report.min_mean == report.max_mean == plain.mean_max_iou
 
 
 class TestBoundingPlane:
