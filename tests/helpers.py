@@ -201,8 +201,8 @@ def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):
 
 def brute_jitter(faces, layout: AnchorLayout, trials: int, seed: int,
                  edges=DEFAULT_BUCKET_EDGES, tau: float = 0.5) -> JitterReport:
-    """``jitter_experiment`` with one full ``bucket_stats`` per trial, offsets
-    drawn repeat or not."""
+    """``jitter_experiment`` with one full ``bucket_stats`` per trial, whether
+    or not an earlier trial drew the same offset."""
     faces = FaceTable.of(faces)
     stride = jitter_offset_bound(layout)
     per_trial = []
