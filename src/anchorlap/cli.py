@@ -19,9 +19,7 @@ is byte-identical.  Exit codes: 0 success, 1 I/O or input-data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -62,12 +60,6 @@ def _fmt_float(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _cell_text(v) -> str:
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
 def _json_value(v):
     if isinstance(v, float):
         if not math.isfinite(v):
@@ -80,6 +72,15 @@ def _json_value(v):
 _RENDER_ROWS = 1 << 16
 
 
+def _csv_text(v) -> str:
+    """A CSV cell as ``csv.writer`` writes its text with a ``\\n`` line end:
+    quoted, with ``"`` doubled, only when it holds ``,``, ``"`` or ``\\n``."""
+    text = _fmt_float(v) if isinstance(v, float) else str(v)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cells(column, lo: int, fmt: str) -> list:
     """One chunk of a column, from row ``lo``, as CSV text or JSON values."""
     part = column[lo : lo + _RENDER_ROWS]
@@ -87,26 +88,27 @@ def _cells(column, lo: int, fmt: str) -> list:
         kind, part = part.dtype.kind, part.tolist()
         if fmt == "csv" and kind in "fiu":
             return list(map("{:.9g}".format if kind == "f" else str, part))
-    return list(map(_cell_text if fmt == "csv" else _json_value, part))
+    return list(map(_csv_text if fmt == "csv" else _json_value, part))
 
 
 def _render(columns: dict, fmt: str) -> str:
     """CSV or JSON text of a table given as ``{name: values}`` in column order.
 
-    Values are numpy arrays or Python sequences of equal length.  CSV cells
-    go through ``csv.writer`` quoting; JSON is a list of one object per row
-    with sorted keys.  Rows are formatted in chunks and the JSON list is
-    joined from per-chunk dumps, which give the same text as one dump.
+    Values are numpy arrays or Python sequences of equal length.  A CSV row
+    is its cells joined by ``,`` and ended by ``\\n``, quoted as
+    ``csv.writer`` quotes rows of two or more cells; JSON is a list of one
+    object per row with sorted keys.  Rows are formatted in chunks and the
+    JSON list is joined from per-chunk dumps, which give the same text as
+    one dump.
     """
     names = list(columns)
     n_rows = len(columns[names[0]])
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
+        parts = [",".join(map(_csv_text, names)) + "\n"]
         for lo in range(0, n_rows, _RENDER_ROWS):
-            writer.writerows(zip(*(_cells(col, lo, fmt) for col in columns.values())))
-        return buf.getvalue()
+            rows = zip(*(_cells(col, lo, fmt) for col in columns.values()))
+            parts.append("\n".join(map(",".join, rows)) + "\n")
+        return "".join(parts)
     items = []
     for lo in range(0, n_rows, _RENDER_ROWS):
         rows = [dict(zip(names, row)) for row in zip(*(_cells(col, lo, fmt) for col in columns.values()))]
@@ -157,19 +159,25 @@ def _write_manifest(out: str, subcommand: str, parameters: dict, inputs: dict, o
     return path
 
 
+def _write_artifacts(out: str, artifacts) -> list:
+    """Write each ``(suffix, text)`` artifact to ``out + suffix``; the
+    manifest ``outputs`` entries, path and sha256, in artifact order."""
+    outputs = []
+    for suffix, text in artifacts:
+        path = out + suffix
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        outputs.append({"path": path, "sha256": _sha256_text(text)})
+    return outputs
+
+
 def _finish(args, subcommand: str, parameters: dict, inputs: dict, artifacts) -> int:
     """Write artifacts beside --out with a manifest, or stream to stdout."""
     if args.out is None:
         for _, text in artifacts:
             sys.stdout.write(text)
         return 0
-    outputs = []
-    for suffix, text in artifacts:
-        path = args.out + suffix
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        outputs.append({"path": path, "sha256": _sha256_text(text)})
-    _write_manifest(args.out, subcommand, parameters, inputs, outputs)
+    _write_manifest(args.out, subcommand, parameters, inputs, _write_artifacts(args.out, artifacts))
     return 0
 
 
@@ -433,17 +441,10 @@ def cmd_replay(args) -> int:
             file=sys.stderr,
         )
         return 1
-    outputs = []
-    diverged = False
-    for (suffix, text), rec in zip(artifacts, recorded):
-        path = args.out + suffix
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        digest = _sha256_text(text)
-        outputs.append({"path": path, "sha256": digest})
-        if digest != rec["sha256"]:
-            print(f"error: replay diverged: {path} does not match recorded {rec['path']}", file=sys.stderr)
-            diverged = True
+    outputs = _write_artifacts(args.out, artifacts)
+    diverged = [(out, rec) for out, rec in zip(outputs, recorded) if out["sha256"] != rec["sha256"]]
+    for out, rec in diverged:
+        print(f"error: replay diverged: {out['path']} does not match recorded {rec['path']}", file=sys.stderr)
     if diverged:
         return 1
     _write_manifest(args.out, manifest["subcommand"], manifest["parameters"], inputs, outputs)

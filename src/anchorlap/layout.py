@@ -18,8 +18,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import RectBox
-
 __all__ = [
     "AnchorSpec",
     "AnchorLayout",
@@ -173,30 +171,6 @@ class AnchorLayout:
     groups: tuple[LatticeGroup, ...]
     anchor_count: int
 
-    def groups_for_scale(self, scale: float) -> tuple[LatticeGroup, ...]:
-        if scale not in self.spec.scales:
-            raise ValueError(f"unknown scale {scale!r}; layout has {self.spec.scales}")
-        return tuple(g for g in self.groups if g.scale == scale)
-
-    def group_of(self, anchor_id: int) -> LatticeGroup:
-        if not 0 <= anchor_id < self.anchor_count:
-            raise ValueError(f"anchor id {anchor_id} out of range [0, {self.anchor_count})")
-        for group in self.groups:
-            if anchor_id < group.id_start + group.count:
-                return group
-        raise AssertionError("unreachable: id ranges cover [0, anchor_count)")
-
-    def anchor_center(self, anchor_id: int) -> tuple[float, float]:
-        group = self.group_of(anchor_id)
-        offset = anchor_id - group.id_start
-        row, col = divmod(offset, group.cols)
-        return (group.origin_x + col * group.stride, group.origin_y + row * group.stride)
-
-    def anchor_box(self, anchor_id: int) -> RectBox:
-        group = self.group_of(anchor_id)
-        cx, cy = self.anchor_center(anchor_id)
-        return RectBox(cx - group.box_w / 2.0, cy - group.box_h / 2.0, group.box_w, group.box_h)
-
     def all_boxes(self) -> np.ndarray:
         """All anchors as an ``(anchor_count, 4)`` array of (x, y, w, h), ID order."""
         out = np.empty((self.anchor_count, 4), dtype=np.float64)
@@ -295,10 +269,3 @@ def covering_radius(layout: AnchorLayout, scale: float) -> float:
         raise ValueError(f"unknown scale {scale!r}; layout has {layout.spec.scales}")
     return effective_anchor_stride(layout.spec, scale) * (math.sqrt(2.0) / 2.0)
 
-
-def _bracket(values: np.ndarray, origin: float, stride: float, n: int):
-    """Indices of the two grid lines bracketing each value, clamped to the grid."""
-    raw = np.floor((values - origin) / stride).astype(np.int64)
-    lo = np.clip(raw, 0, n - 1)
-    hi = np.clip(raw + 1, 0, n - 1)
-    return lo, hi

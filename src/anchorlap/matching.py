@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
-from .layout import AnchorLayout, LatticeGroup, _bracket, effective_anchor_stride
+from .geometry import FaceTable, RectBox, iou_xywh
+from .layout import AnchorLayout, LatticeGroup, effective_anchor_stride
 from .rng import stream
 
 __all__ = [
@@ -105,87 +105,107 @@ class MatchResult:
     def num_faces(self) -> int:
         return len(self.face_max_iou)
 
-    def label_counts(self) -> dict[str, int]:
-        labels = self.anchor_labels
-        return {
-            "positive": int(np.count_nonzero(labels == LABEL_POSITIVE)),
-            "negative": int(np.count_nonzero(labels == LABEL_NEGATIVE)),
-            "ignore": int(np.count_nonzero(labels == LABEL_IGNORE)),
-        }
-
-    def hard_faces(self, t_high: float) -> np.ndarray:
-        """Indices of faces whose max IoU is below ``t_high``."""
-        return np.flatnonzero(self.face_max_iou < t_high)
-
 
 def _flat_boxes(x, y, w, h):
-    """Box coordinates broadcast together and flattened, and their shape."""
+    """Box coordinates broadcast together and flattened (views where they
+    can be, so a scalar size is never copied out), and their shape."""
     x, y, w, h = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=np.float64)),
-        np.asarray(y, dtype=np.float64),
-        np.asarray(w, dtype=np.float64),
-        np.asarray(h, dtype=np.float64),
-    )
-    return [v.ravel() for v in (x, y, w, h)], x.shape
+        *(np.asarray(v, dtype=np.float64) for v in (np.atleast_1d(x), y, w, h)))
+    return [v.reshape(-1) for v in (x, y, w, h)], x.shape
 
 
-# Boxes per pass of the overlap kernel.  Its temporaries then stay in
-# cache, which makes a 65,536-box call about twice as fast.
-_KERNEL_BLOCK = 8192
+# Boxes per pass of the overlap kernel.  Its scratch buffers, allocated
+# once per call, then stay in cache and are reused from block to block.
+_KERNEL_BLOCK = 16384
 
 
-def _axis_overlaps(lo, hi, center, origin: float, stride: float, n: int, side: float):
-    """Overlaps of the box extents ``[lo, hi]`` along one axis with the
-    anchors of side ``side`` on the two grid lines (of ``n`` from
-    ``origin``, clamped) bracketing each box ``center``: ``(at_lo, at_hi)``.
-    ``at_hi`` is 0 where clamping at the plane edge makes the lines one, so
-    no anchor is counted twice."""
-    i_lo, i_hi = _bracket(center, origin, stride, n)
-    at_lo, at_hi = (
-        np.minimum(a + side, hi) - np.maximum(a, lo)
-        for a in ((origin + i * stride) - side / 2.0 for i in (i_lo, i_hi))
-    )
-    at_hi[i_hi == i_lo] = 0.0
-    return at_lo, at_hi
+def _edge_table(origin: float, stride: float, n: int, side: float):
+    """``(origin, stride, n - 1, lower, upper)`` for the anchors of side
+    ``side`` on ``n`` grid lines: ``lower`` and ``upper`` are ``(left,
+    right)`` edge tables indexed, wrapping, by a box's line index ``i``
+    clipped to ``[-1, n-1]``, giving lines ``i`` and ``i + 1``.  Lines -1
+    and ``n`` hold an empty anchor, left ``+inf`` and right ``-inf``."""
+    left = np.full(n + 1, np.inf)
+    left[:n] = (origin + np.arange(n) * stride) - side / 2.0
+    right = left + side
+    right[n] = -np.inf
+    return origin, stride, n - 1.0, (left, right), (np.roll(left, -1), np.roll(right, -1))
 
 
-def _corner_overlaps(layout: AnchorLayout, x, y, w, h):
-    """Per lattice group: the per-axis overlaps ``(iw_lo, iw_hi)`` and
-    ``(ih_lo, ih_hi)`` of each box with the anchors on the corners of the
-    cell enclosing its center, and the summed areas of anchor and box.
-    The corner ``(row, col)`` anchor's IoU is ``iou_from_overlaps(iw_col,
-    ih_row, areas)``."""
-    x2, y2 = x + w, y + h
-    cx, cy = x + w / 2.0, y + h / 2.0
-    area = w * h
-    for g in layout.groups:
-        iw = _axis_overlaps(x, x2, cx, g.origin_x, g.stride, g.cols, g.box_w)
-        ih = _axis_overlaps(y, y2, cy, g.origin_y, g.stride, g.rows, g.box_h)
-        yield iw, ih, g.box_w * g.box_h + area
+def _edge_tables(layout: AnchorLayout):
+    """Per lattice group: its x and y edge tables and its anchor area."""
+    return [(_edge_table(g.origin_x, g.stride, g.cols, g.box_w),
+             _edge_table(g.origin_y, g.stride, g.rows, g.box_h), g.box_w * g.box_h)
+            for g in layout.groups]
+
+
+def _axis_overlaps(table, lo, hi, center, at_lo, at_hi, tmp, idx) -> None:
+    """Write into ``at_lo`` and ``at_hi`` the overlaps of the box extents
+    ``[lo, hi]`` with the anchors on the two grid lines (:func:`_edge_table`)
+    bracketing each box ``center``, ``-inf`` for an empty anchor, so a line
+    repeated by clamping at the plane edge never counts twice.  ``tmp`` and
+    ``idx`` are scratch."""
+    origin, stride, last, *edges = table
+    np.subtract(center, origin, out=tmp)
+    np.divide(tmp, stride, out=tmp)
+    np.floor(tmp, out=tmp)
+    np.clip(tmp, -1.0, last, out=tmp)
+    np.copyto(idx, tmp, casting="unsafe")
+    for out, (left, right) in zip((at_lo, at_hi), edges):
+        np.take(right, idx, out=out, mode="wrap")
+        np.minimum(out, hi, out=out)
+        np.take(left, idx, out=tmp, mode="wrap")
+        np.maximum(tmp, lo, out=tmp)
+        np.subtract(out, tmp, out=out)
 
 
 def max_overlap_values(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
     """Per-box max IoU over *all* anchors of the layout; 0 for boxes
     overlapping none.
 
-    ``x, y, w, h`` broadcast together, and the result keeps their shape
-    (at least 1-D).  Per lattice group only the corners of the cell around
-    the box center count, as per-axis overlap never grows with center
-    distance.  A corner's x overlap depends only on its column and its y
-    overlap only on its row, and IoU never decreases as either grows, so
-    the best corner's IoU, bit for bit, is built from the larger x overlap
-    of the two columns and the larger y overlap of the two rows.  For an
-    anchor side that is not dyadic, a column off the corners can score a
-    few ulps higher: ``(ax + aw) - ax`` rounds differently per column while
-    the box holds the anchor whole along x (likewise for rows).
+    ``x, y, w, h`` (finite, sizes positive) broadcast together, and the
+    result keeps their shape (at least 1-D).  Per lattice group only the
+    corners of the cell around the box center count, as per-axis overlap
+    never grows with center distance.  A corner's x overlap depends only on
+    its column and its y overlap only on its row, and IoU never decreases
+    as either grows, so the best corner's IoU, bit for bit, is built from
+    the larger x overlap of the two columns and the larger y overlap of the
+    two rows, each clamped at 0, as ``inter / max(areas - inter, inter)``.
+    Boxes go in blocks of ``_KERNEL_BLOCK`` through scratch buffers
+    allocated once per call.  For an anchor side that is not dyadic, a
+    column off the corners can score a few ulps higher: ``(ax + aw) - ax``
+    rounds differently per column while the box holds the anchor whole
+    along x (likewise for rows).
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     best = np.zeros(x.shape, dtype=np.float64)
-    for lo in range(0, len(best), _KERNEL_BLOCK):
-        part = slice(lo, lo + _KERNEL_BLOCK)
-        for iw, ih, areas in _corner_overlaps(layout, x[part], y[part], w[part], h[part]):
-            ious = iou_from_overlaps(np.maximum(*iw), np.maximum(*ih), areas)
-            np.maximum(best[part], ious, out=best[part])
+    tables = _edge_tables(layout)
+    size = max(1, min(len(best), _KERNEL_BLOCK))
+    scratch = np.empty((9, size))
+    index = np.empty(size, dtype=np.intp)
+    for start in range(0, len(best), size):
+        part = slice(start, start + size)
+        bx, by, bw, bh, top = x[part], y[part], w[part], h[part], best[part]
+        x2, y2, cx, cy, area, iw, ih, at_hi, tmp = scratch[:, : len(top)]
+        idx = index[: len(top)]
+        np.add(bx, bw, out=x2)
+        np.add(by, bh, out=y2)
+        np.add(bx, np.divide(bw, 2.0, out=cx), out=cx)
+        np.add(by, np.divide(bh, 2.0, out=cy), out=cy)
+        np.multiply(bw, bh, out=area)
+        for table_x, table_y, anchor_area in tables:
+            _axis_overlaps(table_x, bx, x2, cx, iw, at_hi, tmp, idx)
+            np.maximum(iw, at_hi, out=iw)
+            np.maximum(iw, 0.0, out=iw)
+            _axis_overlaps(table_y, by, y2, cy, ih, at_hi, tmp, idx)
+            np.maximum(ih, at_hi, out=ih)
+            np.maximum(ih, 0.0, out=ih)
+            np.multiply(iw, ih, out=iw)
+            np.add(area, anchor_area, out=ih)
+            np.subtract(ih, iw, out=ih)
+            np.maximum(ih, iw, out=ih)
+            np.divide(iw, ih, out=iw)
+            np.maximum(top, iw, out=top)
     return best.reshape(shape)
 
 
@@ -358,13 +378,23 @@ def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
     the ``n``-th best over the corner anchors of its enclosing cells, each
     corner's IoU the product of its column's and its row's per-axis
     overlap, with corners repeated by clamping at the plane edge counted
-    once.  0 when fewer than ``n`` of them overlap the box."""
-    corners = [
-        iou_from_overlaps(iw_col, ih_row, areas)
-        for iw, ih, areas in _corner_overlaps(layout, x, y, w, h)
-        for ih_row in ih
-        for iw_col in iw
-    ]
+    once (as empty corners of IoU 0).  0 when fewer than ``n`` of them
+    overlap the box."""
+    x2, y2 = x + w, y + h
+    cx, cy = x + w / 2.0, y + h / 2.0
+    area = w * h
+    tmp, idx = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
+    corners = []
+    for table_x, table_y, anchor_area in _edge_tables(layout):
+        iw, ih = np.empty((2, len(x))), np.empty((2, len(x)))
+        _axis_overlaps(table_x, x, x2, cx, *iw, tmp, idx)
+        _axis_overlaps(table_y, y, y2, cy, *ih, tmp, idx)
+        np.maximum(iw, 0.0, out=iw)
+        np.maximum(ih, 0.0, out=ih)
+        areas = anchor_area + area
+        for row in ih:
+            inter = iw * row
+            corners.extend(inter / np.maximum(areas - inter, inter))
     if len(corners) < n:
         return np.zeros(len(x))
     return np.partition(np.stack(corners, axis=1), -n, axis=1)[:, -n]

@@ -5,7 +5,10 @@ is recomputed from the full anchor enumeration with plain numpy, using the
 same elementwise IoU expression, so "identical" comparisons are meaningful
 at the bit level.  The ``corner_*`` functions are the four-corner overlap
 kernel the library used before its per-axis one, kept as a reference, and
-``emo_exact`` is the EMO integral in closed form.
+``emo_exact`` is the EMO integral in closed form.  ``group_of``,
+``anchor_center``, ``anchor_box`` and ``label_counts`` are per-anchor
+lookups that only the tests need, like ``groups_for_scale`` and
+``hard_faces``.
 """
 
 import math
@@ -13,9 +16,15 @@ import math
 import numpy as np
 
 from anchorlap.dataset import DEFAULT_BUCKET_EDGES, JitterReport, bucket_stats
-from anchorlap.geometry import FaceTable, iou_xywh
-from anchorlap.layout import AnchorLayout, LatticeGroup, _bracket
-from anchorlap.matching import apply_jitter, jitter_offset_bound
+from anchorlap.geometry import FaceTable, RectBox, iou_xywh
+from anchorlap.layout import AnchorLayout, LatticeGroup
+from anchorlap.matching import (
+    LABEL_IGNORE,
+    LABEL_NEGATIVE,
+    LABEL_POSITIVE,
+    apply_jitter,
+    jitter_offset_bound,
+)
 
 
 def face_arrays(boxes):
@@ -42,6 +51,57 @@ def brute_max_overlap(layout: AnchorLayout, boxes):
     return best, best_id
 
 
+def group_of(layout: AnchorLayout, anchor_id: int) -> LatticeGroup:
+    """The lattice group holding ``anchor_id``; ValueError when out of range."""
+    if not 0 <= anchor_id < layout.anchor_count:
+        raise ValueError(f"anchor id {anchor_id} out of range [0, {layout.anchor_count})")
+    for group in layout.groups:
+        if anchor_id < group.id_start + group.count:
+            return group
+    raise AssertionError("unreachable: id ranges cover [0, anchor_count)")
+
+
+def anchor_center(layout: AnchorLayout, anchor_id: int) -> tuple[float, float]:
+    group = group_of(layout, anchor_id)
+    row, col = divmod(anchor_id - group.id_start, group.cols)
+    return (group.origin_x + col * group.stride, group.origin_y + row * group.stride)
+
+
+def anchor_box(layout: AnchorLayout, anchor_id: int) -> RectBox:
+    group = group_of(layout, anchor_id)
+    cx, cy = anchor_center(layout, anchor_id)
+    return RectBox(cx - group.box_w / 2.0, cy - group.box_h / 2.0, group.box_w, group.box_h)
+
+
+def groups_for_scale(layout: AnchorLayout, scale: float) -> tuple[LatticeGroup, ...]:
+    if scale not in layout.spec.scales:
+        raise ValueError(f"unknown scale {scale!r}; layout has {layout.spec.scales}")
+    return tuple(g for g in layout.groups if g.scale == scale)
+
+
+def hard_faces(result, t_high: float) -> np.ndarray:
+    """Indices of the faces of a MatchResult whose max IoU is below ``t_high``."""
+    return np.flatnonzero(result.face_max_iou < t_high)
+
+
+def label_counts(result) -> dict[str, int]:
+    """Anchors per label of a MatchResult."""
+    labels = result.anchor_labels
+    return {
+        "positive": int(np.count_nonzero(labels == LABEL_POSITIVE)),
+        "negative": int(np.count_nonzero(labels == LABEL_NEGATIVE)),
+        "ignore": int(np.count_nonzero(labels == LABEL_IGNORE)),
+    }
+
+
+def bracket(values: np.ndarray, origin: float, stride: float, n: int):
+    """Indices of the two grid lines bracketing each value, clamped to the grid."""
+    raw = np.floor((values - origin) / stride).astype(np.int64)
+    lo = np.clip(raw, 0, n - 1)
+    hi = np.clip(raw + 1, 0, n - 1)
+    return lo, hi
+
+
 def candidate_ids(group: LatticeGroup, px, py) -> np.ndarray:
     """Anchor IDs at the corners of the group cell(s) enclosing each point.
 
@@ -53,8 +113,8 @@ def candidate_ids(group: LatticeGroup, px, py) -> np.ndarray:
     """
     px = np.atleast_1d(np.asarray(px, dtype=np.float64))
     py = np.atleast_1d(np.asarray(py, dtype=np.float64))
-    col_lo, col_hi = _bracket(px, group.origin_x, group.stride, group.cols)
-    row_lo, row_hi = _bracket(py, group.origin_y, group.stride, group.rows)
+    col_lo, col_hi = bracket(px, group.origin_x, group.stride, group.cols)
+    row_lo, row_hi = bracket(py, group.origin_y, group.stride, group.rows)
     rows = group.id_start + np.stack([row_lo, row_lo, row_hi, row_hi], axis=1) * group.cols
     return rows + np.stack([col_lo, col_hi, col_lo, col_hi], axis=1)
 
@@ -62,7 +122,7 @@ def candidate_ids(group: LatticeGroup, px, py) -> np.ndarray:
 def nearest_centers(layout: AnchorLayout, px: float, py: float, scale: float) -> np.ndarray:
     """Sorted unique IDs of the corner anchors of ``scale`` (every ratio and
     sub-lattice) around the point ``(px, py)``."""
-    groups = layout.groups_for_scale(scale)
+    groups = groups_for_scale(layout, scale)
     return np.unique(np.concatenate([candidate_ids(g, px, py).ravel() for g in groups]))
 
 

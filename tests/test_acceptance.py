@@ -34,7 +34,16 @@ from anchorlap.matching import (
 )
 from anchorlap.dataset import bucket_stats
 
-from helpers import brute_labels, brute_max_overlap, brute_top_n, dilog, emo_exact, random_spec
+from helpers import (
+    brute_labels,
+    brute_max_overlap,
+    brute_top_n,
+    dilog,
+    emo_exact,
+    groups_for_scale,
+    hard_faces,
+    random_spec,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "emo_golden.json").read_text()
@@ -166,7 +175,7 @@ def test_criterion_04_stride_halving_lifts_small_faces_only():
 def _measured_covering_radius(layout, scale: float, step: float) -> float:
     """Largest nearest-center distance over one interior period, sampled."""
     centers = []
-    for g in layout.groups_for_scale(scale):
+    for g in groups_for_scale(layout, scale):
         idx = np.arange(g.count)
         gx = g.origin_x + (idx % g.cols) * g.stride
         gy = g.origin_y + (idx // g.cols) * g.stride
@@ -237,7 +246,7 @@ def test_criterion_07_compensation_tops_up_hard_faces():
     faces.append(RectBox(192.0, 192.0, 16.0, 16.0))  # exactly on an anchor
 
     base = match_faces(faces, layout, cfg)
-    assert base.hard_faces(cfg.t_high).tolist() == list(range(len(corners)))
+    assert hard_faces(base, cfg.t_high).tolist() == list(range(len(corners)))
     res = compensate_hard_faces(base, faces, layout, cfg)
 
     for f in range(len(corners)):

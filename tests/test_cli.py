@@ -464,10 +464,10 @@ class TestRender:
     of row dicts would, however the rows are chunked."""
 
     COLUMNS = {
-        "id": np.arange(7),
-        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x"],
-        "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12]),
-        "mixed": [1, 2.5, "s", None, 3, 4.0, "t"],
+        "id": np.arange(8),
+        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x", "cr\rlf"],
+        "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12, 7.5]),
+        "mixed": [1, 2.5, "s", None, 3, 4.0, "t", '"\r"'],
     }
 
     @staticmethod

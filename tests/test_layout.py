@@ -14,7 +14,16 @@ from anchorlap.layout import (
     effective_anchor_stride,
 )
 
-from helpers import all_pair_ious, candidate_ids, nearest_centers, random_spec
+from helpers import (
+    all_pair_ious,
+    anchor_box,
+    anchor_center,
+    candidate_ids,
+    group_of,
+    groups_for_scale,
+    nearest_centers,
+    random_spec,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,7 +78,7 @@ class TestBuildLayout:
     def test_single_scale_16_centers(self):
         layout = build_layout(plain16(), 64.0, 64.0)
         assert layout.anchor_count == 16
-        centers = sorted(layout.anchor_center(a) for a in range(16))
+        centers = sorted(anchor_center(layout, a) for a in range(16))
         expected = sorted((x, y) for x in (8.0, 24.0, 40.0, 56.0) for y in (8.0, 24.0, 40.0, 56.0))
         assert centers == expected
 
@@ -135,7 +144,7 @@ class TestBuildLayout:
         spec = AnchorSpec(scales=(16.0,), base_stride=16.0, shifts_per_scale={16.0: 3})
         layout = build_layout(spec, 128.0, 128.0)
         for g in layout.groups:
-            xs = np.array([layout.anchor_center(g.id_start + c)[0] for c in range(g.cols)])
+            xs = np.array([anchor_center(layout, g.id_start + c)[0] for c in range(g.cols)])
             np.testing.assert_allclose(np.diff(xs), g.stride, rtol=0, atol=0)
 
     def test_rejects_bad_plane(self):
@@ -162,15 +171,15 @@ class TestBuildLayout:
         layout = build_layout(spec, 48.0, 80.0)
         boxes = layout.all_boxes()
         for a in range(layout.anchor_count):
-            b = layout.anchor_box(a)
+            b = anchor_box(layout, a)
             assert (boxes[a] == (b.x, b.y, b.w, b.h)).all()
 
     def test_group_of_bounds(self):
         layout = build_layout(plain16(), 64.0, 64.0)
         with pytest.raises(ValueError):
-            layout.group_of(-1)
+            group_of(layout, -1)
         with pytest.raises(ValueError):
-            layout.group_of(layout.anchor_count)
+            group_of(layout, layout.anchor_count)
 
 
 class TestEffectiveStride:
@@ -212,7 +221,7 @@ def measured_covering_radius(layout, scale, step=0.0625):
     x0 = y0 = 2.0 * s  # stay clear of the finite-plane corners
     grid = np.arange(x0, x0 + s + step / 2, step)
     centers = []
-    for g in layout.groups_for_scale(scale):
+    for g in groups_for_scale(layout, scale):
         cx = g.origin_x + np.arange(g.cols) * g.stride
         cy = g.origin_y + np.arange(g.rows) * g.stride
         centers.append(np.stack(np.meshgrid(cx, cy), axis=-1).reshape(-1, 2))
@@ -252,7 +261,7 @@ class TestNearestCenters:
     def test_point_on_center(self):
         layout = build_layout(plain16(), 64.0, 64.0)
         ids = nearest_centers(layout, 24.0, 40.0, 16.0)
-        centers = [layout.anchor_center(int(a)) for a in ids]
+        centers = [anchor_center(layout, int(a)) for a in ids]
         assert (24.0, 40.0) in centers
 
     def test_cell_corner_has_four_equidistant(self):
@@ -261,7 +270,7 @@ class TestNearestCenters:
         assert len(ids) == 4
         dists = {
             round(math.hypot(cx - 16.0, cy - 16.0), 9)
-            for cx, cy in (layout.anchor_center(int(a)) for a in ids)
+            for cx, cy in (anchor_center(layout, int(a)) for a in ids)
         }
         assert dists == {round(8.0 * SQRT2, 9)}
 
@@ -286,7 +295,7 @@ class TestNearestCenters:
             fy = float(rng.uniform(-5, plane_h))
             face = RectBox(fx, fy, float(fw), float(fh))
             for scale in spec.scales:
-                scale_groups = layout.groups_for_scale(scale)
+                scale_groups = groups_for_scale(layout, scale)
                 scale_ids = np.concatenate(
                     [np.arange(g.id_start, g.id_start + g.count) for g in scale_groups]
                 )
@@ -301,7 +310,7 @@ class TestCandidateIds:
         layout = build_layout(plain16(), 96.0, 96.0)
         g = layout.groups[0]
         ids = candidate_ids(g, 30.0, 50.0)  # cell spanned by centers 24/40 x 40/56
-        corners = {layout.anchor_center(int(a)) for a in ids[0]}
+        corners = {anchor_center(layout, int(a)) for a in ids[0]}
         assert corners == {(24.0, 40.0), (40.0, 40.0), (24.0, 56.0), (40.0, 56.0)}
 
     def test_edge_points_clamp_into_grid(self):

@@ -33,6 +33,8 @@ from helpers import (
     brute_top_n,
     corner_max_overlap,
     corner_nth_iou,
+    hard_faces,
+    label_counts,
     random_spec,
 )
 
@@ -231,6 +233,68 @@ class TestSeparableKernel:
             assert np.array_equal(got, corner_nth_iou(layout, x, y, w, h, n))
 
 
+class TestKernelEdges:
+    """The edge-table kernel where its tables and clamps matter: centers far
+    past the plane, boxes touching anchor edges, signed zeros, and block
+    boundaries.  Every value equals the four-corner kernel and the
+    exhaustive scan with ``==`` and is never a negative zero."""
+
+    SPEC = AnchorSpec(scales=(8.0, 16.0, 48.0), base_stride=16.0, stride_divisor=2,
+                      shifts_per_scale={8.0: 3, 48.0: 1})
+
+    def check(self, layout, x, y, w, h):
+        x, y, w, h = (np.asarray(v, dtype=np.float64) for v in np.broadcast_arrays(x, y, w, h))
+        got = max_overlap_values(layout, x, y, w, h)
+        assert np.array_equal(got, corner_max_overlap(layout, x, y, w, h))
+        want, _ = brute_max_overlap(layout, [RectBox(*map(float, b)) for b in zip(x, y, w, h)])
+        assert np.array_equal(got, want)
+        assert not np.signbit(got).any()
+        for n in (1, 4, 7):
+            nth = matching._nth_corner_iou(layout, x, y, w, h, n)
+            assert np.array_equal(nth, corner_nth_iou(layout, x, y, w, h, n))
+            assert not np.signbit(nth).any()
+        return got
+
+    def test_centers_past_both_plane_edges(self):
+        layout = build_layout(self.SPEC, 64.0, 48.0)
+        past = np.array([-200.0, -40.0, -16.5, -8.0, -0.5])
+        cx = np.concatenate([past, 64.0 - past])
+        cy = np.concatenate([past, 48.0 - past])
+        cx, cy, side = (v.ravel() for v in np.meshgrid(cx, cy, [1.0, 6.0, 20.0, 90.0]))
+        got = self.check(layout, cx - side / 2.0, cy - side / 2.0, side, side)
+        assert (got == 0.0).any() and (got > 0.0).any()
+
+    def test_boxes_touching_anchor_edges(self):
+        layout = grid16()  # anchors span [16c, 16c + 16] on both axes
+        edge = np.arange(-2.0, 6.0) * 16.0
+        side = np.array([16.0, 8.0, 32.0])
+        x, y, w = (v.ravel() for v in np.meshgrid(edge, edge, side))
+        for dx in (0.0, -w):  # left edge, then right edge, on an anchor edge
+            got = self.check(layout, x + dx, y, w, w)
+            assert (got == 0.0).any() and (got == 1.0).any()
+
+    def test_negative_zero_coordinates(self):
+        layout = grid16()
+        w = np.array([1.0, 8.0, 16.0, 24.0, 16.0, 16.0])
+        x = np.array([-0.0, -0.0, -0.0, -0.0, -16.0, 64.0])
+        got = self.check(layout, x, -0.0, w, 16.0)
+        assert got[2] == 1.0 and got[4] == 0.0 and got[5] == 0.0
+        self.check(layout, 0.0 * -w, -0.0, w, w)
+
+    @pytest.mark.parametrize("block", [1, 7, matching._KERNEL_BLOCK])
+    def test_block_size_never_moves_a_byte(self, monkeypatch, block):
+        layout = build_layout(self.SPEC, 64.0, 48.0)
+        rng = np.random.default_rng(block)
+        x, y, w, h = tie_boxes(rng, layout, block + 1)
+        want = max_overlap_values(layout, x, y, w, h)
+        assert np.array_equal(want, corner_max_overlap(layout, x, y, w, h))
+        monkeypatch.setattr(matching, "_KERNEL_BLOCK", block)
+        for n in (block - 1, block, block + 1):
+            got = max_overlap_values(layout, x[:n], y[:n], w[:n], h[:n])
+            assert got.tobytes() == want[:n].tobytes()
+            assert not np.signbit(got).any()
+
+
 class TestMatchFaces:
     def test_perfect_face_positive(self):
         layout = grid16()
@@ -250,7 +314,7 @@ class TestMatchFaces:
         assert res.face_max_iou[0] < CFG.t_high
         assert res.face_argmax[0] == 0  # four-way tie resolved to lowest ID
         assert res.anchor_labels[0] == LABEL_POSITIVE
-        assert res.hard_faces(CFG.t_high).tolist() == [0]
+        assert hard_faces(res, CFG.t_high).tolist() == [0]
 
     def test_ignore_band(self):
         """A face halfway between two anchors puts the runner-up in the band.
@@ -263,7 +327,7 @@ class TestMatchFaces:
         assert res.face_max_iou[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert res.anchor_labels[0] == LABEL_POSITIVE
         assert res.anchor_labels[1] == LABEL_IGNORE
-        counts = res.label_counts()
+        counts = label_counts(res)
         assert counts == {"positive": 1, "ignore": 1, "negative": 14}
 
     def test_empty_faces_all_negative(self):
@@ -272,7 +336,7 @@ class TestMatchFaces:
         assert res.num_faces == 0
         assert res.face_assigned == ()
         assert np.all(res.anchor_labels == LABEL_NEGATIVE)
-        assert res.label_counts()["negative"] == layout.anchor_count
+        assert label_counts(res)["negative"] == layout.anchor_count
 
     def test_labels_match_brute_force(self):
         rng = np.random.default_rng(401)
@@ -590,7 +654,7 @@ class TestMatchWork:
 
         monkeypatch.setattr(matching, "iou_xywh", counting)
         res = compensate_hard_faces(match_faces(faces, layout, CFG), faces, layout, CFG)
-        hard = res.hard_faces(CFG.t_high)
+        hard = hard_faces(res, CFG.t_high)
         # The per-face scan evaluated every face's full window, then every
         # hard face's again for compensation.
         full = full_window_pairs(layout, faces.x, faces.y, faces.w, faces.h) + full_window_pairs(
