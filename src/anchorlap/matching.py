@@ -129,7 +129,8 @@ def _edge_table(origin: float, stride: float, n: int, side: float):
     left[:n] = (origin + np.arange(n) * stride) - side / 2.0
     right = left + side
     right[n] = -np.inf
-    return origin, stride, n - 1.0, (left, right), (np.roll(left, -1), np.roll(right, -1))
+    upper = (np.concatenate((left[1:], left[:1])), np.concatenate((right[1:], right[:1])))
+    return origin, stride, n - 1.0, (left, right), upper
 
 
 def _edge_tables(layout: AnchorLayout):
@@ -150,11 +151,11 @@ def _axis_overlaps(table, lo, hi, center, at_lo, at_hi, tmp, idx) -> None:
     np.divide(tmp, stride, out=tmp)
     np.floor(tmp, out=tmp)
     np.clip(tmp, -1.0, last, out=tmp)
-    np.copyto(idx, tmp, casting="unsafe")
+    idx[...] = tmp
     for out, (left, right) in zip((at_lo, at_hi), edges):
-        np.take(right, idx, out=out, mode="wrap")
+        right.take(idx, out=out, mode="wrap")
         np.minimum(out, hi, out=out)
-        np.take(left, idx, out=tmp, mode="wrap")
+        left.take(idx, out=tmp, mode="wrap")
         np.maximum(tmp, lo, out=tmp)
         np.subtract(out, tmp, out=out)
 
