@@ -6,9 +6,8 @@ same elementwise IoU expression, so "identical" comparisons are meaningful
 at the bit level.  The ``corner_*`` functions are the four-corner overlap
 kernel the library used before its per-axis one, kept as a reference, and
 ``emo_exact`` is the EMO integral in closed form.  ``group_of``,
-``anchor_center``, ``anchor_box`` and ``label_counts`` are per-anchor
-lookups that only the tests need, like ``groups_for_scale`` and
-``hard_faces``.
+``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``
+and ``label_counts`` are lookups that only the tests need.
 """
 
 import math
