@@ -1,9 +1,10 @@
 """Artifact bytes pinned across commits.
 
-Runs ``stats``, ``stats --jitter`` (4 and 64 trials), ``match`` and
-``optimize`` on a small fixed listing (tests/data/golden_faces.txt: three
-images with faces, one empty image, sides from 6 to 300 px, one degenerate
-line, one face sitting exactly on an anchor), and ``emo --mc`` at 1 and 2
+Runs ``stats``, ``stats --jitter`` (4 and 64 trials), ``match`` (plain
+and ``--jitter``) and ``optimize`` on a small fixed listing
+(tests/data/golden_faces.txt: three images with faces, one empty image,
+sides from 6 to 300 px, one degenerate line, one face sitting exactly on
+an anchor), the closed-form ``emo`` table, and ``emo --mc`` at 1 and 2
 workers with 70,000 samples per cell (one full 65,536-sample chunk plus a
 remainder chunk), in both output formats, and compares the sha256 of every
 artifact with digests frozen from an earlier build.  A refactor that claims
@@ -40,6 +41,11 @@ RUNS = {
     "stats-jitter64": ["stats", "--annotations", FACES, "--spec", SPEC,
                        "--jitter", "--trials", "64", "--seed", "3"],
     "match": ["match", "--annotations", FACES, "--spec", SPEC, "--hc", "5"],
+    # Seed 3 shifts the faces by (1, 1) on the golden spec; 3 of the 11
+    # faces are hard, so compensation runs on the shifted faces.
+    "match-jitter": ["match", "--annotations", FACES, "--spec", SPEC, "--hc", "5",
+                     "--jitter", "--seed", "3"],
+    "emo": ["emo", "--scales", "6,16,40", "--strides", "4,8"],
     "optimize": ["optimize", "--annotations", FACES, "--space", SPACE],
 }
 EMO_MC = ["emo", "--mc", "--scales", "6,16,40", "--strides", "4,16",
@@ -48,6 +54,8 @@ RUNS["emo-mc"] = EMO_MC + ["--workers", "1"]
 RUNS["emo-mc-2workers"] = EMO_MC + ["--workers", "2"]
 
 DIGESTS = {
+    "emo.csv": "5df34e860026ac243fcd89cd7da59567739390fe3f88bf8caf6788f601afb5ae",
+    "emo.json": "4e03b31bb69ed12cbb6143a9d5ed7334c7dbb052723900150d1170e4af123e3c",
     "emo-mc.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
     "emo-mc.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
     "emo-mc-2workers.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
@@ -56,6 +64,10 @@ DIGESTS = {
     "match.csv.anchors.csv": "8ea5c205c577e598732455c48fe85b2658da466532cb24b087826ce3699e43b1",
     "match.json": "8d3a700b2f04b27e9c7564e89dcff1476c66f0806123f0e72b03ea1968eac766",
     "match.json.anchors.json": "a42afbdcf2b5250058d847a40a6aa7a2a00ca65a57b76c627d0b3d7490ba6a05",
+    "match-jitter.csv": "ec17c6cc51a51596a2a894ffc4e9184a444082418bc6a71b5ea99e4634e9bfcd",
+    "match-jitter.csv.anchors.csv": "352cf98f47b2a8b93fc8030cb201e1d240e88e69e5f5dd69f79f5d5312e5cba3",
+    "match-jitter.json": "869865de6d62de9f73afee0978931ce116d6ba2f9b93f57a6b259b7a32558142",
+    "match-jitter.json.anchors.json": "02766e4a633c37edc40396c549bc1308f788c791cf1f3743606ddfa768aee63b",
     "optimize.csv": "c100343a4fa7abea2dd9de3830a621205d50958c2039684755c64b6882c95694",
     "optimize.json": "2f3a5f84fd32efb2e58ecdb6f77d9ee98f2f46585f895b69bd27afbc1e7d8681",
     "stats-jitter.csv": "235d6a80d15f07d5c3254a81ebbf6a70d5f393f7aa3b7df6419d93b333fc628d",
