@@ -434,6 +434,9 @@ def cmd_replay(args) -> int:
     except KeyError as exc:
         print(f"error: manifest lacks parameter or input {exc}", file=sys.stderr)
         return 1
+    except TypeError as exc:
+        print(f"error: manifest parameter has the wrong type: {exc}", file=sys.stderr)
+        return 1
     recorded = manifest["outputs"]
     if len(recorded) != len(artifacts):
         print(

@@ -390,10 +390,12 @@ class TestReplay:
             lambda m: m["inputs"]["spec"].pop("sha256") and m,
             lambda m: {**m, "outputs": ["stats.csv"]},
             lambda m: {**m, "parameters": {}},
+            lambda m: {**m, "parameters": {**m["parameters"], "tau": "high"}},
+            lambda m: {**m, "parameters": {**m["parameters"], "buckets": 5}},
         ],
         ids=["list", "no-parameters", "no-inputs", "no-outputs", "unknown-subcommand",
              "unhashable-subcommand", "parameters-list", "outputs-object", "input-no-sha256",
-             "output-not-object", "empty-parameters"],
+             "output-not-object", "empty-parameters", "string-tau", "integer-buckets"],
     )
     def test_malformed_manifest_exits_1(self, files, capsys, mangle):
         out = files["dir"] / "stats.csv"
