@@ -15,14 +15,7 @@ from .layout import (
     covering_radius,
     effective_anchor_stride,
 )
-from .emo import (
-    EmoCell,
-    EmoEstimate,
-    EmoQuery,
-    emo_closed_form,
-    emo_monte_carlo,
-    emo_table,
-)
+from .emo import EmoEstimate, EmoQuery, emo_closed_form, emo_monte_carlo
 from .matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
@@ -68,10 +61,8 @@ __all__ = [
     "covering_radius",
     "EmoQuery",
     "EmoEstimate",
-    "EmoCell",
     "emo_closed_form",
     "emo_monte_carlo",
-    "emo_table",
     "MatchConfig",
     "MatchResult",
     "LABEL_POSITIVE",

@@ -36,9 +36,10 @@ from .dataset import (
     jitter_experiment,
     parse_annotations,
 )
-from .emo import emo_monte_carlo, emo_table
+from .emo import EmoQuery, emo_closed_form, emo_monte_carlo
 from .layout import AnchorSpec, build_layout
-from .matching import LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig, compensate_hard_faces, match_faces
+from .matching import (LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig, apply_jitter,
+                       compensate_hard_faces, jitter_offset_bound, match_faces)
 from .optimizer import optimize
 from .specfile import load_space, load_spec, spec_json
 
@@ -191,25 +192,19 @@ def _load_annotation_records(path: str):
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
-    scales = sorted(params["scales"])
-    strides = sorted(params["strides"])
     rows = []
-    if params["mode"] == "monte_carlo":
-        for scale in scales:
-            for stride in strides:
+    for scale in sorted(params["scales"]):
+        for stride in sorted(params["strides"]):
+            if params["mode"] == "monte_carlo":
                 spec = AnchorSpec(scales=(scale,), base_stride=stride, stride_divisor=1)
                 plane = 8.0 * stride
                 layout = build_layout(spec, plane, plane)
                 est = emo_monte_carlo(
                     layout, scale, scale, params["samples"], params["seed"], workers
                 )
-                rows.append((float(scale), float(stride), est.value, est.std_error, est.method))
-    else:
-        for cell in emo_table(scales, strides, params["cells"]):
-            if cell.estimate is None:
-                raise ValueError(f"scale {cell.scale:g} with stride {cell.stride:g}: {cell.reason}")
-            rows.append((cell.scale, cell.stride, cell.estimate.value,
-                         cell.estimate.std_error, cell.estimate.method))
+            else:
+                est = emo_closed_form(EmoQuery(scale, stride, params["cells"]))
+            rows.append((float(scale), float(stride), est.value, est.std_error, est.method))
     return [("", _render(_columns(_EMO_COLS, rows), params["format"]))]
 
 
@@ -266,13 +261,9 @@ def _run_match(params: dict, inputs: dict, workers: int):
         raise ValueError("annotation listing contains no usable faces")
     plane_w, plane_h = bounding_plane(faces)
     layout = build_layout(spec, plane_w, plane_h)
-    cfg = MatchConfig(
-        t_high=params["t_high"],
-        t_low=params["t_low"],
-        hc_n=params["hc_n"],
-        jitter=params["jitter"],
-        jitter_seed=params.get("seed") or 0,
-    )
+    cfg = MatchConfig(t_high=params["t_high"], t_low=params["t_low"], hc_n=params["hc_n"])
+    if params["jitter"]:
+        faces, _ = apply_jitter(faces, jitter_offset_bound(layout), params.get("seed") or 0)
     result = match_faces(faces, layout, cfg)
     if cfg.hc_n > 0:
         result = compensate_hard_faces(result, faces, layout, cfg)

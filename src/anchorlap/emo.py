@@ -30,10 +30,8 @@ from .rng import stream
 __all__ = [
     "EmoQuery",
     "EmoEstimate",
-    "EmoCell",
     "emo_closed_form",
     "emo_monte_carlo",
-    "emo_table",
     "MC_CHUNK",
 ]
 
@@ -50,8 +48,6 @@ class EmoQuery:
     face_side: float
     anchor_stride: float
     quadrature_cells: int = 512
-    mc_samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.face_side) and self.face_side > 0):
@@ -62,10 +58,6 @@ class EmoQuery:
             )
         if self.quadrature_cells < 16:
             raise ValueError(f"quadrature_cells must be >= 16, got {self.quadrature_cells!r}")
-        if self.mc_samples < 1000:
-            raise ValueError(f"mc_samples must be >= 1000, got {self.mc_samples!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def emo_closed_form(query: EmoQuery) -> EmoEstimate:
     if half >= side:
         raise ValueError(
             f"closed-form invalid: anchor_stride/2 must stay below face_side, got "
-            f"stride {query.anchor_stride:g} vs side {side:g}; use emo_monte_carlo"
+            f"stride {query.anchor_stride:g} vs side {side:g}; use Monte Carlo (emo --mc)"
         )
     cells = query.quadrature_cells
     step = half / cells
@@ -188,41 +180,3 @@ def emo_monte_carlo(
         std_error=math.sqrt(var / samples),
         method="monte_carlo",
     )
-
-
-@dataclass(frozen=True)
-class EmoCell:
-    """One (scale, stride) cell of an EMO table; ``estimate`` is None with a
-    ``reason`` when the closed form does not apply to the pair."""
-
-    scale: float
-    stride: float
-    estimate: EmoEstimate | None
-    reason: str | None = None
-
-
-def emo_table(
-    scales, strides, quadrature_cells: int = 512
-) -> list[EmoCell]:
-    """Closed-form EMO over the full scales-by-strides cross product.
-
-    Rows come back sorted by (scale, stride).  Pairs that violate the
-    closed-form precondition yield an absent estimate with reason
-    ``"closed-form invalid"`` instead of failing the whole table.
-    """
-    cells: list[EmoCell] = []
-    for scale in sorted(float(s) for s in scales):
-        for stride in sorted(float(s) for s in strides):
-            query = EmoQuery(
-                face_side=scale, anchor_stride=stride, quadrature_cells=quadrature_cells
-            )
-            if stride / 2.0 >= scale:
-                cells.append(
-                    EmoCell(scale=scale, stride=stride, estimate=None,
-                            reason="closed-form invalid")
-                )
-            else:
-                cells.append(
-                    EmoCell(scale=scale, stride=stride, estimate=emo_closed_form(query))
-                )
-    return cells

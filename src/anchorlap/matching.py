@@ -66,8 +66,6 @@ class MatchConfig:
     t_high: float = 0.5
     t_low: float = 0.3
     hc_n: int = 5
-    jitter: bool = False
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.t_low <= self.t_high < 1.0):
@@ -76,8 +74,6 @@ class MatchConfig:
             )
         if self.hc_n < 0:
             raise ValueError(f"hc_n must be >= 0, got {self.hc_n!r}")
-        if self.jitter_seed < 0:
-            raise ValueError(f"jitter_seed must be non-negative, got {self.jitter_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,7 @@ class MatchResult:
     anchors.  Per anchor: a label (1 positive, 0 negative, -1 ignore) and,
     for positives, the index of the face that owns the assignment: the
     max-IoU face for threshold/argmax positives, the compensated face for
-    anchors promoted by hard-face compensation.  ``jitter_offset`` is the
-    translation applied to the faces before matching, (0, 0) when jitter
-    was off.
+    anchors promoted by hard-face compensation.
     """
 
     face_max_iou: np.ndarray
@@ -99,7 +93,6 @@ class MatchResult:
     face_assigned: tuple[np.ndarray, ...]
     anchor_labels: np.ndarray
     anchor_source: np.ndarray
-    jitter_offset: tuple[int, int]
 
     @property
     def num_faces(self) -> int:
@@ -451,17 +444,12 @@ def match_faces(
     sources and assigned sets from one window scan of the anchors each
     face can lift to ``t_low`` (see the module docstring).  All equal an
     exhaustive scan exactly.  An empty face list labels all anchors
-    negative.  When ``cfg.jitter`` is set, faces are first shifted
-    by a shared random offset whose range follows the smallest effective
-    anchor stride in the layout.
+    negative.  Faces are matched where they are; to match shifted faces,
+    pass the output of :func:`apply_jitter`.
     """
     if layout.anchor_count == 0:
         raise ValueError("layout holds no anchors")
-    offset = (0, 0)
     faces = FaceTable.of(faces)
-    if cfg.jitter and faces:
-        faces, offset = apply_jitter(faces, jitter_offset_bound(layout), cfg.jitter_seed)
-
     n_faces = len(faces)
     labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
     face_max = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
@@ -504,7 +492,6 @@ def match_faces(
         face_assigned=tuple(assigned),
         anchor_labels=labels,
         anchor_source=source,
-        jitter_offset=offset,
     )
 
 
@@ -520,8 +507,8 @@ def compensate_hard_faces(
     are ranked by IoU (ties to the lower ID) and the best ``cfg.hc_n`` with
     positive IoU become positive for it.  Existing positives are never
     demoted or re-sourced, and non-hard faces are untouched.  ``faces``
-    must be the same faces that produced ``result``; the recorded jitter
-    offset is re-applied internally.  Only the hard faces are scanned, each
+    must be the same faces, at the same positions, that produced
+    ``result``.  Only the hard faces are scanned, each
     over the anchors that can reach the N-th best IoU of its cell corners,
     a set that holds its exact top N.
     """
@@ -532,10 +519,6 @@ def compensate_hard_faces(
         raise ValueError(
             f"result covers {result.num_faces} faces but {len(faces)} were given"
         )
-    dx, dy = result.jitter_offset
-    if dx or dy:
-        faces = faces.translated(dx, dy)
-
     hard = np.flatnonzero(result.face_max_iou < cfg.t_high)
     x, y, w, h = (col[hard] for col in (faces.x, faces.y, faces.w, faces.h))
     # Every anchor of a face's top N reaches its N-th best IoU, which is at
@@ -572,5 +555,4 @@ def compensate_hard_faces(
         face_assigned=tuple(assigned),
         anchor_labels=labels,
         anchor_source=source,
-        jitter_offset=result.jitter_offset,
     )

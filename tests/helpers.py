@@ -192,13 +192,9 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
     Every rule is read straight off the matrix: a face's argmax is the lowest
     ID at its max, an anchor's source the lowest face index at its max.
     """
-    from anchorlap.matching import MatchResult, apply_jitter, jitter_offset_bound
+    from anchorlap.matching import MatchResult
 
     boxes = [boxes[i] for i in range(len(boxes))]
-    offset = (0, 0)
-    if cfg.jitter and boxes:
-        moved, offset = apply_jitter(boxes, jitter_offset_bound(layout), cfg.jitter_seed)
-        boxes = [moved[i] for i in range(len(moved))]
     ious = all_pair_ious(layout, boxes) if boxes else np.zeros((0, layout.anchor_count))
     face_max = ious.max(axis=1)
     face_argmax = np.where(face_max > 0.0, ious.argmax(axis=1), -1)
@@ -213,7 +209,7 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
         np.union1d(np.flatnonzero(ious[f] >= cfg.t_high), face_argmax[f : f + 1][face_max[f : f + 1] > 0.0])
         for f in range(len(boxes))
     ]
-    matched = MatchResult(face_max, face_argmax, tuple(assigned), labels, source, offset)
+    matched = MatchResult(face_max, face_argmax, tuple(assigned), labels, source)
     if cfg.hc_n == 0:
         return matched, None
 
@@ -225,7 +221,7 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
         labels[fresh] = 1
         source[fresh] = f
         assigned[f] = np.union1d(assigned[f], top)
-    return matched, MatchResult(face_max, face_argmax, tuple(assigned), labels, source, offset)
+    return matched, MatchResult(face_max, face_argmax, tuple(assigned), labels, source)
 
 
 def assert_same_match(got, want):
@@ -236,7 +232,6 @@ def assert_same_match(got, want):
     assert len(got.face_assigned) == len(want.face_assigned)
     for f, (a, b) in enumerate(zip(got.face_assigned, want.face_assigned)):
         assert a.dtype == b.dtype and np.array_equal(a, b), f"face_assigned[{f}]"
-    assert got.jitter_offset == want.jitter_offset
 
 
 def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):

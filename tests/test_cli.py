@@ -81,7 +81,8 @@ class TestEmo:
     def test_invalid_pair_exits_2(self, capsys):
         code = main(["emo", "--scale", "16", "--stride", "32"])
         assert code == 2
-        assert "closed-form invalid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "closed-form invalid" in err and "emo --mc" in err
 
     def test_mc_identical_across_workers(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc",
@@ -279,6 +280,12 @@ class TestMatch:
         code = main(["match", "--annotations", files["ann"], "--spec", files["spec"],
                      "--tl", "0.6", "--th", "0.5"])
         assert code == 2
+
+    def test_negative_jitter_seed_exits_2(self, files, capsys):
+        code = main(["match", "--annotations", files["ann"], "--spec", files["spec"],
+                     "--jitter", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
 
 class TestOptimize:

@@ -1,4 +1,4 @@
-"""Expected-max-overlap estimators: quadrature, Monte Carlo, and the table."""
+"""Expected-max-overlap estimators: quadrature and Monte Carlo."""
 
 import json
 import math
@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from anchorlap.emo import EmoEstimate, EmoQuery, emo_closed_form, emo_monte_carlo, emo_table
+from anchorlap.emo import EmoEstimate, EmoQuery, emo_closed_form, emo_monte_carlo
 from anchorlap.geometry import iou_offset_square
 from anchorlap.layout import AnchorSpec, build_layout
 
@@ -30,7 +30,6 @@ class TestEmoQuery:
     def test_defaults(self):
         q = EmoQuery(face_side=16.0, anchor_stride=16.0)
         assert q.quadrature_cells == 512
-        assert q.mc_samples == 100_000
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,8 +37,8 @@ class TestEmoQuery:
             {"face_side": 0.0, "anchor_stride": 16.0},
             {"face_side": 16.0, "anchor_stride": -1.0},
             {"face_side": 16.0, "anchor_stride": 16.0, "quadrature_cells": 8},
-            {"face_side": 16.0, "anchor_stride": 16.0, "mc_samples": 10},
-            {"face_side": 16.0, "anchor_stride": 16.0, "seed": -3},
+            {"face_side": math.inf, "anchor_stride": 16.0},
+            {"face_side": 16.0, "anchor_stride": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -158,24 +157,16 @@ class TestMonteCarlo:
 
 
 class TestEmoTable:
-    def test_cross_product_sorted(self):
-        cells = emo_table([32.0, 16.0], [16.0, 8.0])
-        assert [(c.scale, c.stride) for c in cells] == [
-            (16.0, 8.0), (16.0, 16.0), (32.0, 8.0), (32.0, 16.0)
-        ]
-        assert all(c.estimate is not None for c in cells)
+    """A scales-by-strides table of closed-form cells, as ``emo`` prints it."""
 
     def test_column_increases_with_scale(self):
-        cells = emo_table([16.0, 32.0, 64.0, 128.0, 256.0, 512.0], [16.0])
-        values = [c.estimate.value for c in cells]
+        values = [closed(scale, 16.0) for scale in (16.0, 32.0, 64.0, 128.0, 256.0, 512.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_row_decreases_with_stride(self):
-        cells = emo_table([16.0], [4.0, 8.0, 16.0])
-        values = [c.estimate.value for c in cells]
+        values = [closed(16.0, stride) for stride in (4.0, 8.0, 16.0)]
         assert values[0] > values[1] > values[2]
 
     def test_invalid_pair_gets_reason(self):
-        cells = emo_table([16.0], [32.0])
-        assert cells[0].estimate is None
-        assert cells[0].reason == "closed-form invalid"
+        with pytest.raises(ValueError, match=r"closed-form invalid.*emo --mc"):
+            closed(16.0, 32.0)

@@ -1,15 +1,19 @@
 """Matching pipeline: max-IoU assignment, thresholds, jitter, compensation."""
 
+import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anchorlap import matching
-from anchorlap.dataset import bounding_plane
+from anchorlap.cli import main
+from anchorlap.dataset import bounding_plane, parse_annotations
 from anchorlap.geometry import FaceTable, RectBox, iou_offset_square
 from anchorlap.layout import AnchorSpec, build_layout
+from anchorlap.specfile import load_spec
 from anchorlap.matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
@@ -45,12 +49,12 @@ def grid16(plane=64.0):
 
 
 CFG = MatchConfig()
+DATA = Path(__file__).parent / "data"
 
 
 class TestMatchConfig:
     def test_defaults(self):
         assert CFG.t_high == 0.5 and CFG.t_low == 0.3 and CFG.hc_n == 5
-        assert not CFG.jitter
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -60,7 +64,7 @@ class TestMatchConfig:
             {"t_high": 1.0},
             {"t_high": -0.2, "t_low": -0.3},
             {"hc_n": -1},
-            {"jitter_seed": -1},
+            {"t_low": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -489,29 +493,36 @@ class TestJitter:
         )
         assert jitter_offset_bound(quad) == 8.0
 
-    def test_match_with_jitter_equals_manual_translation(self):
-        layout = grid16(128.0)
-        faces = [RectBox(10.0, 20.0, 16.0, 16.0), RectBox(50.0, 60.0, 12.0, 12.0)]
-        cfg = MatchConfig(jitter=True, jitter_seed=21)
-        res = match_faces(faces, layout, cfg)
-        moved, off = apply_jitter(faces, jitter_offset_bound(layout), 21)
-        assert res.jitter_offset == off
-        plain = match_faces(moved, layout, MatchConfig())
-        assert np.array_equal(res.face_max_iou, plain.face_max_iou)
-        assert np.array_equal(res.anchor_labels, plain.anchor_labels)
+    def test_match_with_jitter_equals_manual_translation(self, tmp_path):
+        # ``match --jitter`` matches and compensates the faces apply_jitter
+        # returns for the layout's offset bound and the run's seed.
+        faces = parse_annotations(DATA.joinpath("golden_faces.txt").read_text().splitlines()).records
+        layout = build_layout(load_spec(DATA / "golden_spec.json"), *bounding_plane(faces))
+        moved, offset = apply_jitter(faces, jitter_offset_bound(layout), 21)
+        assert offset != (0, 0)
+        want = compensate_hard_faces(match_faces(moved, layout, CFG), moved, layout, CFG)
+        out = tmp_path / "m.csv"
+        assert main(["match", "--annotations", str(DATA / "golden_faces.txt"),
+                     "--spec", str(DATA / "golden_spec.json"), "--jitter", "--seed", "21",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [float(r["max_iou"]) for r in rows] == pytest.approx(want.face_max_iou.tolist(), abs=1e-9)
+        assert [int(r["argmax_anchor"]) for r in rows] == want.face_argmax.tolist()
+        assert [int(r["assigned_count"]) for r in rows] == [len(a) for a in want.face_assigned]
+        anchors = list(csv.DictReader((tmp_path / "m.csv.anchors.csv").read_text().splitlines()))
+        assert [int(r["source_face"]) for r in anchors] == want.anchor_source.tolist()
 
-    def test_compensation_reuses_recorded_offset(self):
+    def test_compensation_tops_up_the_jittered_face(self):
         layout = grid16(128.0)
-        faces = [RectBox(8.0, 8.0, 16.0, 16.0)]
-        cfg = MatchConfig(jitter=True, jitter_seed=4)
-        base = match_faces(faces, layout, cfg)
-        res = compensate_hard_faces(base, faces, layout, cfg)
-        # the compensated anchors must overlap the *jittered* face
-        dx, dy = base.jitter_offset
-        moved = faces[0].translated(dx, dy)
+        faces, (dx, dy) = apply_jitter([RectBox(8.0, 8.0, 16.0, 16.0)], 16.0, 4)
+        assert (dx, dy) != (0, 0)
+        base = match_faces(faces, layout, CFG)
+        res = compensate_hard_faces(base, faces, layout, CFG)
+        # the compensated anchors overlap the face where it was matched
+        moved = faces[0]
         ids, _ = overlapping_anchors(layout, moved)
         assert set(res.face_assigned[0]) <= set(ids.tolist())
-        assert set(res.face_assigned[0]) == set(brute_top_n(layout, moved, cfg.hc_n))
+        assert set(res.face_assigned[0]) == set(brute_top_n(layout, moved, CFG.hc_n))
 
 
 def test_jittered_corpus_still_matches_brute_force():
@@ -529,13 +540,11 @@ def test_jittered_corpus_still_matches_brute_force():
             )
             for _ in range(5)
         ]
-        cfg = MatchConfig(jitter=True, jitter_seed=trial)
-        res = match_faces(faces, layout, cfg)
-        dx, dy = res.jitter_offset
-        moved = [b.translated(dx, dy) for b in faces]
-        want_val, want_id = brute_max_overlap(layout, moved)
-        assert np.array_equal(res.face_max_iou, want_val)
-        assert np.array_equal(res.face_argmax, want_id)
+        moved, _ = apply_jitter(faces, jitter_offset_bound(layout), trial)
+        got = match_faces(moved, layout, CFG)
+        want, want_comp = brute_match(layout, moved, CFG)
+        assert_same_match(got, want)
+        assert_same_match(compensate_hard_faces(got, moved, layout, CFG), want_comp)
 
 
 def test_worst_case_offset_matches_closed_form():
@@ -545,13 +554,14 @@ def test_worst_case_offset_matches_closed_form():
     assert corner == iou_offset_square(16.0, 8.0, 8.0)
 
 
+# (config, jitter seed): a seeded run matches the faces apply_jitter returns.
 SWEEP_CONFIGS = (
-    MatchConfig(),
-    MatchConfig(t_low=0.1, t_high=0.7),
-    MatchConfig(t_low=0.4, t_high=0.4, hc_n=1),
-    MatchConfig(t_low=0.1, t_high=0.5, hc_n=1, jitter=True, jitter_seed=3),
-    MatchConfig(t_low=0.3, t_high=0.3, jitter=True, jitter_seed=8),
-    MatchConfig(t_low=0.2, t_high=0.6, hc_n=0),
+    (MatchConfig(), None),
+    (MatchConfig(t_low=0.1, t_high=0.7), None),
+    (MatchConfig(t_low=0.4, t_high=0.4, hc_n=1), None),
+    (MatchConfig(t_low=0.1, t_high=0.5, hc_n=1), 3),
+    (MatchConfig(t_low=0.3, t_high=0.3), 8),
+    (MatchConfig(t_low=0.2, t_high=0.6, hc_n=0), None),
 )
 
 
@@ -591,11 +601,13 @@ class TestBruteMatchSweep:
         rng = np.random.default_rng(5150)
         low_argmax_elsewhere = 0
         for trial in range(150):
-            cfg = SWEEP_CONFIGS[trial % len(SWEEP_CONFIGS)]
+            cfg, jitter_seed = SWEEP_CONFIGS[trial % len(SWEEP_CONFIGS)]
             spec = random_spec(rng, scale_pool=(8.0, 16.0, 24.0, 32.0, 64.0, 128.0))
             side = float(rng.integers(48, 200))
             layout = build_layout(spec, side, side)
             boxes = sweep_faces(rng, layout, side)
+            if jitter_seed is not None:
+                boxes, _ = apply_jitter(boxes, jitter_offset_bound(layout), jitter_seed)
             want, want_comp = brute_match(layout, boxes, cfg)
             got = match_faces(boxes, layout, cfg)
             assert_same_match(got, want)
