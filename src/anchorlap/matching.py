@@ -508,9 +508,9 @@ def compensate_hard_faces(
     positive IoU become positive for it.  Existing positives are never
     demoted or re-sourced, and non-hard faces are untouched.  ``faces``
     must be the same faces, at the same positions, that produced
-    ``result``.  Only the hard faces are scanned, each
-    over the anchors that can reach the N-th best IoU of its cell corners,
-    a set that holds its exact top N.
+    ``result``.  Only the hard faces are scanned, each over the anchors
+    that can reach the N-th best IoU of its cell corners, a set that holds
+    its exact top N.
     """
     if cfg.hc_n < 1:
         raise ValueError(f"compensation needs hc_n >= 1, got {cfg.hc_n!r}")

@@ -13,7 +13,6 @@ from anchorlap.cli import main
 from anchorlap.dataset import bounding_plane, parse_annotations
 from anchorlap.geometry import FaceTable, RectBox, iou_offset_square
 from anchorlap.layout import AnchorSpec, build_layout
-from anchorlap.specfile import load_spec
 from anchorlap.matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
@@ -27,6 +26,7 @@ from anchorlap.matching import (
     max_overlap_values,
     overlapping_anchors,
 )
+from anchorlap.specfile import load_spec
 
 from helpers import (
     all_pair_ious,
@@ -514,15 +514,14 @@ class TestJitter:
 
     def test_compensation_tops_up_the_jittered_face(self):
         layout = grid16(128.0)
-        faces, (dx, dy) = apply_jitter([RectBox(8.0, 8.0, 16.0, 16.0)], 16.0, 4)
-        assert (dx, dy) != (0, 0)
+        faces, offset = apply_jitter([RectBox(8.0, 8.0, 16.0, 16.0)], 16.0, 4)
+        assert offset != (0, 0)
         base = match_faces(faces, layout, CFG)
         res = compensate_hard_faces(base, faces, layout, CFG)
         # the compensated anchors overlap the face where it was matched
-        moved = faces[0]
-        ids, _ = overlapping_anchors(layout, moved)
+        ids, _ = overlapping_anchors(layout, faces[0])
         assert set(res.face_assigned[0]) <= set(ids.tolist())
-        assert set(res.face_assigned[0]) == set(brute_top_n(layout, moved, CFG.hc_n))
+        assert set(res.face_assigned[0]) == set(brute_top_n(layout, faces[0], CFG.hc_n))
 
 
 def test_jittered_corpus_still_matches_brute_force():
