@@ -11,6 +11,10 @@ artifact with digests frozen from an earlier build.  A refactor that claims
 identical output must leave every digest alone; a deliberate output change
 must update the digest and say which rows moved.
 
+The ``parameters`` and ``seed`` each of those runs (and one ``grid``) records
+in its manifest are pinned as well: they are what ``replay`` reads back, so
+an old manifest replays only while the schema stays put.
+
 The committed ``golden_*.manifest.json`` files were written by that earlier
 build with paths relative to the repository root; replaying them checks
 that old manifests stay readable and reproduce their recorded outputs.
@@ -52,6 +56,26 @@ EMO_MC = ["emo", "--mc", "--scales", "6,16,40", "--strides", "4,16",
           "--samples", "70000", "--seed", "11"]
 RUNS["emo-mc"] = EMO_MC + ["--workers", "1"]
 RUNS["emo-mc-2workers"] = EMO_MC + ["--workers", "2"]
+
+BUCKETS = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+EMO_MC_PARAMETERS = {"mode": "monte_carlo", "scales": [6.0, 16.0, 40.0], "strides": [4.0, 16.0],
+                     "cells": 512, "samples": 70000, "seed": 11}
+# The manifest ``parameters`` of each run, less ``format``; ``seed`` is also
+# the manifest's top-level ``seed`` (null where absent).
+PARAMETERS = {
+    "emo": {"mode": "closed_form", "scales": [6.0, 16.0, 40.0], "strides": [4.0, 8.0],
+            "cells": 512, "samples": 100000},
+    "emo-mc": EMO_MC_PARAMETERS,
+    "emo-mc-2workers": EMO_MC_PARAMETERS,
+    "grid": {"plane_w": 64.0, "plane_h": 48.0},
+    "match": {"t_high": 0.5, "t_low": 0.3, "hc_n": 5, "jitter": False},
+    "match-jitter": {"t_high": 0.5, "t_low": 0.3, "hc_n": 5, "jitter": True, "seed": 3},
+    "optimize": {"tau": 0.5},
+    "stats": {"buckets": BUCKETS, "tau": 0.5, "jitter": False, "trials": 16},
+    "stats-jitter": {"buckets": BUCKETS, "tau": 0.5, "jitter": True, "trials": 4, "seed": 3},
+    "stats-jitter64": {"buckets": BUCKETS, "tau": 0.5, "jitter": True, "trials": 64, "seed": 3},
+}
+MANIFEST_RUNS = {**RUNS, "grid": ["grid", "--spec", SPEC, "--plane", "64x48"]}
 
 DIGESTS = {
     "emo.csv": "5df34e860026ac243fcd89cd7da59567739390fe3f88bf8caf6788f601afb5ae",
@@ -100,6 +124,18 @@ def test_artifact_digests_are_frozen(run, fmt, tmp_path, at_root):
     }
     want = {k: v for k, v in DIGESTS.items() if k.startswith(f"{run}.{fmt}")}
     assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
+def test_manifest_parameters_are_frozen(run, fmt, tmp_path, at_root):
+    out = tmp_path / f"{run}.{fmt}"
+    assert main(MANIFEST_RUNS[run] + ["--format", fmt, "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    want = {**PARAMETERS[run], "format": fmt}
+    # Compared as JSON text, so 64 for 64.0 or 1 for true also fails.
+    assert json.dumps(manifest["parameters"], sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert manifest["seed"] == want.get("seed")
 
 
 @pytest.mark.parametrize("name", ["golden_match_json", "golden_stats_jitter_csv"])
