@@ -172,23 +172,24 @@ def _write_artifacts(out: str, artifacts) -> list:
     return outputs
 
 
-def _finish(args, subcommand: str, parameters: dict, inputs: dict, artifacts) -> int:
-    """Write artifacts beside --out with a manifest, or stream to stdout."""
-    if args.out is None:
-        for _, text in artifacts:
-            sys.stdout.write(text)
-        return 0
-    _write_manifest(args.out, subcommand, parameters, inputs, _write_artifacts(args.out, artifacts))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # runners (shared by the subcommands and replay; pure in params + input files)
 
 
-def _load_annotation_records(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_annotations(fh).records
+def _load_faces(inputs: dict):
+    """The faces of the annotation listing; a listing without any is an error."""
+    with open(inputs["annotations"], "r", encoding="utf-8") as fh:
+        faces = parse_annotations(fh).records
+    if not faces:
+        raise ValueError("annotation listing contains no usable faces")
+    return faces
+
+
+def _faces_and_layout(inputs: dict):
+    """The listing's faces and the spec's layout on their bounding plane."""
+    faces = _load_faces(inputs)
+    spec = load_spec(inputs["spec"])
+    return faces, build_layout(spec, *bounding_plane(faces))
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
@@ -236,31 +237,21 @@ def _run_grid(params: dict, inputs: dict, workers: int):
 
 
 def _run_stats(params: dict, inputs: dict, workers: int):
-    records = _load_annotation_records(inputs["annotations"])
-    spec = load_spec(inputs["spec"])
-    if not records:
-        raise ValueError("annotation listing contains no usable faces")
-    plane_w, plane_h = bounding_plane(records)
-    layout = build_layout(spec, plane_w, plane_h)
+    faces, layout = _faces_and_layout(inputs)
     edges = params["buckets"]
     if params["jitter"]:
         rep = jitter_experiment(
-            records, layout, params["trials"], params["seed"], edges, params["tau"]
+            faces, layout, params["trials"], params["seed"], edges, params["tau"]
         )
         columns = _JITTER_COLS
     else:
-        rep = bucket_stats(records, layout, edges, params["tau"])
+        rep = bucket_stats(faces, layout, edges, params["tau"])
         columns = _STATS_COLS
     return [("", _render(_columns(columns, rep.rows()), params["format"]))]
 
 
 def _run_match(params: dict, inputs: dict, workers: int):
-    faces = _load_annotation_records(inputs["annotations"])
-    spec = load_spec(inputs["spec"])
-    if not faces:
-        raise ValueError("annotation listing contains no usable faces")
-    plane_w, plane_h = bounding_plane(faces)
-    layout = build_layout(spec, plane_w, plane_h)
+    faces, layout = _faces_and_layout(inputs)
     cfg = MatchConfig(t_high=params["t_high"], t_low=params["t_low"], hc_n=params["hc_n"])
     if params["jitter"]:
         faces, _ = apply_jitter(faces, jitter_offset_bound(layout), params.get("seed") or 0)
@@ -289,22 +280,21 @@ def _run_match(params: dict, inputs: dict, workers: int):
 
 
 def _run_optimize(params: dict, inputs: dict, workers: int):
-    records = _load_annotation_records(inputs["annotations"])
-    space = load_space(inputs["space"])
-    if not records:
-        raise ValueError("annotation listing contains no usable faces")
-    scores = optimize(space, records, params["tau"])
+    faces = _load_faces(inputs)
+    scores = optimize(load_space(inputs["space"]), faces, params["tau"])
     rows = [(rank, sc.objective, sc.recall, sc.anchors_per_location, spec_json(sc.spec))
             for rank, sc in enumerate(scores, start=1)]
     return [("", _render(_columns(_OPT_COLS, rows), params["format"]))]
 
 
-_RUNNERS = {
-    "emo": _run_emo,
-    "grid": _run_grid,
-    "stats": _run_stats,
-    "match": _run_match,
-    "optimize": _run_optimize,
+# Each subcommand's runner, the parameters it reads off the parsed arguments
+# (manifests record them, with ``format`` and any ``seed``) and its input files.
+_COMMANDS = {
+    "emo": (_run_emo, ("mode", "scales", "strides", "cells", "samples"), ()),
+    "grid": (_run_grid, ("plane_w", "plane_h"), ("spec",)),
+    "stats": (_run_stats, ("buckets", "tau", "jitter", "trials"), ("annotations", "spec")),
+    "match": (_run_match, ("t_high", "t_low", "hc_n", "jitter"), ("annotations", "spec")),
+    "optimize": (_run_optimize, ("tau",), ("annotations", "space")),
 }
 
 
@@ -324,63 +314,23 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def cmd_emo(args) -> int:
-    params = {
-        "mode": "monte_carlo" if args.mc else "closed_form",
-        "scales": sorted(args.scales),
-        "strides": sorted(args.strides),
-        "cells": args.cells,
-        "samples": args.samples,
-        "format": args.format,
-    }
-    if args.mc:
+def cmd_run(args) -> int:
+    """Run one subcommand of ``_COMMANDS``: stream its artifacts to stdout,
+    or write them beside --out with a manifest."""
+    runner, names, input_names = _COMMANDS[args.command]
+    params = {name: getattr(args, name) for name in names}
+    params["format"] = args.format
+    if params.get("mode") == "monte_carlo" or params.get("jitter"):
         params["seed"] = _resolve_seed(args)
-    artifacts = _run_emo(params, {}, args.workers)
-    return _finish(args, "emo", params, {}, artifacts)
-
-
-def cmd_grid(args) -> int:
-    params = {"plane_w": args.plane[0], "plane_h": args.plane[1], "format": args.format}
-    inputs = _input_meta(spec=args.spec)
-    artifacts = _run_grid(params, {"spec": args.spec}, 1)
-    return _finish(args, "grid", params, inputs, artifacts)
-
-
-def cmd_stats(args) -> int:
-    params = {
-        "buckets": args.buckets,
-        "tau": args.tau,
-        "jitter": args.jitter,
-        "trials": args.trials,
-        "format": args.format,
-    }
-    if args.jitter:
-        params["seed"] = _resolve_seed(args)
-    inputs = _input_meta(annotations=args.annotations, spec=args.spec)
-    artifacts = _run_stats(params, {"annotations": args.annotations, "spec": args.spec}, 1)
-    return _finish(args, "stats", params, inputs, artifacts)
-
-
-def cmd_match(args) -> int:
-    params = {
-        "t_high": args.th,
-        "t_low": args.tl,
-        "hc_n": args.hc,
-        "jitter": args.jitter,
-        "format": args.format,
-    }
-    if args.jitter:
-        params["seed"] = _resolve_seed(args)
-    inputs = _input_meta(annotations=args.annotations, spec=args.spec)
-    artifacts = _run_match(params, {"annotations": args.annotations, "spec": args.spec}, 1)
-    return _finish(args, "match", params, inputs, artifacts)
-
-
-def cmd_optimize(args) -> int:
-    params = {"tau": args.tau, "format": args.format}
-    inputs = _input_meta(annotations=args.annotations, space=args.space)
-    artifacts = _run_optimize(params, {"annotations": args.annotations, "space": args.space}, 1)
-    return _finish(args, "optimize", params, inputs, artifacts)
+    paths = {name: getattr(args, name) for name in input_names}
+    inputs = _input_meta(**paths)
+    artifacts = runner(params, paths, getattr(args, "workers", 1))
+    if args.out is None:
+        for _, text in artifacts:
+            sys.stdout.write(text)
+        return 0
+    _write_manifest(args.out, args.command, params, inputs, _write_artifacts(args.out, artifacts))
+    return 0
 
 
 def _manifest_problem(manifest) -> str | None:
@@ -390,8 +340,11 @@ def _manifest_problem(manifest) -> str | None:
     for key, kind in (("subcommand", str), ("parameters", dict), ("inputs", dict), ("outputs", list)):
         if not isinstance(manifest.get(key), kind):
             return f"manifest needs a {key!r} entry of type {kind.__name__}"
-    if manifest["subcommand"] not in _RUNNERS:
+    if manifest["subcommand"] not in _COMMANDS:
         return f"manifest names unknown subcommand {manifest['subcommand']!r}"
+    fmt = manifest["parameters"].get("format")
+    if fmt not in ("csv", "json"):
+        return f"manifest parameter 'format' must be 'csv' or 'json', got {fmt!r}"
     for entry in [*manifest["inputs"].values(), *manifest["outputs"]]:
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
                 and isinstance(entry.get("sha256"), str)):
@@ -419,7 +372,7 @@ def cmd_replay(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    runner = _RUNNERS[manifest["subcommand"]]
+    runner = _COMMANDS[manifest["subcommand"]][0]
     try:
         artifacts = runner(manifest["parameters"], {k: v["path"] for k, v in inputs.items()}, args.workers)
     except KeyError as exc:
@@ -455,11 +408,20 @@ def _float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",")]
 
 
+def _sorted_float_list(text: str) -> list:
+    return sorted(_float_list(text))
+
+
 def _plane(text: str) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"plane must look like 640x480, got {text!r}")
     return float(parts[0]), float(parts[1])
+
+
+class _PlaneAction(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.plane_w, namespace.plane_h = values
 
 
 def _add_common(p, seeded: bool) -> None:
@@ -479,24 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("emo", help="expected max overlap for (scale, stride) pairs")
-    p.add_argument("--scales", "--scale", dest="scales", type=_float_list, required=True,
+    p.add_argument("--scales", "--scale", dest="scales", type=_sorted_float_list, required=True,
                    metavar="LIST", help="comma-separated face side lengths")
-    p.add_argument("--strides", "--stride", dest="strides", type=_float_list, required=True,
+    p.add_argument("--strides", "--stride", dest="strides", type=_sorted_float_list, required=True,
                    metavar="LIST", help="comma-separated anchor strides")
     p.add_argument("--cells", type=int, default=512, help="quadrature cells per axis")
-    p.add_argument("--mc", action="store_true",
-                   help="estimate by Monte Carlo against a single-scale layout")
+    p.add_argument("--mc", dest="mode", action="store_const", const="monte_carlo",
+                   default="closed_form", help="estimate by Monte Carlo against a single-scale layout")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     p.add_argument("--workers", type=int, default=1,
                    help="Monte Carlo worker threads (result is identical for any count)")
     _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_emo)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="dump every anchor of a layout")
     p.add_argument("--spec", required=True, help="anchor spec JSON file")
-    p.add_argument("--plane", type=_plane, required=True, metavar="WxH", help="plane size, e.g. 640x480")
+    p.add_argument("--plane", type=_plane, action=_PlaneAction, required=True, metavar="WxH", help="plane size, e.g. 640x480")
     _add_common(p, seeded=False)
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("stats", help="scale-bucketed mean max IoU and recall")
     p.add_argument("--annotations", required=True, help="face annotation listing")
@@ -507,24 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", action="store_true", help="average over random face shifts")
     p.add_argument("--trials", type=int, default=16, help="jitter trials")
     _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("match", help="per-face and per-anchor assignment dump")
     p.add_argument("--annotations", required=True, help="face annotation listing")
     p.add_argument("--spec", required=True, help="anchor spec JSON file")
-    p.add_argument("--th", type=float, default=0.5, help="positive IoU threshold")
-    p.add_argument("--tl", type=float, default=0.3, help="background IoU threshold")
-    p.add_argument("--hc", type=int, default=5, help="hard-face compensation count (0 disables)")
+    p.add_argument("--th", dest="t_high", metavar="TH", type=float, default=0.5, help="positive IoU threshold")
+    p.add_argument("--tl", dest="t_low", metavar="TL", type=float, default=0.3, help="background IoU threshold")
+    p.add_argument("--hc", dest="hc_n", metavar="HC", type=int, default=5, help="hard-face compensation count (0 disables)")
     p.add_argument("--jitter", action="store_true", help="apply a random face shift before matching")
     _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_match)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("optimize", help="rank anchor designs from a search space")
     p.add_argument("--annotations", required=True, help="face annotation listing")
     p.add_argument("--space", required=True, help="search space JSON file")
     p.add_argument("--tau", type=float, default=0.5, help="recall IoU threshold")
     _add_common(p, seeded=False)
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify byte-exact outputs")
     p.add_argument("--manifest", required=True, help="manifest JSON written by a previous run")

@@ -193,11 +193,14 @@ def iou_from_overlaps(iw, ih, areas):
     """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
-    The one IoU rule of the package: the intersection is ``iw * ih`` where
-    both overlaps are positive, else 0, and the union is bounded below by
-    the intersection.  Every step is a correctly rounded monotone
-    operation, so the result never decreases as ``iw`` or ``ih`` grows,
-    in floating point too.
+    The IoU rule of the package, called by ``iou_xywh``: the intersection
+    is ``iw * ih`` where both overlaps are positive, else 0, and the union
+    is bounded below by the intersection.  Every step is a correctly
+    rounded monotone operation, so the result never decreases as ``iw`` or
+    ``ih`` grows, in floating point too.  ``matching.max_overlap_values``
+    and ``matching._nth_corner_iou`` write the same
+    ``inter / max(areas - inter, inter)`` inline into scratch buffers, on
+    overlaps clamped at 0.
     """
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     return np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)

@@ -353,6 +353,25 @@ class TestReplay:
                      "--out", str(replayed), "--workers", "3"]) == 0
         assert replayed.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["emo", "--scales", "40,16", "--strides", "16,8"],
+            ["grid", "--spec", "{spec}", "--plane", "64x48", "--format", "json"],
+            ["stats", "--annotations", "{ann}", "--spec", "{spec}", "--jitter", "--trials", "3",
+             "--seed", "2"],
+            ["optimize", "--annotations", "{ann}", "--space", "{space}"],
+        ],
+        ids=["emo", "grid", "stats-jitter", "optimize"],
+    )
+    def test_every_subcommand_replays(self, files, argv):
+        out = files["dir"] / "run.out"
+        assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
+        replayed = files["dir"] / "replayed.out"
+        assert main(["replay", "--manifest", str(out) + ".manifest.json",
+                     "--out", str(replayed)]) == 0
+        assert replayed.read_bytes() == out.read_bytes()
+
     def test_changed_input_fails(self, files, capsys):
         out = files["dir"] / "stats.csv"
         assert main(["stats", "--annotations", files["ann"], "--spec", files["spec"],
@@ -399,12 +418,14 @@ class TestReplay:
             lambda m: {**m, "parameters": {}},
             lambda m: {**m, "parameters": {**m["parameters"], "tau": "high"}},
             lambda m: {**m, "parameters": {**m["parameters"], "buckets": 5}},
+            lambda m: {**m, "parameters": {**m["parameters"], "format": 3}},
         ],
         ids=["list", "no-parameters", "no-inputs", "no-outputs", "unknown-subcommand",
              "unhashable-subcommand", "parameters-list", "outputs-object", "input-no-sha256",
-             "output-not-object", "empty-parameters", "string-tau", "integer-buckets"],
+             "output-not-object", "empty-parameters", "string-tau", "integer-buckets",
+             "integer-format"],
     )
-    def test_malformed_manifest_exits_1(self, files, capsys, mangle):
+    def test_malformed_manifest_exits_1(self, files, capsys, mangle, request):
         out = files["dir"] / "stats.csv"
         assert main(["stats", "--annotations", files["ann"], "--spec", files["spec"],
                      "--out", str(out)]) == 0
