@@ -25,7 +25,6 @@ from .matching import (
     apply_jitter,
     compensate_hard_faces,
     match_faces,
-    max_overlap,
     max_overlap_values,
     overlapping_anchors,
 )
@@ -41,7 +40,7 @@ from .dataset import (
     parse_annotations,
 )
 from .optimizer import ConfigScore, SearchSpace, enumerate_configs, evaluate_config, optimize
-from .specfile import load_space, load_spec, save_spec, spec_from_dict, spec_json, spec_to_dict
+from .specfile import load_space, load_spec, spec_from_dict, spec_json, spec_to_dict
 from .rng import stream
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "match_faces",
     "compensate_hard_faces",
     "apply_jitter",
-    "max_overlap",
     "max_overlap_values",
     "overlapping_anchors",
     "AnnotationError",
@@ -92,7 +90,6 @@ __all__ = [
     "spec_to_dict",
     "spec_json",
     "load_spec",
-    "save_spec",
     "load_space",
     "stream",
     "__version__",

@@ -193,19 +193,17 @@ def _faces_and_layout(inputs: dict):
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
-    rows = []
-    for scale in sorted(params["scales"]):
-        for stride in sorted(params["strides"]):
-            if params["mode"] == "monte_carlo":
-                spec = AnchorSpec(scales=(scale,), base_stride=stride, stride_divisor=1)
-                plane = 8.0 * stride
-                layout = build_layout(spec, plane, plane)
-                est = emo_monte_carlo(
-                    layout, scale, scale, params["samples"], params["seed"], workers
-                )
-            else:
-                est = emo_closed_form(EmoQuery(scale, stride, params["cells"]))
-            rows.append((float(scale), float(stride), est.value, est.std_error, est.method))
+    pairs = [(scale, stride) for scale in sorted(params["scales"]) for stride in sorted(params["strides"])]
+    if params["mode"] == "monte_carlo":
+        cells = []
+        for scale, stride in pairs:
+            spec = AnchorSpec(scales=(scale,), base_stride=stride, stride_divisor=1)
+            cells.append((build_layout(spec, 8.0 * stride, 8.0 * stride), scale, scale))
+        estimates = emo_monte_carlo(cells, params["samples"], params["seed"], workers)
+    else:
+        estimates = [emo_closed_form(EmoQuery(scale, stride, params["cells"])) for scale, stride in pairs]
+    rows = [(float(scale), float(stride), est.value, est.std_error, est.method)
+            for (scale, stride), est in zip(pairs, estimates)]
     return [("", _render(_columns(_EMO_COLS, rows), params["format"]))]
 
 

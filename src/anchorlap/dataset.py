@@ -51,10 +51,6 @@ class ParsedAnnotations:
     records: FaceTable
     skipped: int
 
-    @property
-    def face_lines(self) -> int:
-        return len(self.records) + self.skipped
-
 
 def _is_zero_box_line(line: str) -> bool:
     tokens = line.split()

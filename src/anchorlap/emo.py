@@ -7,7 +7,10 @@ Two estimators:
   uniform over one period, so the expectation reduces to an integral of the
   single-period overlap ratio over the quarter-period ``[0, s_A/2]^2``;
 * a Monte Carlo estimate against an arbitrary full layout, maximizing IoU
-  over every anchor (all scales, ratios and shifted sub-lattices).
+  over every anchor (all scales, ratios and shifted sub-lattices).  Every
+  cell of a table is estimated from one shared sample stream, drawn once
+  per chunk, and each estimate is to the bit the one a call for that cell
+  alone gives.
 
 The quadrature is only valid while the worst-offset face still overlaps its
 matched anchor, i.e. ``s_A/2 < l``; at or beyond that use the Monte Carlo
@@ -17,8 +20,11 @@ path.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +39,19 @@ __all__ = [
     "emo_closed_form",
     "emo_monte_carlo",
     "MC_CHUNK",
+    "MAX_MC_SAMPLES",
+    "MAX_QUADRATURE_CELLS",
 ]
 
 # Fixed Monte Carlo chunk size.  Chunk i always draws from stream(seed, i),
 # so the sample sequence (and therefore the estimate, bit for bit) depends
 # only on (seed, samples), never on how chunks are spread over workers.
 MC_CHUNK = 65536
+
+# Caps checked before anything is allocated: 65,536 Monte Carlo chunks, and
+# a quadrature grid of 2^16 cells per axis.
+MAX_MC_SAMPLES = 2**32
+MAX_QUADRATURE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,10 @@ class EmoQuery:
             )
         if self.quadrature_cells < 16:
             raise ValueError(f"quadrature_cells must be >= 16, got {self.quadrature_cells!r}")
+        if self.quadrature_cells > MAX_QUADRATURE_CELLS:
+            raise ValueError(
+                f"{self.quadrature_cells} quadrature cells are over the cap of {MAX_QUADRATURE_CELLS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,67 +133,72 @@ def _central_period_cell(layout: AnchorLayout) -> tuple[float, float, float]:
     return x0, y0, s
 
 
-def _mc_chunk(layout: AnchorLayout, face_w: float, face_h: float,
-              seed: int, index: int, count: int,
-              x0: float, y0: float, period: float) -> tuple[float, float]:
-    rng = stream(seed, index)
-    cx = x0 + rng.random(count) * period
-    cy = y0 + rng.random(count) * period
-    vals = max_overlap_values(layout, cx - face_w / 2.0, cy - face_h / 2.0, face_w, face_h)
-    return float(np.sum(vals)), float(np.sum(vals * vals))
-
-
 def emo_monte_carlo(
-    layout: AnchorLayout,
-    face_w: float,
-    face_h: float,
+    cells: Sequence[tuple[AnchorLayout, float, float]],
     samples: int,
     seed: int,
     workers: int = 1,
-) -> EmoEstimate:
-    """Estimate expected max IoU of a ``face_w`` x ``face_h`` box vs ``layout``.
+) -> list[EmoEstimate]:
+    """Estimate the expected max IoU of each ``(layout, face_w, face_h)`` cell.
 
-    Face centers are drawn uniformly over one interior period cell of the
-    lattice; per-sample max IoU runs over all anchors.  Sampling is chunked
-    with one counter-based stream per chunk and chunk statistics are merged
-    in index order, so the result is bit-identical for any ``workers``.
+    Face centers are drawn uniformly over one interior period cell of each
+    cell's lattice; per-sample max IoU runs over all anchors.  Sampling is
+    chunked, chunk ``i`` drawing from ``stream(seed, i)``, and every cell
+    reuses the same draws: a chunk's uniforms are drawn once, into buffers
+    kept per worker thread, then scaled to each cell's period.  Chunk
+    statistics are merged in index order, so each estimate is the one a
+    single-cell call gives and is bit-identical for any ``workers``.
+    Estimates come back in cell order.
     """
-    if not (math.isfinite(face_w) and face_w > 0 and math.isfinite(face_h) and face_h > 0):
-        raise ValueError(f"face size must be positive and finite, got {face_w!r} x {face_h!r}")
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples!r}")
+    if samples > MAX_MC_SAMPLES:
+        raise ValueError(f"{samples} samples are over the cap of {MAX_MC_SAMPLES}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    if layout.anchor_count == 0:
-        raise ValueError("layout holds no anchors")
+    regions = []
+    for layout, face_w, face_h in cells:
+        if not (math.isfinite(face_w) and face_w > 0 and math.isfinite(face_h) and face_h > 0):
+            raise ValueError(f"face size must be positive and finite, got {face_w!r} x {face_h!r}")
+        if layout.anchor_count == 0:
+            raise ValueError("layout holds no anchors")
+        regions.append(_central_period_cell(layout))
 
-    x0, y0, period = _central_period_cell(layout)
-    sizes = [MC_CHUNK] * (samples // MC_CHUNK)
-    if samples % MC_CHUNK:
-        sizes.append(samples % MC_CHUNK)
+    chunks = -(-samples // MC_CHUNK)
+    local = threading.local()
 
-    def run(index_count):
-        index, count = index_count
-        return _mc_chunk(layout, face_w, face_h, seed, index, count, x0, y0, period)
+    def run(index: int) -> np.ndarray:
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty((5, min(samples, MC_CHUNK)))
+        count = min(MC_CHUNK, samples - index * MC_CHUNK)
+        ux, uy, bx, by, vals = local.buffers[:, :count]
+        rng = stream(seed, index)
+        rng.random(out=ux)
+        rng.random(out=uy)
+        sums = np.empty((len(cells), 2))
+        for k, ((layout, face_w, face_h), (x0, y0, period)) in enumerate(zip(cells, regions)):
+            np.subtract(np.add(np.multiply(ux, period, out=bx), x0, out=bx), face_w / 2.0, out=bx)
+            np.subtract(np.add(np.multiply(uy, period, out=by), y0, out=by), face_h / 2.0, out=by)
+            max_overlap_values(layout, bx, by, face_w, face_h, out=vals)
+            sums[k, 0] = np.sum(vals)
+            sums[k, 1] = np.sum(np.multiply(vals, vals, out=vals))
+        return sums
 
-    jobs = list(enumerate(sizes))
-    if workers == 1:
-        stats = [run(job) for job in jobs]
+    threads = min(workers, chunks, os.cpu_count() or 1)
+    if threads == 1:
+        parts = [run(i) for i in range(chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, jobs))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, range(chunks)))
 
-    total = 0.0
-    total_sq = 0.0
-    for part, part_sq in stats:  # fixed merge order keeps the sum exact
-        total += part
-        total_sq += part_sq
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return EmoEstimate(
-        value=mean,
-        std_error=math.sqrt(var / samples),
-        method="monte_carlo",
-    )
+    totals = np.zeros((len(cells), 2))
+    for part in parts:  # fixed merge order keeps each sum exact
+        totals += part
+    estimates = []
+    for total, total_sq in totals.tolist():
+        mean = total / samples
+        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+        estimates.append(EmoEstimate(value=mean, std_error=math.sqrt(var / samples), method="monte_carlo"))
+    return estimates

@@ -43,7 +43,6 @@ __all__ = [
     "match_faces",
     "compensate_hard_faces",
     "apply_jitter",
-    "max_overlap",
     "max_overlap_values",
     "overlapping_anchors",
     "jitter_offset_bound",
@@ -153,7 +152,7 @@ def _axis_overlaps(table, lo, hi, center, at_lo, at_hi, tmp, idx) -> None:
         np.subtract(out, tmp, out=out)
 
 
-def max_overlap_values(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
+def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray:
     """Per-box max IoU over *all* anchors of the layout; 0 for boxes
     overlapping none.
 
@@ -166,13 +165,19 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
     the larger x overlap of the two columns and the larger y overlap of the
     two rows, each clamped at 0, as ``inter / max(areas - inter, inter)``.
     Boxes go in blocks of ``_KERNEL_BLOCK`` through scratch buffers
-    allocated once per call.  For an anchor side that is not dyadic, a
-    column off the corners can score a few ulps higher: ``(ax + aw) - ax``
-    rounds differently per column while the box holds the anchor whole
-    along x (likewise for rows).
+    allocated once per call.  A C-contiguous float64 ``out`` of the
+    result's shape is overwritten, whatever it held, and returned.  For an
+    anchor side that is not dyadic, a column off the corners can score a
+    few ulps higher: ``(ax + aw) - ax`` rounds differently per column while
+    the box holds the anchor whole along x (likewise for rows).
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
-    best = np.zeros(x.shape, dtype=np.float64)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    best = out.reshape(-1)
+    best.fill(0.0)
     tables = _edge_tables(layout)
     size = max(1, min(len(best), _KERNEL_BLOCK))
     scratch = np.empty((9, size))
@@ -200,30 +205,7 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h) -> np.ndarray:
             np.maximum(ih, iw, out=ih)
             np.divide(iw, ih, out=iw)
             np.maximum(top, iw, out=top)
-    return best.reshape(shape)
-
-
-def max_overlap(layout: AnchorLayout, x, y, w, h):
-    """Like :func:`max_overlap_values`, plus lowest-ID argmax anchor IDs.
-
-    The max value comes from the per-axis kernel.  When several anchors
-    tie (commonly: a large anchor fully containing a small box keeps the
-    same IoU across a run of lattice positions) the lowest-ID maximizer may
-    sit outside the enclosing cell's corners.  So each box's window of
-    anchors able to reach its max is scanned (:func:`_scan` with the max as
-    floor), and the ID returned is the first anchor, in ascending ID,
-    whose IoU equals that max.  Boxes overlapping no anchor get ID -1.
-    Both results have the broadcast shape of the coordinates.
-    """
-    (x, y, w, h), shape = _flat_boxes(x, y, w, h)
-    best = max_overlap_values(layout, x, y, w, h)
-    live = np.flatnonzero(best > 0.0)
-    found = np.full(live.shape, -1, dtype=np.int64)
-    for block in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
-        _take_argmax(found, best[live], *block)
-    best_id = np.full(best.shape, -1, dtype=np.int64)
-    best_id[live] = found
-    return best.reshape(shape), best_id.reshape(shape)
+    return out
 
 
 # IoU pairs in one streamed block of the window scan.  A block's working

@@ -27,7 +27,6 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
     "load_spec",
-    "save_spec",
     "spec_json",
     "space_from_dict",
     "load_space",
@@ -83,12 +82,6 @@ def spec_json(spec: AnchorSpec) -> str:
 def load_spec(path: str) -> AnchorSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
-
-
-def save_spec(spec: AnchorSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def space_from_dict(data) -> SearchSpace:

@@ -6,24 +6,31 @@ same elementwise IoU expression, so "identical" comparisons are meaningful
 at the bit level.  The ``corner_*`` functions are the four-corner overlap
 kernel the library used before its per-axis one, kept as a reference, and
 ``emo_exact`` is the EMO integral in closed form.  ``group_of``,
-``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``
-and ``label_counts`` are lookups that only the tests need.
+``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
+``label_counts``, ``face_lines``, ``max_overlap`` and ``save_spec`` are
+lookups and writers that only the tests need.
 """
 
+import json
 import math
 
 import numpy as np
 
 from anchorlap.dataset import DEFAULT_BUCKET_EDGES, JitterReport, bucket_stats
 from anchorlap.geometry import FaceTable, RectBox, iou_xywh
-from anchorlap.layout import AnchorLayout, LatticeGroup
+from anchorlap.layout import AnchorLayout, AnchorSpec, LatticeGroup
 from anchorlap.matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
     LABEL_POSITIVE,
+    _flat_boxes,
+    _scan,
+    _take_argmax,
     apply_jitter,
     jitter_offset_bound,
+    max_overlap_values,
 )
+from anchorlap.specfile import spec_to_dict
 
 
 def face_arrays(boxes):
@@ -48,6 +55,41 @@ def brute_max_overlap(layout: AnchorLayout, boxes):
     best = ious.max(axis=1)
     best_id = np.where(best > 0.0, ious.argmax(axis=1), -1)
     return best, best_id
+
+
+def max_overlap(layout: AnchorLayout, x, y, w, h):
+    """Like ``max_overlap_values``, plus lowest-ID argmax anchor IDs.
+
+    The max value comes from the per-axis kernel.  When several anchors
+    tie (commonly: a large anchor fully containing a small box keeps the
+    same IoU across a run of lattice positions) the lowest-ID maximizer may
+    sit outside the enclosing cell's corners.  So each box's window of
+    anchors able to reach its max is scanned (``_scan`` with the max as
+    floor), and the ID returned is the first anchor, in ascending ID,
+    whose IoU equals that max.  Boxes overlapping no anchor get ID -1.
+    Both results have the broadcast shape of the coordinates.
+    """
+    (x, y, w, h), shape = _flat_boxes(x, y, w, h)
+    best = max_overlap_values(layout, x, y, w, h)
+    live = np.flatnonzero(best > 0.0)
+    found = np.full(live.shape, -1, dtype=np.int64)
+    for block in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
+        _take_argmax(found, best[live], *block)
+    best_id = np.full(best.shape, -1, dtype=np.int64)
+    best_id[live] = found
+    return best.reshape(shape), best_id.reshape(shape)
+
+
+def face_lines(parsed) -> int:
+    """Face lines a parse read: the kept faces plus the skipped ones."""
+    return len(parsed.records) + parsed.skipped
+
+
+def save_spec(spec: AnchorSpec, path: str) -> None:
+    """Write ``spec`` as sorted, indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def group_of(layout: AnchorLayout, anchor_id: int) -> LatticeGroup:

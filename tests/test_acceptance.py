@@ -90,7 +90,7 @@ def test_criterion_02_quadrature_agrees_with_monte_carlo_and_goldens():
         for stride in STRIDES:
             value = closed(side, stride)
             layout = single_scale(side, stride, 8.0 * stride)
-            est = emo_monte_carlo(layout, side, side, samples=1_000_000, seed=991)
+            est = emo_monte_carlo([(layout, side, side)], samples=1_000_000, seed=991)[0]
             gap = abs(value - est.value)
             assert gap <= 3.0 * est.std_error, (
                 f"EMO({side:g},{stride:g}): quadrature {value:.8f} vs MC "

@@ -16,6 +16,7 @@ import pytest
 import anchorlap
 from anchorlap import cli
 from anchorlap.cli import main
+from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -94,6 +95,16 @@ class TestEmo:
         assert a.read_bytes() == b.read_bytes()
         est = float(rows_of(a.read_text())[0]["emo"])
         assert est == pytest.approx(0.4086, abs=0.01)
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["--mc", "--samples", "100000000000000000000"], MAX_MC_SAMPLES),
+        (["--cells", "1000000000000"], MAX_QUADRATURE_CELLS),
+    ])
+    def test_oversized_request_exits_2_without_traceback(self, argv, cap):
+        proc = run_console_script("emo", "--scales", "16", "--strides", "8", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and f"cap of {cap}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_mc_seed_matters(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc", "--samples", "10000"]

@@ -151,6 +151,6 @@ def test_emo_mc_estimate_is_frozen_to_the_bit(workers):
     # of several ratios and shifted sub-lattices.
     spec = AnchorSpec(scales=(8.0, 16.0, 32.0), ratios=(0.8, 1.25), stride_divisor=2,
                       shifts_per_scale={8.0: 3, 16.0: 1})
-    est = emo_monte_carlo(build_layout(spec, 256.0, 192.0), 13.0, 17.0, 70000, 11, workers)
+    est = emo_monte_carlo([(build_layout(spec, 256.0, 192.0), 13.0, 17.0)], 70000, 11, workers)[0]
     assert est.value.hex() == "0x1.67f1098588894p-1"
     assert est.std_error.hex() == "0x1.309b8cb89e1dfp-12"

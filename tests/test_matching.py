@@ -22,7 +22,6 @@ from anchorlap.matching import (
     compensate_hard_faces,
     jitter_offset_bound,
     match_faces,
-    max_overlap,
     max_overlap_values,
     overlapping_anchors,
 )
@@ -39,6 +38,7 @@ from helpers import (
     corner_nth_iou,
     hard_faces,
     label_counts,
+    max_overlap,
     random_spec,
 )
 
@@ -284,6 +284,23 @@ class TestKernelEdges:
         got = self.check(layout, x, -0.0, w, 16.0)
         assert got[2] == 1.0 and got[4] == 0.0 and got[5] == 0.0
         self.check(layout, 0.0 * -w, -0.0, w, w)
+
+    def test_out_buffer_is_filled_and_returned(self):
+        layout = build_layout(self.SPEC, 64.0, 48.0)
+        x, y, w, h = tie_boxes(np.random.default_rng(11), layout, 300)
+        x[:10] = 1000.0  # boxes overlapping no anchor: 0, whatever the buffer held
+        want = max_overlap_values(layout, x, y, w, h)
+        assert (want == 0.0).any()
+        for stale in (np.nan, 2.0, -1.0):
+            buf = np.full(want.shape, stale)
+            assert max_overlap_values(layout, x, y, w, h, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+        column = np.full((len(x), 1), 2.0)
+        got = max_overlap_values(layout, x[:, None], y[:, None], w[:, None], h[:, None], out=column)
+        assert got is column and column.ravel().tobytes() == want.tobytes()
+        for bad in (np.empty(len(x) + 1), np.empty(2 * len(x))[::2], np.empty(len(x), np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                max_overlap_values(layout, x, y, w, h, out=bad)
 
     @pytest.mark.parametrize("block", [1, 7, matching._KERNEL_BLOCK])
     def test_block_size_never_moves_a_byte(self, monkeypatch, block):

@@ -9,12 +9,13 @@ from anchorlap.optimizer import SearchSpace
 from anchorlap.specfile import (
     load_space,
     load_spec,
-    save_spec,
     space_from_dict,
     spec_from_dict,
     spec_json,
     spec_to_dict,
 )
+
+from helpers import save_spec
 
 FULL_SPEC = AnchorSpec(
     scales=(16.0, 32.0, 64.0, 128.0, 256.0, 512.0),
