@@ -57,64 +57,63 @@ _OPT_COLS = ("rank", "objective", "recall", "anchors_per_location", "spec_json")
 # formatting
 
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.9g}"
-
-
-def _json_value(v):
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            return None
-        return float(_fmt_float(v))
-    return v
-
-
-# Rows formatted at a time, which bounds the per-cell objects alive at once.
+# Rows per rendered chunk, which bounds the cells and text alive at once.
 _RENDER_ROWS = 1 << 16
 
 
 def _csv_text(v) -> str:
     """A CSV cell as ``csv.writer`` writes its text with a ``\\n`` line end:
     quoted, with ``"`` doubled, only when it holds ``,``, ``"`` or ``\\n``."""
-    text = _fmt_float(v) if isinstance(v, float) else str(v)
+    text = f"{v:.9g}" if isinstance(v, float) else str(v)
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _cells(column, lo: int, fmt: str) -> list:
-    """One chunk of a column, from row ``lo``, as CSV text or JSON values."""
+def _json_text(v) -> str:
+    """A JSON value as ``json.dumps`` writes it, a float first rounded to 9
+    significant digits and ``null`` when not finite."""
+    if isinstance(v, float):
+        return repr(float(f"{v:.9g}")) if math.isfinite(v) else "null"
+    return str(v) if type(v) is int else json.dumps(v)
+
+
+def _cells(column, lo: int, fmt: str):
+    """The cell texts of one chunk of a column, from row ``lo``."""
     part = column[lo : lo + _RENDER_ROWS]
     if isinstance(part, np.ndarray):
         kind, part = part.dtype.kind, part.tolist()
-        if fmt == "csv" and kind in "fiu":
-            return list(map("{:.9g}".format if kind == "f" else str, part))
-    return list(map(_csv_text if fmt == "csv" else _json_value, part))
+        if kind in "iu":
+            return list(map(str, part))
+        if kind == "f" and fmt == "csv":
+            return list(map("{:.9g}".format, part))
+    return list(map(_csv_text if fmt == "csv" else _json_text, part))
 
 
-def _render(columns: dict, fmt: str) -> str:
-    """CSV or JSON text of a table given as ``{name: values}`` in column order.
+def _render(columns: dict, fmt: str):
+    """Yield the CSV or JSON text of a table given as ``{name: values}`` in
+    column order: the header, one text per ``_RENDER_ROWS`` rows, the close.
 
     Values are numpy arrays or Python sequences of equal length.  A CSV row
     is its cells joined by ``,`` and ended by ``\\n``, quoted as
-    ``csv.writer`` quotes rows of two or more cells; JSON is a list of one
-    object per row with sorted keys.  Rows are formatted in chunks and the
-    JSON list is joined from per-chunk dumps, which give the same text as
-    one dump.
+    ``csv.writer`` quotes rows of two or more cells.  JSON is the text of
+    ``json.dumps(rows, indent=2, sort_keys=True)`` plus ``\\n`` for a list
+    of one object per row, each row filled into one template.
     """
     names = list(columns)
     n_rows = len(columns[names[0]])
     if fmt == "csv":
-        parts = [",".join(map(_csv_text, names)) + "\n"]
-        for lo in range(0, n_rows, _RENDER_ROWS):
-            rows = zip(*(_cells(col, lo, fmt) for col in columns.values()))
-            parts.append("\n".join(map(",".join, rows)) + "\n")
-        return "".join(parts)
-    items = []
+        yield ",".join(map(_csv_text, names)) + "\n"
+        row, sep, last, close = ",".join, "\n", "\n", ""
+    else:
+        yield "[\n" if n_rows else "["
+        keys = sorted(range(len(names)), key=names.__getitem__)
+        template = "  {{\n" + ",\n".join(f"    {json.dumps(names[i])}: {{{i}}}" for i in keys) + "\n  }}"
+        row, sep, last, close = (lambda cells: template.format(*cells)), ",\n", "\n", "]\n"
     for lo in range(0, n_rows, _RENDER_ROWS):
-        rows = [dict(zip(names, row)) for row in zip(*(_cells(col, lo, fmt) for col in columns.values()))]
-        items.append(json.dumps(rows, indent=2, sort_keys=True)[2:-2])
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+        rows = zip(*(_cells(col, lo, fmt) for col in columns.values()))
+        yield sep.join(map(row, rows)) + (sep if lo + _RENDER_ROWS < n_rows else last)
+    yield close
 
 
 def _columns(names, rows) -> dict:
@@ -135,15 +134,11 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _input_meta(**paths) -> dict:
     return {name: {"path": path, "sha256": _sha256_file(path)} for name, path in paths.items()}
 
 
-def _write_manifest(out: str, subcommand: str, parameters: dict, inputs: dict, outputs: list) -> str:
+def _write_manifest(out: str, subcommand: str, parameters: dict, inputs: dict, outputs: list) -> None:
     manifest = {
         "tool": "anchorlap",
         "version": __version__,
@@ -153,22 +148,25 @@ def _write_manifest(out: str, subcommand: str, parameters: dict, inputs: dict, o
         "inputs": inputs,
         "outputs": outputs,
     }
-    path = out + ".manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_artifacts(out: str, artifacts) -> list:
-    """Write each ``(suffix, text)`` artifact to ``out + suffix``; the
-    manifest ``outputs`` entries, path and sha256, in artifact order."""
+    """Write each ``(suffix, chunks)`` artifact to ``out + suffix`` as UTF-8,
+    hashing each chunk as it is written; the manifest ``outputs`` entries,
+    path and sha256, in artifact order."""
     outputs = []
-    for suffix, text in artifacts:
+    for suffix, chunks in artifacts:
         path = out + suffix
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        outputs.append({"path": path, "sha256": _sha256_text(text)})
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+        outputs.append({"path": path, "sha256": digest.hexdigest()})
     return outputs
 
 
@@ -178,8 +176,11 @@ def _write_artifacts(out: str, artifacts) -> list:
 
 def _load_faces(inputs: dict):
     """The faces of the annotation listing; a listing without any is an error."""
-    with open(inputs["annotations"], "r", encoding="utf-8") as fh:
-        faces = parse_annotations(fh).records
+    try:
+        with open(inputs["annotations"], "r", encoding="utf-8") as fh:
+            faces = parse_annotations(fh).records
+    except UnicodeDecodeError as exc:
+        raise OSError(f"annotation listing {inputs['annotations']} is not UTF-8 text: {exc}") from None
     if not faces:
         raise ValueError("annotation listing contains no usable faces")
     return faces
@@ -324,8 +325,8 @@ def cmd_run(args) -> int:
     inputs = _input_meta(**paths)
     artifacts = runner(params, paths, getattr(args, "workers", 1))
     if args.out is None:
-        for _, text in artifacts:
-            sys.stdout.write(text)
+        for _, chunks in artifacts:
+            sys.stdout.writelines(chunks)
         return 0
     _write_manifest(args.out, args.command, params, inputs, _write_artifacts(args.out, artifacts))
     return 0
@@ -354,7 +355,7 @@ def cmd_replay(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 1
     problem = _manifest_problem(manifest)
@@ -499,10 +500,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AnnotationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AnnotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -8,9 +8,12 @@ kernel the library used before its per-axis one, kept as a reference, and
 ``emo_exact`` is the EMO integral in closed form.  ``group_of``,
 ``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
 ``label_counts``, ``face_lines``, ``max_overlap`` and ``save_spec`` are
-lookups and writers that only the tests need.
+lookups and writers that only the tests need.  ``render_reference`` is the
+CSV and JSON text the CLI's chunked renderer must reproduce.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -360,3 +363,29 @@ def emo_exact(side: float, stride: float) -> float:
     sq = side * side
     return (2.0 * sq * (dilog(0.5) - 2.0 * dilog(a / (2.0 * side)) + dilog(a * a / (2.0 * sq)))
             - h * h) / (h * h)
+
+
+def render_reference(columns, fmt):
+    """A ``{name: values}`` table as ``csv.writer`` writes it (``\\n`` line
+    ends, floats to 9 significant digits) or as ``json.dumps(indent=2,
+    sort_keys=True)`` of one dict per row (floats rounded the same way,
+    ``None`` when not finite), plus ``\\n``."""
+    def cell(v):
+        return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+    def value(v):
+        if isinstance(v, float):
+            return float(f"{v:.9g}") if math.isfinite(v) else None
+        return v
+
+    names = list(columns)
+    rows = list(zip(*(list(c.tolist() if isinstance(c, np.ndarray) else c)
+                      for c in columns.values())))
+    if fmt == "json":
+        data = [{k: value(v) for k, v in zip(names, row)} for row in rows]
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue()

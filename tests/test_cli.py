@@ -1,13 +1,13 @@
 """End-to-end CLI behavior: schemas, exit codes, manifests, replay."""
 
 import csv
-import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,10 @@ from anchorlap import cli
 from anchorlap.cli import main
 from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS
 
+from helpers import render_reference
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DATA = Path(__file__).parent / "data"
 
 ANNOTATIONS = """\
 img/a.jpg
@@ -241,6 +244,13 @@ class TestStats:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_undecodable_listing_exits_1(self, files, capsys):
+        bad = files["dir"] / "bad.txt"
+        bad.write_bytes(b"a.jpg\n1\n1 1 4 4 \xff\n")
+        assert main(["stats", "--annotations", str(bad), "--spec", files["spec"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_spec_json_exits_2(self, files):
         bad = files["dir"] / "bad.json"
         bad.write_text("{not json")
@@ -413,6 +423,14 @@ class TestReplay:
         assert main(["replay", "--manifest", str(bad),
                      "--out", str(files["dir"] / "r.csv")]) == 1
 
+    def test_undecodable_manifest_exits_1(self, files, capsys):
+        bad = files["dir"] / "bad.manifest.json"
+        bad.write_bytes(b'{"subcommand": "\xff"}')
+        assert main(["replay", "--manifest", str(bad),
+                     "--out", str(files["dir"] / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -505,44 +523,64 @@ class TestRender:
     of row dicts would, however the rows are chunked."""
 
     COLUMNS = {
-        "id": np.arange(8),
-        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x", "cr\rlf"],
-        "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12, 7.5]),
-        "mixed": [1, 2.5, "s", None, 3, 4.0, "t", '"\r"'],
+        "id": np.arange(10),
+        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x", "cr\rlf",
+                 "é 日本", "back\\slash\ttab\x01"],
+        "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12, 7.5, 1e16, -1e-300]),
+        "mixed": [1, 2.5, "s", None, 3, 4.0, "t", '"\r"', 1e16, True],
+        "byte": np.array([0, 1, 7, 127, 128, 200, 254, 255, 3, 9], dtype=np.uint8),
+        "single": np.array([math.nan, math.inf, -math.inf, 0.1, 1e16, -1e-30, 0.0, 2.5, 1e-7, 3.0],
+                           dtype=np.float32),
     }
-
-    @staticmethod
-    def reference(columns, fmt):
-        def cell(v):
-            return f"{v:.9g}" if isinstance(v, float) else str(v)
-
-        def value(v):
-            if isinstance(v, float):
-                return float(f"{v:.9g}") if math.isfinite(v) else None
-            return v
-
-        names = list(columns)
-        rows = list(zip(*(list(c.tolist() if isinstance(c, np.ndarray) else c)
-                          for c in columns.values())))
-        if fmt == "json":
-            data = [{k: value(v) for k, v in zip(names, row)} for row in rows]
-            return json.dumps(data, indent=2, sort_keys=True) + "\n"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows([cell(v) for v in row] for row in rows)
-        return buf.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     def test_chunked_columns_match_row_rendering(self, monkeypatch, fmt, chunk):
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
-        assert cli._render(self.COLUMNS, fmt) == self.reference(self.COLUMNS, fmt)
+        assert "".join(cli._render(self.COLUMNS, fmt)) == render_reference(self.COLUMNS, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
         columns = {"a": [], "b": np.array([], dtype=np.float64)}
-        assert cli._render(columns, fmt) == self.reference(columns, fmt)
+        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+
+    def test_json_grid_memory_is_bounded_by_the_chunk(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 4096)
+        out = tmp_path / "grid.json"
+        tracemalloc.start()
+        try:
+            code = main(["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", "1024x768",
+                         "--format", "json", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 13_000_000  # 98,304 anchors
+        # Rendering the whole text before writing it peaked at about 52 MB
+        # here; streamed chunks peak near 12 MB.
+        assert peak < 25_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "--annotations", str(DATA / "golden_faces.txt"),
+             "--spec", str(DATA / "golden_spec.json"), "--format", "json"],
+            ["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", "64x48"],
+        ],
+        ids=["match-json", "grid-csv"],
+    )
+    def test_stdout_streams_the_written_artifacts(self, monkeypatch, capsys, tmp_path, argv):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 3)
+        code, streamed = run_stdout(capsys, argv)
+        assert code == 0
+        out = str(tmp_path / "run")
+        assert main([*argv, "--out", out]) == 0
+        with open(out + ".manifest.json", encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+        assert len(outputs) == (2 if argv[0] == "match" else 1)
+        assert "".join(Path(o["path"]).read_bytes().decode("utf-8") for o in outputs) == streamed
+        for entry in outputs:
+            assert entry["sha256"] == cli._sha256_file(entry["path"])
 
 
 def _project_metadata():
