@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import FaceTable, RectBox, iou_xywh
+from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
 from .layout import AnchorLayout, LatticeGroup, effective_anchor_stride
 from .rng import stream
 
@@ -365,12 +365,12 @@ def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
         iw, ih = np.empty((2, len(x))), np.empty((2, len(x)))
         _axis_overlaps(table_x, x, x2, cx, *iw, tmp, idx)
         _axis_overlaps(table_y, y, y2, cy, *ih, tmp, idx)
+        # Clamped so the -inf edge sentinels never reach ``iw * ih``.
         np.maximum(iw, 0.0, out=iw)
         np.maximum(ih, 0.0, out=ih)
         areas = anchor_area + area
         for row in ih:
-            inter = iw * row
-            corners.extend(inter / np.maximum(areas - inter, inter))
+            corners.extend(iou_from_overlaps(iw, row, areas))
     if len(corners) < n:
         return np.zeros(len(x))
     return np.partition(np.stack(corners, axis=1), -n, axis=1)[:, -n]

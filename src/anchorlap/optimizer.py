@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import bounding_plane
+from .dataset import bounding_plane, bucket_stats
 from .geometry import FaceTable
 from .layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, build_layout
 from .matching import max_overlap_values
@@ -108,19 +108,35 @@ def enumerate_configs(space: SearchSpace) -> list[AnchorSpec]:
     return configs
 
 
-def _score_configs(specs, faces: FaceTable | Sequence, tau: float) -> list[ConfigScore]:
-    """Score specs on the faces' bounding plane as single-bucket ``bucket_stats``
-    would, running the kernel once per distinct lattice group."""
+def evaluate_config(spec: AnchorSpec, faces: FaceTable | Sequence, tau: float = 0.5) -> ConfigScore:
+    """Mean max IoU and recall@tau of ``faces`` against the spec's layout on
+    their bounding plane: single-bucket ``bucket_stats``, the rule ``optimize``
+    matches bit for bit."""
+    report = bucket_stats(faces, build_layout(spec, *bounding_plane(faces)), edges=(), tau=tau)
+    return ConfigScore(spec, report.mean_max_iou[0], report.recall[0], spec.anchors_per_location)
+
+
+def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) -> list[ConfigScore]:
+    """Rank every admissible config by objective, best first.
+
+    Ties prefer fewer anchors per location, then the lexicographically
+    smaller spec.  All configs are scored on the same bounding plane so
+    the comparison is apples to apples, each as ``evaluate_config`` scores
+    it, with the kernel run once per distinct lattice group.
+    """
+    configs = enumerate_configs(space)
+    if not configs:
+        raise ValueError("no configuration fits the budget")
     faces = FaceTable.of(faces)
-    plane = bounding_plane(faces)
     n = len(faces)
     if n == 0:
         raise ValueError("faces must be non-empty")
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
+    plane = bounding_plane(faces)
     kernels: dict[tuple, np.ndarray] = {}
     scores = []
-    for spec in specs:
+    for spec in configs:
         layout = build_layout(spec, *plane)
         best = np.zeros(n)
         for g in layout.groups:
@@ -131,24 +147,5 @@ def _score_configs(specs, faces: FaceTable | Sequence, tau: float) -> list[Confi
             np.maximum(best, kernels[key], out=best)
         scores.append(ConfigScore(spec, float(np.sum(best)) / n,
                                   float(np.count_nonzero(best >= tau)) / n, spec.anchors_per_location))
-    return scores
-
-
-def evaluate_config(spec: AnchorSpec, faces: FaceTable | Sequence, tau: float = 0.5) -> ConfigScore:
-    """Mean max IoU and recall@tau of ``faces`` against the spec's layout on their bounding plane."""
-    return _score_configs([spec], faces, tau)[0]
-
-
-def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) -> list[ConfigScore]:
-    """Rank every admissible config by objective, best first.
-
-    Ties prefer fewer anchors per location, then the lexicographically
-    smaller spec.  All configs are scored on the same bounding plane so
-    the comparison is apples to apples.
-    """
-    configs = enumerate_configs(space)
-    if not configs:
-        raise ValueError("no configuration fits the budget")
-    scores = _score_configs(configs, faces, tau)
     scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
     return scores

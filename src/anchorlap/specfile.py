@@ -79,9 +79,18 @@ def spec_json(spec: AnchorSpec) -> str:
     return json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
 
 
+def _load_json(path: str, what: str):
+    """The JSON document in ``path``; a file that is not UTF-8 raises
+    ``OSError`` naming it, as unreadable input does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def load_spec(path: str) -> AnchorSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(_load_json(path, "anchor spec"))
 
 
 def space_from_dict(data) -> SearchSpace:
@@ -104,5 +113,4 @@ def space_from_dict(data) -> SearchSpace:
 
 
 def load_space(path: str) -> SearchSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+    return space_from_dict(_load_json(path, "search space"))

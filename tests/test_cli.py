@@ -177,6 +177,14 @@ class TestGrid:
         assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_undecodable_spec_exits_1_naming_it(self, files, capsys):
+        bad = files["dir"] / "bad_spec.json"
+        bad.write_bytes(b'{"scales": [16], "base_stride": 16, "x": "\xff"}')
+        assert main(["grid", "--spec", str(bad), "--plane", "64x64"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
+
     def test_malformed_plane_is_a_usage_error(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--spec", files["spec"], "--plane", "64"])
@@ -340,6 +348,15 @@ class TestOptimize:
                      "--tau", tau])
         assert code == 2
         assert "tau" in capsys.readouterr().err
+
+
+    def test_undecodable_space_exits_1_naming_it(self, files, capsys):
+        bad = files["dir"] / "bad_space.json"
+        bad.write_bytes(b'{"budget": 9, "x": "\xff"}')
+        assert main(["optimize", "--annotations", files["ann"], "--space", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
 
 
 class TestReplay:

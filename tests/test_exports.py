@@ -18,3 +18,15 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(importlib.import_module(module).__all__) <= set(namespace)
+
+
+# The modules whose ``__all__`` the package root re-exports, in order.
+REEXPORTED = ["geometry", "layout", "emo", "matching", "dataset", "optimizer", "specfile", "rng"]
+
+
+def test_root_all_is_the_modules_all():
+    modules = [importlib.import_module(f"anchorlap.{name}") for name in REEXPORTED]
+    assert anchorlap.__all__ == [n for m in modules for n in m.__all__] + ["__version__"]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(anchorlap, name) is getattr(module, name), f"{module.__name__}.{name}"
