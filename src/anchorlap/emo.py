@@ -111,7 +111,7 @@ def emo_closed_form(query: EmoQuery) -> EmoEstimate:
     total = 0.0
     for dy in mids:  # row-wise to keep memory flat at high resolutions
         total += iou_offset_square(side, mids, dy).sum()
-    return EmoEstimate(value=total / (cells * cells), std_error=0.0, method="closed_form")
+    return EmoEstimate(value=float(total / (cells * cells)), std_error=0.0, method="closed_form")
 
 
 def _central_period_cell(layout: AnchorLayout) -> tuple[float, float, float]:

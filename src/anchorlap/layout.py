@@ -13,6 +13,7 @@ from detector implementations that discard cross-boundary anchors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -43,6 +44,16 @@ _SHIFT_PATTERNS: dict[int, tuple[tuple[float, float], ...]] = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an int or an integral float, never a bool, a
+    string or a fraction (those raise ``ValueError``)."""
+    if type(value) is int or not isinstance(value, bool) and (  # plain ints skip the ABC checks
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnchorSpec:
     """Declarative anchor design.
@@ -69,7 +80,9 @@ class AnchorSpec:
     def __post_init__(self) -> None:
         scales = tuple(float(s) for s in self.scales)
         ratios = tuple(float(r) for r in self.ratios)
-        shifts = {float(k): int(v) for k, v in dict(self.shifts_per_scale).items()}
+        shifts = {float(k): _integer(v, "each shifts_per_scale count")
+                  for k, v in dict(self.shifts_per_scale).items()}
+        divisor = _integer(self.stride_divisor, "stride_divisor")
         if not scales:
             raise ValueError("at least one scale is required")
         if any(not (s > 0 and math.isfinite(s)) for s in scales):
@@ -84,7 +97,7 @@ class AnchorSpec:
             raise ValueError(f"ratios must be strictly ascending without duplicates, got {ratios}")
         if not (self.base_stride > 0 and math.isfinite(self.base_stride)):
             raise ValueError(f"base_stride must be positive finite, got {self.base_stride!r}")
-        if self.stride_divisor not in ALLOWED_DIVISORS:
+        if divisor not in ALLOWED_DIVISORS:
             raise ValueError(
                 f"stride_divisor must be one of {ALLOWED_DIVISORS}, got {self.stride_divisor!r}"
             )
@@ -98,7 +111,7 @@ class AnchorSpec:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "base_stride", float(self.base_stride))
-        object.__setattr__(self, "stride_divisor", int(self.stride_divisor))
+        object.__setattr__(self, "stride_divisor", divisor)
         object.__setattr__(self, "shifts_per_scale", shifts)
 
     @property

@@ -11,27 +11,27 @@ identical to an exhaustive faces-by-anchors scan, and the test suite holds
 them to that.  Per-face maxima come from the per-axis cell-corner kernel
 (:func:`max_overlap_values`), which can fall a few ulps short of the
 exhaustive maximum for anchors of non-dyadic sides (see there).
-Everything else comes from one batched window scan (:func:`_scan`): per
-lattice group, each face's window is cut to the anchors that can reach an
-IoU floor, and faces with similar windows are evaluated together in
-bounded blocks, each reduced into running results and dropped.  ``match_faces`` scans every face at ``t_low`` (a
-hard face down to its own max), which gives the labels, the sources, the
-argmax anchors and the assigned sets; an argmax anchor that no pair at or
+Everything else comes from one stream of flat ``(boxes, ids, ious)``
+pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
+above the face's floor, once.  ``match_faces`` streams every face down to
+``t_low`` (a hard face down to its own max) for the labels, sources and
+assigned sets; one lowest-index-at-max rule picks each face's argmax
+anchor and each anchor's owner face.  An argmax anchor that no pair at or
 above ``t_low`` reaches gets its source from all faces.
-``compensate_hard_faces`` scans the hard faces down to a lower bound on
-their N-th best IoU.
+``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
+bound on their N-th best IoU.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
-from .layout import AnchorLayout, LatticeGroup, effective_anchor_stride
+from .layout import AnchorLayout, effective_anchor_stride
 from .rng import stream
 
 __all__ = [
@@ -59,7 +59,8 @@ class MatchConfig:
 
     ``t_low`` has no canonical value in the anchor-matching lineage this
     follows; 0.3 is the customary region-proposal default and is settable.
-    ``hc_n = 0`` disables hard-face compensation.
+    ``match_faces`` never compensates: ``compensate_hard_faces`` needs
+    ``hc_n >= 1``, and the CLI skips it when ``hc_n`` is 0.
     """
 
     t_high: float = 0.5
@@ -217,6 +218,9 @@ _BLOCK_PAIRS = 1 << 15
 # IoU sits exactly on the floor.
 _SLACK = 1.0 - 1e-6
 
+# Start value of a lowest-index fold: above every index.
+_NONE = np.iinfo(np.int64).max
+
 
 def _size_class(n: np.ndarray) -> np.ndarray:
     """``n`` rounded up to one of four window extents per octave, so that
@@ -226,31 +230,29 @@ def _size_class(n: np.ndarray) -> np.ndarray:
 
 
 def _scan(layout: AnchorLayout, x, y, w, h, floor):
-    """Stream, group by group, each box's window of anchors able to reach
-    IoU ``floor[i]`` with box ``i``.
-
-    Yields ``(faces, group, row0, col0, ious)`` blocks: ``ious[k]`` holds the
-    IoU of box ``faces[k]`` with the anchors of ``group`` at rows
-    ``row0[k] + r`` and columns ``col0[k] + c``, so flattening a window
-    lists its anchors in ascending ID.  A box is in at most one block per
-    group; its window lies inside the group, holds no anchor twice, and
-    holds every anchor with IoU >= ``floor[i]`` (every overlapping anchor
-    when the floor is 0).
+    """Stream the (box, anchor) pairs of positive IoU at or above each box's
+    ``floor[i]`` as flat ``(boxes, ids, ious)`` blocks: box ``boxes[k]`` has
+    IoU ``ious[k]`` with anchor ``ids[k]``.  Each such pair comes exactly
+    once, and each box's IDs ascend within a block.  Per lattice group,
+    each box's window is cut to the anchors able to reach its floor.
 
     The bound: an IoU of at least ``t`` needs an intersection of at least
     ``t * (A_anchor + A_box) / (1 + t)``.  The overlap along y is at most
     ``min(h_anchor, h_box)``, so the x overlap must be at least that area
-    over it; and the x overlap is at most ``min(w_anchor, w_box,
-    (w_anchor + w_box)/2 - |dx|)``, which bounds the center offset ``dx``.
-    The same holds with the axes swapped.  A group drops out for a box when
-    the least overlap exceeds the smaller side.  Windows are widened one
-    cell against rounding, then padded to a size class (and shifted to stay
-    inside the group) so that boxes of similar windows share one broadcast
-    IoU evaluation, ``iw`` per column times ``ih`` per row.
+    over it; and the x overlap is at most ``min(w_anchor, w_box, (w_anchor
+    + w_box)/2 - |dx|)``, which bounds the center offset ``dx``.  The same
+    holds with the axes swapped.  A group drops out for a box when the
+    least overlap exceeds the smaller side.
+    Windows are widened one cell against rounding, then padded to a size
+    class (and shifted to stay inside the group) so that boxes of similar
+    windows share one broadcast IoU evaluation, ``iw`` per column times
+    ``ih`` per row; only its hits get anchor IDs.
     """
     cx = x + w / 2.0
     cy = y + h / 2.0
     gain = floor / (1.0 + floor) * _SLACK
+    # A floor of 0 admits only positive IoUs: the least positive float.
+    least = np.maximum(floor, np.nextafter(0.0, 1.0))
     for g in layout.groups:
         inter = gain * (g.box_w * g.box_h + w * h)
         span_x = np.minimum(w, g.box_w)
@@ -261,9 +263,7 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
         c1 = np.minimum(np.floor((cx + reach_x - g.origin_x) / g.stride) + 1.0, g.cols - 1.0)
         r0 = np.maximum(np.ceil((cy - reach_y - g.origin_y) / g.stride) - 1.0, 0.0)
         r1 = np.minimum(np.floor((cy + reach_y - g.origin_y) / g.stride) + 1.0, g.rows - 1.0)
-        live = np.flatnonzero(
-            (inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1)
-        )
+        live = np.flatnonzero((inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1))
         if not live.size:
             continue
         c0, c1, r0, r1 = (v[live].astype(np.int64) for v in (c0, c1, r0, r1))
@@ -271,6 +271,7 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
         nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
         c0 = np.minimum(c0, g.cols - ncols)
         r0 = np.minimum(r0, g.rows - nrows)
+        id0 = g.id_start + r0 * g.cols + c0  # each window's first anchor
         shape = nrows * (g.cols + 1) + ncols
         order = np.argsort(shape, kind="stable")
         cuts = np.flatnonzero(np.diff(shape[order])) + 1
@@ -288,7 +289,9 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
                     ax, ay, g.box_w, g.box_h,
                     x[f, None, None], y[f, None, None], w[f, None, None], h[f, None, None],
                 )
-                yield f, g, r0[k], c0[k], ious
+                hit = ious >= least[f, None, None]
+                b, r, c = np.nonzero(hit)
+                yield f[b], id0[k[b]] + r * g.cols + c, ious[hit]
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -298,24 +301,12 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
 
 
-def _hits(group: LatticeGroup, row0, col0, mask):
-    """Block positions and anchor IDs of the ``True`` entries of ``mask``,
-    in the order boolean indexing lists them."""
-    k, r, c = np.nonzero(mask)
-    return k, group.id_start + (row0[k] + r) * group.cols + col0[k] + c
-
-
-def _take_argmax(argmax, best, faces, group, row0, col0, ious) -> None:
-    """The lowest-ID-at-max rule: give each box of the block that has no
-    argmax yet, and a positive ``best``, the first ID in its window whose
-    IoU equals ``best``.  Groups are scanned in ascending ID, so the first
-    group to set it holds the lowest maximizer."""
-    n, _, ncols = ious.shape
-    at_max = (ious == best[faces, None, None]).reshape(n, -1)
-    first = at_max.argmax(axis=1)
-    take = at_max[np.arange(n), first] & (argmax[faces] < 0) & (best[faces] > 0.0)
-    r, c = np.divmod(first[take], ncols)
-    argmax[faces[take]] = group.id_start + (row0[take] + r) * group.cols + col0[take] + c
+def _lowest_at_max(lowest, keys, values, best, candidates) -> None:
+    """The lowest-index-at-max rule: fold into ``lowest[keys[k]]`` each
+    ``candidates[k]`` whose ``values[k]`` equals ``best[k]``, keeping the
+    least.  It picks both a face's argmax anchor and an anchor's owner."""
+    top = values == best
+    np.minimum.at(lowest, keys[top], candidates[top])
 
 
 def _keep_best(best, owner, ids, ious, faces) -> None:
@@ -324,9 +315,8 @@ def _keep_best(best, owner, ids, ious, faces) -> None:
     before = best[ids]
     np.maximum.at(best, ids, ious)
     after = best[ids]
-    owner[ids[after > before]] = np.iinfo(np.int64).max
-    top = ious == after
-    np.minimum.at(owner, ids[top], faces[top])
+    owner[ids[after > before]] = _NONE
+    _lowest_at_max(owner, ids, ious, after, faces)
 
 
 def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.ndarray:
@@ -376,16 +366,17 @@ def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
     return np.partition(np.stack(corners, axis=1), -n, axis=1)[:, -n]
 
 
+def _pairs(layout: AnchorLayout, x, y, w, h, floor):
+    """All of :func:`_scan`'s pairs in three flat arrays."""
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty, empty, np.empty(0)), *_scan(layout, x, y, w, h, floor)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
 def overlapping_anchors(layout: AnchorLayout, box: RectBox):
     """All anchors with positive IoU against ``box``: (ids, ious), ID-sorted."""
-    id_parts = [np.empty(0, dtype=np.int64)]
-    iou_parts = [np.empty(0, dtype=np.float64)]
     one = [np.array([v], dtype=np.float64) for v in (box.x, box.y, box.w, box.h, 0.0)]
-    for _, group, row0, col0, ious in _scan(layout, *one):
-        keep = ious > 0.0
-        id_parts.append(_hits(group, row0, col0, keep)[1])
-        iou_parts.append(ious[keep])
-    return np.concatenate(id_parts), np.concatenate(iou_parts)
+    return _pairs(layout, *one)[1:]
 
 
 def jitter_offset_bound(layout: AnchorLayout) -> float:
@@ -435,20 +426,20 @@ def match_faces(
     n_faces = len(faces)
     labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
     face_max = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
-    face_argmax = np.full(n_faces, -1, dtype=np.int64)
+    face_argmax = np.full(n_faces, _NONE, dtype=np.int64)
     anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
     anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
     # (face, anchor) keys of pairs at or above t_high, plus each argmax.
     keys = [np.empty(0, dtype=np.int64)]
     floor = np.where(face_max > 0.0, np.minimum(face_max, cfg.t_low), cfg.t_low)
-    for faces_k, group, row0, col0, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
-        _take_argmax(face_argmax, face_max, faces_k, group, row0, col0, ious)
+    for boxes, ids, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
+        _lowest_at_max(face_argmax, boxes, ious, face_max[boxes], ids)
         near = ious >= cfg.t_low
-        k, ids = _hits(group, row0, col0, near)
-        vals = ious[near]
-        _keep_best(anchor_best, anchor_best_face, ids, vals, faces_k[k])
-        high = vals >= cfg.t_high
-        keys.append(faces_k[k[high]] * layout.anchor_count + ids[high])
+        boxes, ids, ious = boxes[near], ids[near], ious[near]
+        _keep_best(anchor_best, anchor_best_face, ids, ious, boxes)
+        high = ious >= cfg.t_high
+        keys.append(boxes[high] * layout.anchor_count + ids[high])
+    face_argmax[face_argmax == _NONE] = -1
 
     labels[anchor_best >= cfg.t_low] = LABEL_IGNORE
     labels[anchor_best >= cfg.t_high] = LABEL_POSITIVE
@@ -468,13 +459,8 @@ def match_faces(
     np.remainder(keys, layout.anchor_count, out=keys)
     assigned = np.split(keys, np.searchsorted(face_of, np.arange(1, n_faces))) if n_faces else []
 
-    return MatchResult(
-        face_max_iou=face_max,
-        face_argmax=face_argmax,
-        face_assigned=tuple(assigned),
-        anchor_labels=labels,
-        anchor_source=source,
-    )
+    return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, face_assigned=tuple(assigned),
+                       anchor_labels=labels, anchor_source=source)
 
 
 def compensate_hard_faces(
@@ -498,22 +484,13 @@ def compensate_hard_faces(
         raise ValueError(f"compensation needs hc_n >= 1, got {cfg.hc_n!r}")
     faces = FaceTable.of(faces)
     if result.num_faces != len(faces):
-        raise ValueError(
-            f"result covers {result.num_faces} faces but {len(faces)} were given"
-        )
+        raise ValueError(f"result covers {result.num_faces} faces but {len(faces)} were given")
     hard = np.flatnonzero(result.face_max_iou < cfg.t_high)
     x, y, w, h = (col[hard] for col in (faces.x, faces.y, faces.w, faces.h))
     # Every anchor of a face's top N reaches its N-th best IoU, which is at
     # least the N-th best over its cell corners.
     floor = _nth_corner_iou(layout, x, y, w, h, cfg.hc_n)
-    pos, ids, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for faces_k, group, row0, col0, ious in _scan(layout, x, y, w, h, floor):
-        near = (ious >= floor[faces_k, None, None]) & (ious > 0.0)
-        k, block_ids = _hits(group, row0, col0, near)
-        pos.append(faces_k[k])
-        ids.append(block_ids)
-        vals.append(ious[near])
-    pos, ids, vals = (np.concatenate(v) for v in (pos, ids, vals))
+    pos, ids, vals = _pairs(layout, x, y, w, h, floor)
     order = np.lexsort((ids, -vals, pos))
     pos, ids = pos[order], ids[order]
     top = np.arange(len(pos)) - np.searchsorted(pos, pos) < cfg.hc_n
@@ -531,10 +508,4 @@ def compensate_hard_faces(
     for f, extra in zip(hard, np.split(ids, np.searchsorted(pos, np.arange(1, len(hard))))):
         if extra.size:
             assigned[f] = np.union1d(assigned[f], extra)
-    return MatchResult(
-        face_max_iou=result.face_max_iou,
-        face_argmax=result.face_argmax,
-        face_assigned=tuple(assigned),
-        anchor_labels=labels,
-        anchor_source=source,
-    )
+    return replace(result, face_assigned=tuple(assigned), anchor_labels=labels, anchor_source=source)

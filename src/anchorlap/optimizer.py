@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import bounding_plane, bucket_stats
 from .geometry import FaceTable
-from .layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, build_layout
+from .layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _integer, build_layout
 from .matching import max_overlap_values
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
@@ -41,8 +41,7 @@ class SearchSpace:
     base_stride: float = 16.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stride_divisors", tuple(int(d) for d in self.stride_divisors))
-        object.__setattr__(self, "shift_choices", tuple(int(c) for c in self.shift_choices))
+        object.__setattr__(self, "budget", _integer(self.budget, "budget"))
         object.__setattr__(
             self, "scale_sets", tuple(tuple(float(s) for s in ss) for ss in self.scale_sets)
         )
@@ -50,7 +49,8 @@ class SearchSpace:
         object.__setattr__(self, "base_stride", float(self.base_stride))
         for name, allowed in (("stride_divisors", ALLOWED_DIVISORS),
                               ("shift_choices", ALLOWED_SHIFT_COUNTS)):
-            values = getattr(self, name)
+            values = tuple(_integer(v, f"each {name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             if any(v not in allowed for v in values):

@@ -32,35 +32,53 @@ __all__ = [
     "load_space",
 ]
 
-_SPEC_KEYS = {"scales", "ratios", "base_stride", "stride_divisor", "shifts_per_scale"}
-_SPACE_KEYS = {"stride_divisors", "shift_choices", "scale_sets", "budget", "ratios", "base_stride"}
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _require_mapping(data, what: str) -> dict:
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The JSON type of each document key, as (description, test).
+_NUMBER = ("a number", _is_number)
+_NUMBERS = ("a list of numbers", _is_numbers)
+_SPEC_KEYS = {"scales": _NUMBERS, "ratios": _NUMBERS, "base_stride": _NUMBER, "stride_divisor": _NUMBER,
+              "shifts_per_scale": ("an object of numbers",
+                                   lambda v: isinstance(v, dict) and all(map(_is_number, v.values())))}
+_SPACE_KEYS = {"stride_divisors": _NUMBERS, "shift_choices": _NUMBERS, "budget": _NUMBER,
+               "scale_sets": ("a list of number lists", lambda v: isinstance(v, list) and all(map(_is_numbers, v))),
+               "ratios": _NUMBERS, "base_stride": _NUMBER}
+
+
+def _checked(data, kinds: dict, required: tuple, what: str) -> dict:
+    """``data`` once it is a JSON object of known keys, holding the
+    ``required`` ones, each of its kind; otherwise ``ValueError`` naming the
+    first key at fault."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise ValueError(f"{what} needs keys: {', '.join(missing)}")
+    for key, value in data.items():
+        kind, test = kinds[key]
+        if not test(value):
+            raise ValueError(f"{what} {key} must be {kind}, got {value!r}")
     return data
 
 
-def _reject_unknown(data: dict, allowed: set, what: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
-
-
 def spec_from_dict(data) -> AnchorSpec:
-    data = _require_mapping(data, "anchor spec")
-    _reject_unknown(data, _SPEC_KEYS, "anchor spec")
-    if "scales" not in data:
-        raise ValueError("anchor spec needs a 'scales' list")
-    shifts_raw = data.get("shifts_per_scale", {})
-    shifts = {float(k): int(v) for k, v in _require_mapping(shifts_raw, "shifts_per_scale").items()}
+    data = _checked(data, _SPEC_KEYS, ("scales",), "anchor spec")
     return AnchorSpec(
         scales=tuple(data["scales"]),
         ratios=tuple(data.get("ratios", (1.0,))),
         base_stride=data.get("base_stride", 16.0),
         stride_divisor=data.get("stride_divisor", 1),
-        shifts_per_scale=shifts,
+        shifts_per_scale={float(k): v for k, v in data.get("shifts_per_scale", {}).items()},
     )
 
 
@@ -94,19 +112,12 @@ def load_spec(path: str) -> AnchorSpec:
 
 
 def space_from_dict(data) -> SearchSpace:
-    data = _require_mapping(data, "search space")
-    _reject_unknown(data, _SPACE_KEYS, "search space")
-    missing = sorted(k for k in ("stride_divisors", "shift_choices", "scale_sets", "budget") if k not in data)
-    if missing:
-        raise ValueError(f"search space needs keys: {', '.join(missing)}")
-    scale_sets = data["scale_sets"]
-    if not isinstance(scale_sets, list) or not all(isinstance(s, list) for s in scale_sets):
-        raise ValueError("scale_sets must be a list of scale lists")
+    data = _checked(data, _SPACE_KEYS, ("stride_divisors", "shift_choices", "scale_sets", "budget"), "search space")
     return SearchSpace(
         stride_divisors=tuple(data["stride_divisors"]),
         shift_choices=tuple(data["shift_choices"]),
-        scale_sets=tuple(tuple(s) for s in scale_sets),
-        budget=int(data["budget"]),
+        scale_sets=tuple(tuple(s) for s in data["scale_sets"]),
+        budget=data["budget"],
         ratios=tuple(data.get("ratios", (1.0,))),
         base_stride=data.get("base_stride", 16.0),
     )

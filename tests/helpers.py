@@ -26,9 +26,10 @@ from anchorlap.matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
     LABEL_POSITIVE,
+    _NONE,
     _flat_boxes,
+    _lowest_at_max,
     _scan,
-    _take_argmax,
     apply_jitter,
     jitter_offset_bound,
     max_overlap_values,
@@ -66,20 +67,19 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
     The max value comes from the per-axis kernel.  When several anchors
     tie (commonly: a large anchor fully containing a small box keeps the
     same IoU across a run of lattice positions) the lowest-ID maximizer may
-    sit outside the enclosing cell's corners.  So each box's window of
-    anchors able to reach its max is scanned (``_scan`` with the max as
-    floor), and the ID returned is the first anchor, in ascending ID,
-    whose IoU equals that max.  Boxes overlapping no anchor get ID -1.
-    Both results have the broadcast shape of the coordinates.
+    sit outside the enclosing cell's corners.  So each box's pairs at or
+    above its max are streamed (``_scan`` with the max as floor), and the
+    ID returned is the lowest anchor whose IoU equals that max.  Boxes
+    overlapping no anchor get ID -1.  Both results have the broadcast
+    shape of the coordinates.
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     best = max_overlap_values(layout, x, y, w, h)
     live = np.flatnonzero(best > 0.0)
-    found = np.full(live.shape, -1, dtype=np.int64)
-    for block in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
-        _take_argmax(found, best[live], *block)
-    best_id = np.full(best.shape, -1, dtype=np.int64)
-    best_id[live] = found
+    best_id = np.full(best.shape, _NONE, dtype=np.int64)
+    for boxes, ids, ious in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
+        _lowest_at_max(best_id, live[boxes], ious, best[live[boxes]], ids)
+    best_id[best_id == _NONE] = -1
     return best.reshape(shape), best_id.reshape(shape)
 
 

@@ -185,6 +185,14 @@ class TestGrid:
         assert err.startswith("error: ") and str(bad) in err
         assert "Traceback" not in err
 
+    def test_wrong_typed_spec_value_exits_2_naming_it(self, files, capsys):
+        bad = files["dir"] / "typed_spec.json"
+        bad.write_text(json.dumps({"scales": [16], "shifts_per_scale": {"16": None}}))
+        assert main(["grid", "--spec", str(bad), "--plane", "64x64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shifts_per_scale" in err
+        assert "Traceback" not in err
+
     def test_malformed_plane_is_a_usage_error(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--spec", files["spec"], "--plane", "64"])
@@ -349,6 +357,15 @@ class TestOptimize:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+
+    def test_fractional_space_value_exits_2_naming_it(self, files, capsys):
+        bad = files["dir"] / "typed_space.json"
+        bad.write_text(json.dumps({"stride_divisors": [1, 2.5], "shift_choices": [0],
+                                   "scale_sets": [[16]], "budget": 9}))
+        assert main(["optimize", "--annotations", files["ann"], "--space", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stride_divisors" in err
+        assert "Traceback" not in err
 
     def test_undecodable_space_exits_1_naming_it(self, files, capsys):
         bad = files["dir"] / "bad_space.json"

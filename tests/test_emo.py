@@ -106,6 +106,14 @@ class TestClosedForm:
         assert closed(16.0, 8.0) == pytest.approx(closed(32.0, 16.0), rel=1e-12)
 
 
+def test_both_estimators_return_a_float_value():
+    query = EmoQuery(face_side=16.0, anchor_stride=16.0, quadrature_cells=64)
+    layout = single_scale_layout(16.0, 16.0)
+    mc = emo_monte_carlo([(layout, 16.0, 16.0)], samples=1000, seed=3)[0]
+    assert type(emo_closed_form(query).value) is float
+    assert type(mc.value) is float
+
+
 class TestMonteCarlo:
     def test_agrees_with_quadrature(self):
         layout = single_scale_layout(16.0, 16.0)

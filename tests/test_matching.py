@@ -316,6 +316,52 @@ class TestKernelEdges:
             assert not np.signbit(got).any()
 
 
+def scan_boxes(rng, layout, side, n=40):
+    """Boxes of 1-200 px, some centered past the plane edges, some exactly
+    on anchors."""
+    w = np.exp(rng.uniform(0.0, math.log(200.0), n))
+    h = np.clip(w * rng.uniform(0.5, 2.0, n), 1.0, 200.0)
+    cx = rng.uniform(-0.25 * side, 1.25 * side, n)
+    cy = rng.uniform(-0.25 * side, 1.25 * side, n)
+    x, y = cx - w / 2.0, cy - h / 2.0
+    on = rng.choice(n, size=n // 8, replace=False)
+    x[on], y[on], w[on], h[on] = layout.all_boxes()[rng.integers(0, layout.anchor_count, on.size)].T
+    return x, y, w, h
+
+
+class TestScan:
+    """``_scan`` streams exactly the pairs of positive IoU at or above each
+    box's floor, each once, with the dense IoUs bit for bit."""
+
+    @pytest.mark.parametrize("block_pairs", [None, 64])
+    def test_pairs_are_the_dense_pairs_at_or_above_the_floor(self, monkeypatch, block_pairs):
+        if block_pairs is not None:
+            monkeypatch.setattr(matching, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            side = float(rng.integers(32, 160))
+            layout = build_layout(random_spec(rng), side, side)
+            x, y, w, h = scan_boxes(rng, layout, side)
+            dense = all_pair_ious(layout, [RectBox(*map(float, b)) for b in zip(x, y, w, h)])
+            # Floors of 0, random floors, and floors equal to one of the box's IoUs.
+            kind = rng.integers(0, 3, len(x))
+            floor = np.where(kind == 1, rng.uniform(0.0, 1.0, len(x)), 0.0)
+            for i in np.flatnonzero(kind == 2):
+                positive = dense[i][dense[i] > 0.0]
+                floor[i] = rng.choice(positive) if positive.size else 0.0
+            blocks = list(matching._scan(layout, x, y, w, h, floor))
+            for boxes, ids, _ in blocks:
+                order = np.argsort(boxes, kind="stable")
+                same = boxes[order][1:] == boxes[order][:-1]
+                assert np.all(ids[order][1:][same] > ids[order][:-1][same])
+            boxes, ids, ious = matching._pairs(layout, x, y, w, h, floor)
+            keys = boxes * layout.anchor_count + ids
+            assert np.unique(keys).size == keys.size
+            want = np.flatnonzero((dense > 0.0) & (dense >= floor[:, None]))
+            assert np.array_equal(np.sort(keys), want)
+            assert np.array_equal(ious, dense[boxes, ids])
+
+
 class TestMatchFaces:
     def test_perfect_face_positive(self):
         layout = grid16()

@@ -33,7 +33,7 @@ def test_anchor_count(tour):
 
 def test_closed_form_emo(tour):
     value = tour["emo_closed_form(EmoQuery(face_side=16.0, anchor_stride=16.0)).value"]
-    assert repr(float(value)).startswith("0.40860")
+    assert repr(value).startswith("0.40860")
 
 
 def test_face_table(tour):
