@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LIST", help="comma-separated face side lengths")
     p.add_argument("--strides", "--stride", dest="strides", type=_sorted_float_list, required=True,
                    metavar="LIST", help="comma-separated anchor strides")
-    p.add_argument("--cells", type=int, default=512, help="quadrature cells per axis")
+    p.add_argument("--cells", type=int, default=EmoQuery.quadrature_cells, help="quadrature cells per axis")
     p.add_argument("--mc", dest="mode", action="store_const", const="monte_carlo",
                    default="closed_form", help="estimate by Monte Carlo against a single-scale layout")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
@@ -473,9 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="per-face and per-anchor assignment dump")
     p.add_argument("--annotations", required=True, help="face annotation listing")
     p.add_argument("--spec", required=True, help="anchor spec JSON file")
-    p.add_argument("--th", dest="t_high", metavar="TH", type=float, default=0.5, help="positive IoU threshold")
-    p.add_argument("--tl", dest="t_low", metavar="TL", type=float, default=0.3, help="background IoU threshold")
-    p.add_argument("--hc", dest="hc_n", metavar="HC", type=int, default=5, help="hard-face compensation count (0 disables)")
+    p.add_argument("--th", dest="t_high", metavar="TH", type=float, default=MatchConfig.t_high,
+                   help="positive IoU threshold")
+    p.add_argument("--tl", dest="t_low", metavar="TL", type=float, default=MatchConfig.t_low,
+                   help="background IoU threshold")
+    p.add_argument("--hc", dest="hc_n", metavar="HC", type=int, default=MatchConfig.hc_n,
+                   help="hard-face compensation count (0 disables)")
     p.add_argument("--jitter", action="store_true", help="apply a random face shift before matching")
     _add_common(p, seeded=True)
     p.set_defaults(func=cmd_run)

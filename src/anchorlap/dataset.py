@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import FaceTable, valid_boxes
-from .layout import AnchorLayout
+from .layout import AnchorLayout, _integer
 from .matching import apply_jitter, jitter_offset_bound, max_overlap_values
 
 __all__ = [
@@ -254,6 +254,7 @@ def jitter_experiment(
     the overlap kernel runs once per distinct offset, not once per trial;
     the trials are then reduced in trial order.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     faces = FaceTable.of(faces)

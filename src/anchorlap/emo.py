@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import iou_offset_square
-from .layout import AnchorLayout
+from .layout import AnchorLayout, _integer
 from .matching import max_overlap_values
 from .rng import stream
 
@@ -63,18 +63,16 @@ class EmoQuery:
     quadrature_cells: int = 512
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.face_side) and self.face_side > 0):
-            raise ValueError(f"face_side must be positive and finite, got {self.face_side!r}")
-        if not (math.isfinite(self.anchor_stride) and self.anchor_stride > 0):
-            raise ValueError(
-                f"anchor_stride must be positive and finite, got {self.anchor_stride!r}"
-            )
-        if self.quadrature_cells < 16:
-            raise ValueError(f"quadrature_cells must be >= 16, got {self.quadrature_cells!r}")
-        if self.quadrature_cells > MAX_QUADRATURE_CELLS:
-            raise ValueError(
-                f"{self.quadrature_cells} quadrature cells are over the cap of {MAX_QUADRATURE_CELLS}"
-            )
+        for name in ("face_side", "anchor_stride"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        cells = _integer(self.quadrature_cells, "quadrature_cells")
+        object.__setattr__(self, "quadrature_cells", cells)
+        if cells < 16:
+            raise ValueError(f"quadrature_cells must be >= 16, got {cells!r}")
+        if cells > MAX_QUADRATURE_CELLS:
+            raise ValueError(f"{cells} quadrature cells are over the cap of {MAX_QUADRATURE_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,7 @@ def emo_monte_carlo(
     single-cell call gives and is bit-identical for any ``workers``.
     Estimates come back in cell order.
     """
+    samples, workers = _integer(samples, "samples"), _integer(workers, "workers")
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples!r}")
     if samples > MAX_MC_SAMPLES:

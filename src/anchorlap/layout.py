@@ -80,8 +80,15 @@ class AnchorSpec:
     def __post_init__(self) -> None:
         scales = tuple(float(s) for s in self.scales)
         ratios = tuple(float(r) for r in self.ratios)
-        shifts = {float(k): _integer(v, "each shifts_per_scale count")
-                  for k, v in dict(self.shifts_per_scale).items()}
+        shifts, keys = {}, {}
+        for key, count in dict(self.shifts_per_scale).items():
+            try:
+                scale = float(key)
+            except (TypeError, ValueError):
+                raise ValueError(f"shifts_per_scale key {key!r} is not a number") from None
+            if scale in keys:
+                raise ValueError(f"shifts_per_scale keys {keys[scale]!r} and {key!r} name one scale")
+            keys[scale], shifts[scale] = key, _integer(count, "each shifts_per_scale count")
         divisor = _integer(self.stride_divisor, "stride_divisor")
         if not scales:
             raise ValueError("at least one scale is required")

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
-from .layout import AnchorLayout, effective_anchor_stride
+from .layout import AnchorLayout, _integer, effective_anchor_stride
 from .rng import stream
 
 __all__ = [
@@ -68,6 +68,7 @@ class MatchConfig:
     hc_n: int = 5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "hc_n", _integer(self.hc_n, "hc_n"))
         if not (0.0 < self.t_low <= self.t_high < 1.0):
             raise ValueError(
                 f"thresholds must satisfy 0 < t_low <= t_high < 1, got t_low={self.t_low!r} t_high={self.t_high!r}"

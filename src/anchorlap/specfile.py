@@ -11,9 +11,11 @@ An anchor spec document looks like::
     }
 
 Only ``scales`` is required.  ``shifts_per_scale`` keys are scale values
-spelled as strings (JSON object keys are always strings).  A search-space
-document uses ``stride_divisors``, ``shift_choices``, ``scale_sets``,
-``budget`` and optionally ``ratios`` and ``base_stride``.
+spelled as strings, and two keys naming one scale (``"16"`` and ``"16.0"``)
+are an error.  A search-space document uses ``stride_divisors``,
+``shift_choices``, ``scale_sets``, ``budget`` and optionally ``ratios`` and
+``base_stride``.  Omitted keys take the :class:`AnchorSpec` and
+:class:`SearchSpace` defaults; those classes also convert every value.
 """
 
 from __future__ import annotations
@@ -72,14 +74,7 @@ def _checked(data, kinds: dict, required: tuple, what: str) -> dict:
 
 
 def spec_from_dict(data) -> AnchorSpec:
-    data = _checked(data, _SPEC_KEYS, ("scales",), "anchor spec")
-    return AnchorSpec(
-        scales=tuple(data["scales"]),
-        ratios=tuple(data.get("ratios", (1.0,))),
-        base_stride=data.get("base_stride", 16.0),
-        stride_divisor=data.get("stride_divisor", 1),
-        shifts_per_scale={float(k): v for k, v in data.get("shifts_per_scale", {}).items()},
-    )
+    return AnchorSpec(**_checked(data, _SPEC_KEYS, ("scales",), "anchor spec"))
 
 
 def spec_to_dict(spec: AnchorSpec) -> dict:
@@ -112,15 +107,8 @@ def load_spec(path: str) -> AnchorSpec:
 
 
 def space_from_dict(data) -> SearchSpace:
-    data = _checked(data, _SPACE_KEYS, ("stride_divisors", "shift_choices", "scale_sets", "budget"), "search space")
-    return SearchSpace(
-        stride_divisors=tuple(data["stride_divisors"]),
-        shift_choices=tuple(data["shift_choices"]),
-        scale_sets=tuple(tuple(s) for s in data["scale_sets"]),
-        budget=data["budget"],
-        ratios=tuple(data.get("ratios", (1.0,))),
-        base_stride=data.get("base_stride", 16.0),
-    )
+    required = ("stride_divisors", "shift_choices", "scale_sets", "budget")
+    return SearchSpace(**_checked(data, _SPACE_KEYS, required, "search space"))
 
 
 def load_space(path: str) -> SearchSpace:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, exit codes, manifests, replay."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import pytest
 import anchorlap
 from anchorlap import cli
 from anchorlap.cli import main
-from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS
+from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS, EmoQuery
+from anchorlap.matching import MatchConfig
 
 from helpers import render_reference
 
@@ -191,6 +193,17 @@ class TestGrid:
         assert main(["grid", "--spec", str(bad), "--plane", "64x64"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "shifts_per_scale" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shifts, named", [({"abc": 3}, "key 'abc'"),
+                                               ({"16": 1, "16.0": 3}, "keys '16' and '16.0'")],
+                             ids=["not-a-number", "one-scale-twice"])
+    def test_bad_shift_key_exits_2_naming_it(self, files, capsys, shifts, named):
+        bad = files["dir"] / "shift_spec.json"
+        bad.write_text(json.dumps({"scales": [16], "shifts_per_scale": shifts}))
+        assert main(["grid", "--spec", str(bad), "--plane", "64x64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shifts_per_scale " + named) and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_malformed_plane_is_a_usage_error(self, files):
@@ -451,6 +464,17 @@ class TestReplay:
         assert code == 1
         assert "diverged" in capsys.readouterr().err
 
+    def test_fractional_cells_in_manifest_exits_2_naming_them(self, files, capsys):
+        out = files["dir"] / "emo.csv"
+        assert main(["emo", "--scales", "16", "--strides", "16", "--cells", "100", "--out", str(out)]) == 0
+        mpath = files["dir"] / "emo.csv.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["parameters"]["cells"] = 100.5
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: quadrature_cells must be an integer")
+
     def test_unreadable_manifest_fails(self, files, capsys):
         bad = files["dir"] / "broken.manifest.json"
         bad.write_text("{")
@@ -661,6 +685,14 @@ def test_path_console_script_reports_version():
     proc = subprocess.run(["anchorlap", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"anchorlap {project['version']}"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["match", "--annotations", "a", "--spec", "s"])
+    assert (args.t_high, args.t_low, args.hc_n) == dataclasses.astuple(MatchConfig())
+    args = parser.parse_args(["emo", "--scales", "16", "--strides", "16"])
+    assert args.cells == EmoQuery(16.0, 16.0).quadrature_cells
 
 
 def test_missing_subcommand_is_a_usage_error():

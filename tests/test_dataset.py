@@ -280,6 +280,11 @@ class TestJitterExperiment:
         with pytest.raises(ValueError):
             jitter_experiment([RectBox(0, 0, 4, 4)], layout, trials=0, seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            jitter_experiment([RectBox(0, 0, 4, 4)], l16_layout(64.0), trials=trials, seed=0)
+
 
 # Specs over scales 16-64 whose smallest effective stride b gives
 # floor(b/2)**2 distinct jitter offsets, keyed by that count.

@@ -54,6 +54,11 @@ class TestEmoQuery:
         with pytest.raises(ValueError):
             EmoQuery(**kwargs)
 
+    @pytest.mark.parametrize("cells", [100.5, True, "512"])
+    def test_quadrature_cells_must_be_an_integer(self, cells):
+        with pytest.raises(ValueError, match="quadrature_cells must be an integer"):
+            EmoQuery(16.0, 16.0, quadrature_cells=cells)
+
     def test_estimate_range_checked(self):
         with pytest.raises(ValueError):
             EmoEstimate(value=1.5, std_error=0.0, method="closed_form")
@@ -166,6 +171,14 @@ class TestMonteCarlo:
             emo_monte_carlo([(layout, 16.0, 16.0)], samples=10_000, seed=-1)
         with pytest.raises(ValueError):
             emo_monte_carlo([(layout, 16.0, 16.0)], samples=10_000, seed=0, workers=0)
+
+    @pytest.mark.parametrize("kwargs", [{"samples": 1000.5}, {"samples": True}, {"samples": "1000"},
+                                        {"workers": 1.5}, {"workers": True}])
+    def test_integer_arguments_must_be_integers(self, kwargs):
+        layout = single_scale_layout(16.0, 16.0)
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            emo_monte_carlo([(layout, 16.0, 16.0)], **{"samples": 1000, "seed": 0, **kwargs})
 
     def test_plane_must_cover_two_periods(self):
         tiny = build_layout(AnchorSpec(scales=(16.0,), base_stride=16.0), 16.0, 16.0)

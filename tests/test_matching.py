@@ -71,6 +71,11 @@ class TestMatchConfig:
         with pytest.raises(ValueError):
             MatchConfig(**kwargs)
 
+    @pytest.mark.parametrize("hc_n", [2.5, True, "5"])
+    def test_hc_n_must_be_an_integer(self, hc_n):
+        with pytest.raises(ValueError, match="hc_n must be an integer"):
+            MatchConfig(hc_n=hc_n)
+
     def test_equal_thresholds_allowed(self):
         MatchConfig(t_high=0.4, t_low=0.4)
 

@@ -1,5 +1,6 @@
 """JSON round-trips for anchor specs and search spaces."""
 
+import itertools
 import json
 
 import pytest
@@ -69,6 +70,11 @@ WRONG_SPEC_VALUES = [
     ({"scales": [16], "base_stride": None}, "base_stride"),
     ({"scales": [16], "base_stride": "16"}, "base_stride"),
 ]
+# Shift keys that name no scale or one scale twice, with the error's opening.
+BAD_SHIFT_KEYS = [
+    ({"scales": [16], "shifts_per_scale": {"abc": 3}}, "shifts_per_scale key 'abc'"),
+    ({"scales": [16], "shifts_per_scale": {"16": 1, "16.0": 3}}, "shifts_per_scale keys '16' and '16.0'"),
+]
 SPACE = {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[16]], "budget": 1}
 WRONG_SPACE_VALUES = [
     ({**SPACE, "stride_divisors": [1, 2.5]}, "stride_divisors"),
@@ -91,7 +97,7 @@ WRONG_SPACE_VALUES = [
         {"scales": [16], "strides": [4]},
         {"ratios": [1.0]},
         {"scales": [16], "shifts_per_scale": [16, 3]},
-        *(doc for doc, _ in WRONG_SPEC_VALUES),
+        *(doc for doc, _ in WRONG_SPEC_VALUES + BAD_SHIFT_KEYS),
     ],
 )
 def test_bad_spec_documents(doc):
@@ -131,11 +137,36 @@ def test_bad_space_documents(doc):
         space_from_dict(doc)
 
 
-@pytest.mark.parametrize("doc, key", WRONG_SPEC_VALUES + WRONG_SPACE_VALUES)
+@pytest.mark.parametrize("doc, key", WRONG_SPEC_VALUES + WRONG_SPACE_VALUES + BAD_SHIFT_KEYS)
 def test_wrong_typed_value_names_its_key(doc, key):
     load = spec_from_dict if "scales" in doc else space_from_dict
     with pytest.raises(ValueError, match=key):
         load(doc)
+
+
+# Each optional key as a document spells it and as Python passes it.
+SPEC_OPTIONAL = {"ratios": ([0.5, 1, 2], (0.5, 1.0, 2.0)), "base_stride": (8, 8.0),
+                 "stride_divisor": (2, 2), "shifts_per_scale": ({"16": 3}, {16.0: 3})}
+SPACE_OPTIONAL = {"ratios": ([1, 2], (1.0, 2.0)), "base_stride": (8, 8.0)}
+
+
+def _subsets(keys):
+    return [c for n in range(len(keys) + 1) for c in itertools.combinations(keys, n)]
+
+
+@pytest.mark.parametrize("keys", _subsets(list(SPEC_OPTIONAL)), ids=lambda keys: "+".join(keys) or "none")
+def test_spec_defaults_come_from_anchor_spec(keys):
+    doc = {"scales": [16, 32], **{k: SPEC_OPTIONAL[k][0] for k in keys}}
+    want = AnchorSpec(scales=(16.0, 32.0), **{k: SPEC_OPTIONAL[k][1] for k in keys})
+    assert spec_from_dict(doc) == want
+
+
+@pytest.mark.parametrize("keys", _subsets(list(SPACE_OPTIONAL)), ids=lambda keys: "+".join(keys) or "none")
+def test_space_defaults_come_from_search_space(keys):
+    doc = {**SPACE, **{k: SPACE_OPTIONAL[k][0] for k in keys}}
+    want = SearchSpace(stride_divisors=(1,), shift_choices=(0,), scale_sets=((16.0,),), budget=1,
+                       **{k: SPACE_OPTIONAL[k][1] for k in keys})
+    assert space_from_dict(doc) == want
 
 
 def test_integral_floats_are_integers():
