@@ -205,10 +205,21 @@ class AnchorLayout:
         return out
 
 
-def _grid_size(extent: float, stride: float) -> int:
-    # ceil(extent / stride) with a guard against float noise just above an
-    # exact multiple; at least one location per axis.
-    return max(1, math.ceil(extent / stride - 1e-9))
+def _grid_shape(spec: AnchorSpec, plane_w: float, plane_h: float) -> tuple[int, int]:
+    """Rows and columns of the spec's sliding-window grid over a plane:
+    ``ceil(extent / sliding_stride)`` per axis, at least one.  Raises
+    ``ValueError`` for a plane that is not positive and finite, or when the
+    layout would hold more than ``MAX_ANCHORS`` anchors."""
+    if not (plane_w > 0 and math.isfinite(plane_w)) or not (plane_h > 0 and math.isfinite(plane_h)):
+        raise ValueError(f"plane dimensions must be positive finite, got {plane_w!r} x {plane_h!r}")
+    stride = spec.sliding_stride
+    # The 1e-9 guards against float noise just above an exact multiple.
+    cols = max(1, math.ceil(plane_w / stride - 1e-9))
+    rows = max(1, math.ceil(plane_h / stride - 1e-9))
+    needed = rows * cols * spec.anchors_per_location
+    if needed > MAX_ANCHORS:
+        raise ValueError(f"{plane_w:g} x {plane_h:g} plane needs {needed} anchors, over the cap of {MAX_ANCHORS}")
+    return rows, cols
 
 
 def build_layout(spec: AnchorSpec, plane_w: float, plane_h: float) -> AnchorLayout:
@@ -222,14 +233,8 @@ def build_layout(spec: AnchorSpec, plane_w: float, plane_h: float) -> AnchorLayo
     than ``MAX_ANCHORS`` anchors raises ``ValueError`` before anything is
     built.
     """
-    if not (plane_w > 0 and math.isfinite(plane_w)) or not (plane_h > 0 and math.isfinite(plane_h)):
-        raise ValueError(f"plane dimensions must be positive finite, got {plane_w!r} x {plane_h!r}")
+    rows, cols = _grid_shape(spec, plane_w, plane_h)
     stride = spec.sliding_stride
-    cols = _grid_size(plane_w, stride)
-    rows = _grid_size(plane_h, stride)
-    needed = rows * cols * spec.anchors_per_location
-    if needed > MAX_ANCHORS:
-        raise ValueError(f"{plane_w:g} x {plane_h:g} plane needs {needed} anchors, over the cap of {MAX_ANCHORS}")
     groups: list[LatticeGroup] = []
     next_id = 0
     for scale in spec.scales:

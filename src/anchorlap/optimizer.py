@@ -2,9 +2,12 @@
 
 Every admissible configuration (stride divisors x per-scale shift counts x
 candidate scale sets) is ranked by mean max IoU on the given faces, with
-recall@tau reported alongside.  The overlap kernel runs once per distinct
-lattice group; a config's per-face maxima are the elementwise max of its
-groups' vectors, bit for bit what a full scan of its layout gives.
+recall@tau reported alongside.  Per-face max IoU is computed once per
+(scale, stride divisor, shift count) the configurations use, as a running
+max over the nested shifted sub-lattices of that scale and divisor, so each
+sub-lattice's overlap kernel runs once.  A config's per-face maxima are the
+elementwise max of its scales' vectors, bit for bit what a full scan of its
+layout gives.
 """
 
 from __future__ import annotations
@@ -18,10 +21,17 @@ import numpy as np
 
 from .dataset import bounding_plane, bucket_stats
 from .geometry import FaceTable
-from .layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _integer, build_layout
+from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _grid_shape,
+                     _integer, build_layout)
 from .matching import max_overlap_values
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
+
+# Each sub-lattice origin mapped to the least shift count whose pattern holds
+# it.  The patterns nest (0 in 1 in 3), so a scale's vector at a count is the
+# running max over the origins that counts up to it bring in.
+_FIRST_COUNT = {origin: count for count in reversed(ALLOWED_SHIFT_COUNTS)
+                for origin in _SHIFT_PATTERNS[count]}
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,10 @@ def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) 
     Ties prefer fewer anchors per location, then the lexicographically
     smaller spec.  All configs are scored on the same bounding plane so
     the comparison is apples to apples, each as ``evaluate_config`` scores
-    it, with the kernel run once per distinct lattice group.
+    it, and each under ``build_layout``'s anchor cap.  One per-face max-IoU
+    vector is built per (scale, stride divisor, shift count) in use, from
+    one layout per (scale, divisor) and one kernel per sub-lattice; a
+    config's maxima are the elementwise max of its scales' vectors.
     """
     configs = enumerate_configs(space)
     if not configs:
@@ -134,17 +147,31 @@ def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) 
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
     plane = bounding_plane(faces)
-    kernels: dict[tuple, np.ndarray] = {}
-    scores = []
+    used: dict[tuple[float, int], set[int]] = {}  # (scale, divisor) -> shift counts
     for spec in configs:
-        layout = build_layout(spec, *plane)
-        best = np.zeros(n)
-        for g in layout.groups:
-            key = (g.box_w, g.box_h, g.stride, g.origin_x, g.origin_y, g.rows, g.cols)
-            if key not in kernels:
-                one_group = replace(layout, groups=(g,))
-                kernels[key] = max_overlap_values(one_group, faces.x, faces.y, faces.w, faces.h)
-            np.maximum(best, kernels[key], out=best)
+        _grid_shape(spec, *plane)  # the anchor cap build_layout would apply
+        for s in spec.scales:
+            used.setdefault((s, spec.stride_divisor), set()).add(spec.shifts_per_scale.get(s, 0))
+    vectors: dict[tuple[float, int, int], np.ndarray] = {}
+    for (scale, divisor), counts in used.items():
+        top = max(counts)
+        layout = build_layout(AnchorSpec((scale,), space.ratios, space.base_stride, divisor,
+                                         {scale: top}), *plane)
+        best, covered = np.zeros(n), -1
+        for count in sorted(counts):
+            for g in layout.groups:
+                if covered < _FIRST_COUNT[_SHIFT_PATTERNS[top][g.sublattice]] <= count:
+                    one_group = replace(layout, groups=(g,))
+                    np.maximum(best, max_overlap_values(one_group, faces.x, faces.y, faces.w, faces.h),
+                               out=best)
+            vectors[scale, divisor, count], covered = best.copy(), count
+    scores = []
+    buffer = np.empty(n)
+    for spec in configs:
+        best, *rest = (vectors[s, spec.stride_divisor, spec.shifts_per_scale.get(s, 0)]
+                       for s in spec.scales)
+        for vector in rest:
+            best = np.maximum(best, vector, out=buffer)
         scores.append(ConfigScore(spec, float(np.sum(best)) / n,
                                   float(np.count_nonzero(best >= tau)) / n, spec.anchors_per_location))
     scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))

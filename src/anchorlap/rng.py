@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layout import _integer
+
 __all__ = ["stream"]
 
 _MASK64 = (1 << 64) - 1
@@ -20,8 +22,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
     Distinct ``(seed, index)`` pairs yield statistically independent
     streams; identical pairs yield identical output.  Both values are
-    taken modulo 2**64 (they form the 128-bit Philox key).
+    taken modulo 2**64 (they form the 128-bit Philox key).  A value that is
+    not an integer (a fraction, a bool, a string) raises ``ValueError``.
     """
+    seed, index = _integer(seed, "seed"), _integer(index, "stream index")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if index < 0:

@@ -18,6 +18,7 @@ import anchorlap
 from anchorlap import cli
 from anchorlap.cli import main
 from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS, EmoQuery
+from anchorlap.layout import MAX_ANCHORS
 from anchorlap.matching import MatchConfig
 
 from helpers import render_reference
@@ -362,6 +363,19 @@ class TestOptimize:
         code = main(["optimize", "--annotations", files["ann"], "--space", str(space)])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_config_over_the_anchor_cap_exits_2_without_traceback(self, files):
+        # A 4096 x 4096 bounding plane fits divisor 1; divisor 4 with a
+        # shifted scale needs 5 anchors at each of 1024 x 1024 locations.
+        ann = files["dir"] / "wide.txt"
+        ann.write_text("img/a.jpg\n2\n0 0 16 16\n4080 4080 16 16\n")
+        space = files["dir"] / "fine.json"
+        space.write_text(json.dumps({"stride_divisors": [1, 4], "shift_choices": [0, 3],
+                                     "scale_sets": [[16, 32]], "budget": 8}))
+        proc = run_console_script("optimize", "--annotations", str(ann), "--space", str(space))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and f"cap of {MAX_ANCHORS}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("tau", ["0", "1"])
     def test_tau_outside_unit_interval_exits_2(self, files, capsys, tau):

@@ -1,14 +1,17 @@
 """Exact anchor-design search under a per-location budget."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlap import optimizer
 from anchorlap.dataset import parse_annotations
 from anchorlap.geometry import FaceTable, RectBox
-from anchorlap.layout import AnchorSpec
+from anchorlap.layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, MAX_ANCHORS, AnchorSpec
 from anchorlap.optimizer import (
     ConfigScore,
     SearchSpace,
@@ -188,6 +191,19 @@ class TestOptimize:
         assert all(0.0 <= s.recall <= 1.0 for s in scores)
 
 
+class TestAnchorCap:
+    def test_every_config_is_held_to_the_cap(self):
+        # A 4096 x 4096 bounding plane: 256 x 256 locations at divisor 1,
+        # 1024 x 1024 at divisor 4, where two scales, one shifted by 3,
+        # need 5 anchors at each.
+        faces = [RectBox(0.0, 0.0, 16.0, 16.0), RectBox(4080.0, 4080.0, 16.0, 16.0)]
+        space = SearchSpace(stride_divisors=(1,), shift_choices=(0, 3),
+                            scale_sets=((16.0, 32.0),), budget=8)
+        assert len(optimize(space, faces)) == 4
+        with pytest.raises(ValueError, match=f"needs 5242880 anchors, over the cap of {MAX_ANCHORS}"):
+            optimize(replace(space, stride_divisors=(1, 4)), faces)
+
+
 def mixed_faces(n, seed, plane=300.0):
     """Faces of 6-200 px with h/w in [0.7, 1.6] inside a ``plane`` square."""
     rng = np.random.default_rng(seed)
@@ -239,6 +255,28 @@ class TestExactness:
         assert_same_ranking(scores, brute_optimize(space, faces))
         assert [(sc.objective, sc.recall) for sc in scores] == [(0.75, 1.0)] * len(scores)
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_spaces(self, data):
+        def subset(values, max_size=None):
+            return st.sets(st.sampled_from(values), min_size=1, max_size=max_size).map(sorted)
+
+        scale_sets = data.draw(st.lists(subset((8.0, 16.0, 24.0, 32.0, 64.0), 3), min_size=1,
+                                        max_size=3))
+        shifts = data.draw(subset(ALLOWED_SHIFT_COUNTS))
+        ratios = data.draw(subset((0.5, 1.0, 1.5, 2.0), 2).filter(lambda r: r != [1.0]))
+        # Between the cheapest and the dearest config's cost, so budgets prune.
+        costs = [len(ratios) * len(ss) * (1 + n) for ss in scale_sets for n in (shifts[0], shifts[-1])]
+        space = SearchSpace(
+            stride_divisors=data.draw(subset(ALLOWED_DIVISORS)), shift_choices=shifts,
+            scale_sets=scale_sets, ratios=ratios,
+            budget=data.draw(st.integers(min(costs), max(costs))),
+        )
+        faces = mixed_faces(data.draw(st.integers(1, 40)), seed=data.draw(st.integers(0, 2**32 - 1)),
+                            plane=data.draw(st.floats(200.0, 600.0)))
+        tau = data.draw(st.floats(0.05, 0.95))
+        assert_same_ranking(optimize(space, faces, tau), brute_optimize(space, faces, tau))
+
     def test_evaluate_config_is_the_one_config_case(self):
         faces = mixed_faces(60, seed=12)
         space = SearchSpace(
@@ -253,19 +291,25 @@ class TestExactness:
 
 
 class TestKernelCount:
-    """One overlap kernel per distinct lattice group, however many configs share it."""
+    """One overlap kernel per distinct lattice group and at most one layout per
+    (scale, divisor, shift count), however many configs share them."""
 
     SCALES = ((16.0, 32.0, 64.0, 128.0, 256.0, 512.0),)
 
     def count_kernels(self, monkeypatch, space):
-        calls = []
-        kernel = optimizer.max_overlap_values
+        calls, layouts = [], []
+        kernel, build = optimizer.max_overlap_values, optimizer.build_layout
 
         def counting(layout, *boxes):
             calls.append(layout.groups)
             return kernel(layout, *boxes)
 
+        def building(spec, *plane):
+            layouts.append(spec)
+            return build(spec, *plane)
+
         monkeypatch.setattr(optimizer, "max_overlap_values", counting)
+        monkeypatch.setattr(optimizer, "build_layout", building)
         rng = np.random.default_rng(13)
         faces = one_image(rng.uniform(0, 900, 40), rng.uniform(0, 650, 40),
                           np.full(40, 24.0), np.full(40, 30.0))
@@ -273,15 +317,19 @@ class TestKernelCount:
         assert all(len(groups) == 1 for groups in calls)
         keys = {(g.box_w, g.box_h, g.stride, g.origin_x, g.origin_y) for (g,) in calls}
         assert len(keys) == len(calls)
-        return len(scores), len(calls)
+        vectors = {(s, sc.spec.stride_divisor, sc.spec.shift_count(s))
+                   for sc in scores for s in sc.spec.scales}
+        assert len(layouts) <= len(vectors)
+        return len(scores), len(calls), len(vectors)
 
     def test_wide_space(self, monkeypatch):
         space = SearchSpace(stride_divisors=(1, 2, 4), shift_choices=(0, 1, 3),
                             scale_sets=self.SCALES, budget=12)
-        # 6 scales x 3 divisors x 4 sub-lattice origins, for 7,470 groups in total.
-        assert self.count_kernels(monkeypatch, space) == (705, 72)
+        # 6 scales x 3 divisors x 4 sub-lattice origins, for 7,470 groups in
+        # total, and 6 x 3 x 3 shift counts against 705 layouts of whole configs.
+        assert self.count_kernels(monkeypatch, space) == (705, 72, 54)
 
     def test_narrow_space(self, monkeypatch):
         space = SearchSpace(stride_divisors=(1, 2), shift_choices=(0, 1, 3),
                             scale_sets=self.SCALES, budget=9)
-        assert self.count_kernels(monkeypatch, space) == (96, 48)
+        assert self.count_kernels(monkeypatch, space) == (96, 48, 36)
