@@ -264,7 +264,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
         "scale": faces.scale,
         "max_iou": result.face_max_iou,
         "argmax_anchor": result.face_argmax,
-        "assigned_count": np.array([len(a) for a in result.face_assigned], dtype=np.int64),
+        "assigned_count": np.diff(result.assigned_start),
     }
     anchor_cols = {
         "anchor": np.arange(layout.anchor_count),

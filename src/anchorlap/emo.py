@@ -148,7 +148,7 @@ def emo_monte_carlo(
     single-cell call gives and is bit-identical for any ``workers``.
     Estimates come back in cell order.
     """
-    samples, workers = _integer(samples, "samples"), _integer(workers, "workers")
+    samples, workers, seed = _integer(samples, "samples"), _integer(workers, "workers"), _integer(seed, "seed")
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples!r}")
     if samples > MAX_MC_SAMPLES:

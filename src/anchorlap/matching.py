@@ -15,9 +15,9 @@ Everything else comes from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
 above the face's floor, once.  ``match_faces`` streams every face down to
 ``t_low`` (a hard face down to its own max) for the labels, sources and
-assigned sets; one lowest-index-at-max rule picks each face's argmax
-anchor and each anchor's owner face.  An argmax anchor that no pair at or
-above ``t_low`` reaches gets its source from all faces.
+assigned anchors (two flat CSR arrays); one lowest-index-at-max rule picks
+each face's argmax anchor and each anchor's owner face.  An argmax anchor
+that no pair at or above ``t_low`` reaches gets its source from all faces.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
 """
@@ -81,17 +81,19 @@ class MatchConfig:
 class MatchResult:
     """Outcome of matching a set of faces against one anchor layout.
 
-    Per face: the max IoU over every anchor, the argmax anchor ID (-1 for a
-    face overlapping no anchor at all), and the sorted IDs of its assigned
-    anchors.  Per anchor: a label (1 positive, 0 negative, -1 ignore) and,
-    for positives, the index of the face that owns the assignment: the
-    max-IoU face for threshold/argmax positives, the compensated face for
-    anchors promoted by hard-face compensation.
+    Per face: the max IoU over every anchor and the argmax anchor ID (-1 for
+    a face overlapping none); face ``f``'s sorted assigned anchor IDs are
+    ``assigned[assigned_start[f]:assigned_start[f + 1]]`` (int64, with
+    ``num_faces + 1`` offsets).  Per anchor: a label (1 positive, 0
+    negative, -1 ignore) and, for positives, the index of the face that owns
+    the assignment: the max-IoU face for threshold/argmax positives, the
+    compensated face for anchors promoted by hard-face compensation.
     """
 
     face_max_iou: np.ndarray
     face_argmax: np.ndarray
-    face_assigned: tuple[np.ndarray, ...]
+    assigned: np.ndarray
+    assigned_start: np.ndarray
     anchor_labels: np.ndarray
     anchor_source: np.ndarray
 
@@ -274,9 +276,8 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
         r0 = np.minimum(r0, g.rows - nrows)
         id0 = g.id_start + r0 * g.cols + c0  # each window's first anchor
         shape = nrows * (g.cols + 1) + ncols
-        order = np.argsort(shape, kind="stable")
-        cuts = np.flatnonzero(np.diff(shape[order])) + 1
-        for run in np.split(order, cuts):
+        for key in np.unique(shape):
+            run = np.flatnonzero(shape == key)
             nr, nc = int(nrows[run[0]]), int(ncols[run[0]])
             step = max(1, _BLOCK_PAIRS // (nr * nc))
             for lo in range(0, len(run), step):
@@ -300,6 +301,12 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     on the large integer arrays here."""
     a.sort()
     return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+
+
+def _assigned(keys: np.ndarray, anchor_count: int, n_faces: int):
+    """:class:`MatchResult`'s CSR arrays from ``face * anchor_count + anchor`` keys."""
+    keys = _sorted_unique(keys)
+    return keys % anchor_count, np.searchsorted(keys, np.arange(n_faces + 1) * anchor_count)
 
 
 def _lowest_at_max(lowest, keys, values, best, candidates) -> None:
@@ -454,14 +461,9 @@ def match_faces(
     anchor_best_face[lost] = _best_faces(layout, lost, faces)
     source = np.where(labels == LABEL_POSITIVE, anchor_best_face, -1)
 
-    keys = np.concatenate(keys)
-    keys = _sorted_unique(keys)
-    face_of = keys // layout.anchor_count
-    np.remainder(keys, layout.anchor_count, out=keys)
-    assigned = np.split(keys, np.searchsorted(face_of, np.arange(1, n_faces))) if n_faces else []
-
-    return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, face_assigned=tuple(assigned),
-                       anchor_labels=labels, anchor_source=source)
+    assigned, start = _assigned(np.concatenate(keys), layout.anchor_count, n_faces)
+    return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, assigned=assigned,
+                       assigned_start=start, anchor_labels=labels, anchor_source=source)
 
 
 def compensate_hard_faces(
@@ -505,8 +507,7 @@ def compensate_hard_faces(
     keep = labels[fresh] != LABEL_POSITIVE
     labels[fresh[keep]] = LABEL_POSITIVE
     source[fresh[keep]] = hard[pos[first[keep]]]
-    assigned = list(result.face_assigned)
-    for f, extra in zip(hard, np.split(ids, np.searchsorted(pos, np.arange(1, len(hard))))):
-        if extra.size:
-            assigned[f] = np.union1d(assigned[f], extra)
-    return replace(result, face_assigned=tuple(assigned), anchor_labels=labels, anchor_source=source)
+    keys = np.repeat(np.arange(result.num_faces), np.diff(result.assigned_start)) * layout.anchor_count
+    keys = np.concatenate((keys + result.assigned, hard[pos] * layout.anchor_count + ids))
+    assigned, start = _assigned(keys, layout.anchor_count, result.num_faces)
+    return replace(result, assigned=assigned, assigned_start=start, anchor_labels=labels, anchor_source=source)

@@ -7,12 +7,13 @@ at the bit level.  The ``corner_*`` functions are the four-corner overlap
 kernel the library used before its per-axis one, kept as a reference, and
 ``emo_exact`` is the EMO integral in closed form.  ``group_of``,
 ``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
-``label_counts``, ``face_lines``, ``max_overlap`` and ``save_spec`` are
-lookups and writers that only the tests need.  ``render_reference`` is the
+``assigned_of``, ``label_counts``, ``face_lines``, ``max_overlap`` and
+``save_spec`` are lookups and writers that only the tests need.  ``render_reference`` is the
 CSV and JSON text the CLI's chunked renderer must reproduce.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +27,8 @@ from anchorlap.matching import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
     LABEL_POSITIVE,
+    MatchConfig,
+    MatchResult,
     _NONE,
     _flat_boxes,
     _lowest_at_max,
@@ -208,26 +211,14 @@ def corner_nth_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
 
 def brute_labels(layout: AnchorLayout, boxes, t_high: float, t_low: float):
     """Exhaustive anchor labeling: 1 positive, 0 negative, -1 ignore."""
-    labels = np.zeros(layout.anchor_count, dtype=np.int8)
-    if not boxes:
-        return labels
-    ious = all_pair_ious(layout, boxes)
-    per_anchor = ious.max(axis=0)
-    labels[per_anchor >= t_low] = -1
-    labels[per_anchor >= t_high] = 1
-    best = ious.max(axis=1)
-    for f in range(len(boxes)):
-        if best[f] > 0.0:
-            labels[int(ious[f].argmax())] = 1
-    return labels
+    return brute_match(layout, boxes, MatchConfig(t_high, t_low, 0))[0].anchor_labels
 
 
 def brute_top_n(layout: AnchorLayout, box, n: int):
     """Top-n anchor IDs for one face by IoU, ties to the lower ID, IoU > 0 only."""
     ious = all_pair_ious(layout, [box])[0]
     order = np.lexsort((np.arange(len(ious)), -ious))
-    top = [int(a) for a in order if ious[a] > 0.0][:n]
-    return top
+    return [int(a) for a in order if ious[a] > 0.0][:n]
 
 
 def brute_match(layout: AnchorLayout, boxes, cfg):
@@ -237,8 +228,6 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
     Every rule is read straight off the matrix: a face's argmax is the lowest
     ID at its max, an anchor's source the lowest face index at its max.
     """
-    from anchorlap.matching import MatchResult
-
     boxes = [boxes[i] for i in range(len(boxes))]
     ious = all_pair_ious(layout, boxes) if boxes else np.zeros((0, layout.anchor_count))
     face_max = ious.max(axis=1)
@@ -250,11 +239,9 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
     labels[anchor_best >= cfg.t_high] = 1
     labels[face_argmax[face_max > 0.0]] = 1
     source = np.where(labels == 1, anchor_face, -1)
-    assigned = [
-        np.union1d(np.flatnonzero(ious[f] >= cfg.t_high), face_argmax[f : f + 1][face_max[f : f + 1] > 0.0])
-        for f in range(len(boxes))
-    ]
-    matched = MatchResult(face_max, face_argmax, tuple(assigned), labels, source)
+    assigned = ious >= cfg.t_high
+    assigned[np.flatnonzero(face_max > 0.0), face_argmax[face_max > 0.0]] = True
+    matched = MatchResult(face_max, face_argmax, *_csr(assigned), labels, source)
     if cfg.hc_n == 0:
         return matched, None
 
@@ -265,18 +252,25 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
         fresh = top[labels[top] != 1]
         labels[fresh] = 1
         source[fresh] = f
-        assigned[f] = np.union1d(assigned[f], top)
-    return matched, MatchResult(face_max, face_argmax, tuple(assigned), labels, source)
+        assigned[f, top] = True
+    return matched, MatchResult(face_max, face_argmax, *_csr(assigned), labels, source)
+
+
+def _csr(mask):
+    """A (faces, anchors) mask's true columns, row by row, and row offsets."""
+    return np.nonzero(mask)[1], np.r_[0, np.cumsum(np.count_nonzero(mask, axis=1))]
+
+
+def assigned_of(result, f: int) -> np.ndarray:
+    """Face ``f``'s assigned anchor IDs in a MatchResult."""
+    return result.assigned[result.assigned_start[f] : result.assigned_start[f + 1]]
 
 
 def assert_same_match(got, want):
-    """Field-by-field ``==`` (values and dtypes) of two MatchResults."""
-    for name in ("face_max_iou", "face_argmax", "anchor_labels", "anchor_source"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert len(got.face_assigned) == len(want.face_assigned)
-    for f, (a, b) in enumerate(zip(got.face_assigned, want.face_assigned)):
-        assert a.dtype == b.dtype and np.array_equal(a, b), f"face_assigned[{f}]"
+    """``==`` (values and dtypes) of two MatchResults, on every dataclass field."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def random_spec(rng, scale_pool=(8.0, 12.0, 16.0, 24.0, 32.0)):

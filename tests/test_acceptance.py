@@ -35,6 +35,7 @@ from anchorlap.matching import (
 from anchorlap.dataset import bucket_stats
 
 from helpers import (
+    assigned_of,
     brute_labels,
     brute_max_overlap,
     brute_top_n,
@@ -256,13 +257,13 @@ def test_criterion_07_compensation_tops_up_hard_faces():
             (res.anchor_source == f) & (res.anchor_labels == LABEL_POSITIVE)
         )
         assert len(owned) == want == 4
-        assert sorted(res.face_assigned[f].tolist()) == brute_top_n(layout, faces[f], cfg.hc_n)
+        assert sorted(assigned_of(res, f).tolist()) == brute_top_n(layout, faces[f], cfg.hc_n)
 
-    assert np.array_equal(res.face_assigned[easy_index], base.face_assigned[easy_index])
+    assert np.array_equal(assigned_of(res, easy_index), assigned_of(base, easy_index))
     anchor_of_easy = base.face_argmax[easy_index]
     assert res.anchor_labels[anchor_of_easy] == base.anchor_labels[anchor_of_easy]
     assert res.anchor_source[anchor_of_easy] == easy_index
-    touched = np.concatenate([res.face_assigned[f] for f in range(len(corners))])
+    touched = np.concatenate([assigned_of(res, f) for f in range(len(corners))])
     untouched = np.setdiff1d(np.arange(layout.anchor_count), touched)
     assert np.array_equal(res.anchor_labels[untouched], base.anchor_labels[untouched])
     _pass(7, "hard faces gain exactly min(5, overlapping) anchors, others untouched")

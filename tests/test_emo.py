@@ -173,7 +173,8 @@ class TestMonteCarlo:
             emo_monte_carlo([(layout, 16.0, 16.0)], samples=10_000, seed=0, workers=0)
 
     @pytest.mark.parametrize("kwargs", [{"samples": 1000.5}, {"samples": True}, {"samples": "1000"},
-                                        {"workers": 1.5}, {"workers": True}])
+                                        {"workers": 1.5}, {"workers": True},
+                                        {"seed": "7"}, {"seed": 1.5}, {"seed": True}])
     def test_integer_arguments_must_be_integers(self, kwargs):
         layout = single_scale_layout(16.0, 16.0)
         (field,) = kwargs

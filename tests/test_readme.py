@@ -48,3 +48,11 @@ def test_face_table(tour):
 
 def test_bucket_counts(tour):
     assert tour["bucket_stats(faces, layout).counts"] == (0, 1, 0, 1, 0, 0, 0, 0)
+
+
+def test_match_result(tour):
+    assigned, start = tour["result.assigned, result.assigned_start"]
+    assert assigned.tolist() == [19522, 19523, 19602, 19603, 81]
+    assert start.tolist() == [0, 4, 5]
+    assert tour["result.assigned"].tolist() == [19522, 19523, 19602, 19603, 1, 81, 4880, 9601, 14400]
+    assert tour["np.diff(result.assigned_start)"].tolist() == [4, 5]
