@@ -211,27 +211,12 @@ def _run_emo(params: dict, inputs: dict, workers: int):
 def _run_grid(params: dict, inputs: dict, workers: int):
     spec = load_spec(inputs["spec"])
     layout = build_layout(spec, params["plane_w"], params["plane_h"])
-    groups = layout.groups
-    counts = [g.count for g in groups]
-
-    def per_group(attr):
-        return np.repeat([getattr(g, attr) for g in groups], counts)
-
-    def centers(origin, index):
-        return np.concatenate(
-            [getattr(g, origin) + index(np.arange(g.count), g.cols) * g.stride for g in groups]
-        )
-
-    columns = {
-        "id": np.arange(layout.anchor_count),
-        "scale": per_group("scale"),
-        "ratio": per_group("ratio"),
-        "sublattice": per_group("sublattice"),
-        "cx": centers("origin_x", np.remainder),
-        "cy": centers("origin_y", np.floor_divide),
-        "w": per_group("box_w"),
-        "h": per_group("box_h"),
-    }
+    ids = np.arange(layout.anchor_count)
+    group, cx, cy = layout.locate(ids)
+    scale, ratio, sublattice, w, h = (np.array([getattr(g, name) for g in layout.groups])[group]
+                                      for name in ("scale", "ratio", "sublattice", "box_w", "box_h"))
+    columns = {"id": ids, "scale": scale, "ratio": ratio, "sublattice": sublattice,
+               "cx": cx, "cy": cy, "w": w, "h": h}
     return [("", _render(columns, params["format"]))]
 
 
@@ -253,7 +238,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
     faces, layout = _faces_and_layout(inputs)
     cfg = MatchConfig(t_high=params["t_high"], t_low=params["t_low"], hc_n=params["hc_n"])
     if params["jitter"]:
-        faces, _ = apply_jitter(faces, jitter_offset_bound(layout), params.get("seed") or 0)
+        faces, _ = apply_jitter(faces, jitter_offset_bound(layout), params["seed"])
     result = match_faces(faces, layout, cfg)
     if cfg.hc_n > 0:
         result = compensate_hard_faces(result, faces, layout, cfg)

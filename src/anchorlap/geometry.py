@@ -162,10 +162,10 @@ def iou_offset_square(side, dx, dy):
 
         (side - dx)(side - dy) / (2*side^2 - (side - dx)(side - dy))
 
-    Arguments broadcast like any numpy expression; scalar inputs produce a
-    scalar.  Offsets must satisfy ``0 <= dx, dy < side`` (the squares still
-    overlap); anything else is rejected because the formula has no meaning
-    there.
+    computed by :func:`iou_from_overlaps` on the overlaps ``side - dx`` and
+    ``side - dy``.  Arguments broadcast like any numpy expression; scalar
+    inputs produce a Python float.  Offsets must satisfy ``0 <= dx, dy <
+    side`` (the squares still overlap); anything else is rejected.
     """
     if not np.all((side > 0) & np.isfinite(side)):
         raise ValueError(f"side must be positive and finite, got {side!r}")
@@ -173,16 +173,15 @@ def iou_offset_square(side, dx, dy):
         raise ValueError(
             f"offsets must lie in [0, side): got dx={dx!r} dy={dy!r} for side={side!r}"
         )
-    prod = (side - dx) * (side - dy)
-    return prod / (2.0 * (side * side) - prod)
+    return iou_from_overlaps(side - dx, side - dy, 2.0 * (side * side))
 
 
 def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh):
     """Elementwise IoU for ``(x, y, w, h)`` coordinate arrays.
 
-    Broadcasts like any numpy expression.  Scalar inputs produce a scalar.
-    Matches :func:`iou` bit-for-bit on equal inputs, which the accelerated
-    matching paths rely on.
+    Broadcasts like any numpy expression; scalar inputs produce a Python
+    float.  Matches :func:`iou` bit-for-bit on equal inputs, which the
+    accelerated matching paths rely on.
     """
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
@@ -193,14 +192,16 @@ def iou_from_overlaps(iw, ih, areas):
     """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
-    The IoU rule of the package, called by ``iou_xywh`` and
-    ``matching._nth_corner_iou``: the intersection is ``iw * ih`` where
-    both overlaps are positive, else 0, and the union is bounded below by
-    the intersection.  Every step is a correctly
-    rounded monotone operation, so the result never decreases as ``iw`` or
-    ``ih`` grows, in floating point too.  ``matching.max_overlap_values``
-    writes the same ``inter / max(areas - inter, inter)`` inline into
-    scratch buffers, on overlaps clamped at 0.
+    The IoU rule of the package, called by ``iou_xywh``,
+    ``iou_offset_square`` and ``matching._nth_corner_iou``: the
+    intersection is ``iw * ih`` where both overlaps are positive, else 0,
+    and the union is bounded below by the intersection.  Every step is a
+    correctly rounded monotone operation, so the result never decreases as
+    ``iw`` or ``ih`` grows, in floating point too.  Scalar inputs give a
+    Python float.  ``matching.max_overlap_values`` writes the same ``inter
+    / max(areas - inter, inter)`` inline into scratch buffers, on overlaps
+    clamped at 0.
     """
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)
+    out = np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)
+    return float(out) if out.ndim == 0 else out

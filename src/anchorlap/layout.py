@@ -33,6 +33,8 @@ ALLOWED_SHIFT_COUNTS = (0, 1, 3)
 # Largest layout build_layout accepts.  Consumers materialize up to a few
 # hundred bytes per anchor (``grid`` output rows), so this bounds them.
 MAX_ANCHORS = 2**22
+# IDs per pass of ``AnchorLayout.all_boxes``, which bounds its scratch.
+_ID_CHUNK = 1 << 14
 
 # Sub-lattice origins in units of the sliding stride.  One extra anchor sits
 # at the bottom-right half-step; three extra anchors fill right, down, and
@@ -191,17 +193,38 @@ class AnchorLayout:
     groups: tuple[LatticeGroup, ...]
     anchor_count: int
 
+    def locate(self, ids):
+        """Each anchor ID's lattice group index and center ``(cx, cy)``, as
+        three arrays of the shape of ``ids``: the rule ``id_start + row*cols
+        + col`` of :class:`LatticeGroup` read backwards.  Raises
+        ``ValueError`` for an ID that is not an integer in ``[0,
+        anchor_count)``."""
+        ids = np.asarray(ids)
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= self.anchor_count):
+            raise ValueError(f"anchor IDs must be integers in [0, {self.anchor_count})")
+        ids = ids.astype(np.int64, copy=False)
+        start, cols, stride, origin_x, origin_y = (
+            np.array([getattr(g, name) for g in self.groups])
+            for name in ("id_start", "cols", "stride", "origin_x", "origin_y"))
+        group = np.searchsorted(start, ids, side="right") - 1
+        row, col = np.divmod(ids - start[group], cols[group])
+        return group, origin_x[group] + col * stride[group], origin_y[group] + row * stride[group]
+
+    def boxes(self, ids):
+        """The anchors ``ids`` as four arrays ``(x, y, w, h)`` of their shape;
+        ``ValueError`` as :meth:`locate`."""
+        group, cx, cy = self.locate(ids)
+        w, h = (np.array([getattr(g, name) for g in self.groups])[group] for name in ("box_w", "box_h"))
+        return cx - w / 2.0, cy - h / 2.0, w, h
+
     def all_boxes(self) -> np.ndarray:
-        """All anchors as an ``(anchor_count, 4)`` array of (x, y, w, h), ID order."""
+        """All anchors as an ``(anchor_count, 4)`` array of (x, y, w, h), ID
+        order, filled ``_ID_CHUNK`` IDs at a time."""
         out = np.empty((self.anchor_count, 4), dtype=np.float64)
-        for g in self.groups:
-            cx = g.origin_x + np.arange(g.cols, dtype=np.float64) * g.stride
-            cy = g.origin_y + np.arange(g.rows, dtype=np.float64) * g.stride
-            block = out[g.id_start : g.id_start + g.count]
-            block[:, 0] = np.tile(cx - g.box_w / 2.0, g.rows)
-            block[:, 1] = np.repeat(cy - g.box_h / 2.0, g.cols)
-            block[:, 2] = g.box_w
-            block[:, 3] = g.box_h
+        for lo in range(0, self.anchor_count, _ID_CHUNK):
+            block = out[lo : lo + _ID_CHUNK]
+            for j, column in enumerate(self.boxes(np.arange(lo, lo + len(block)))):
+                block[:, j] = column
         return out
 
 

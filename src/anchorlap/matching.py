@@ -330,20 +330,14 @@ def _keep_best(best, owner, ids, ious, faces) -> None:
 def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.ndarray:
     """For each anchor in ``ids``: the lowest-index face of max IoU with it,
     over every face."""
-    out = np.empty(ids.shape, dtype=np.int64)
+    ax, ay, aw, ah = (v[:, None] for v in layout.boxes(ids))
+    out = np.empty(len(ids), dtype=np.int64)
     step = max(1, _BLOCK_PAIRS // max(len(faces), 1))
-    for g in layout.groups:
-        sel = np.flatnonzero((ids >= g.id_start) & (ids < g.id_start + g.count))
-        row, col = np.divmod(ids[sel] - g.id_start, g.cols)
-        ax = (g.origin_x + col * g.stride) - g.box_w / 2.0
-        ay = (g.origin_y + row * g.stride) - g.box_h / 2.0
-        for lo in range(0, len(sel), step):
-            part = slice(lo, lo + step)
-            ious = iou_xywh(
-                ax[part, None], ay[part, None], g.box_w, g.box_h,
-                faces.x[None, :], faces.y[None, :], faces.w[None, :], faces.h[None, :],
-            )
-            out[sel[part]] = ious.argmax(axis=1)
+    for lo in range(0, len(ids), step):
+        part = slice(lo, lo + step)
+        ious = iou_xywh(ax[part], ay[part], aw[part], ah[part],
+                        faces.x[None, :], faces.y[None, :], faces.w[None, :], faces.h[None, :])
+        out[part] = ious.argmax(axis=1)
     return out
 
 

@@ -3,11 +3,11 @@
 Every admissible configuration (stride divisors x per-scale shift counts x
 candidate scale sets) is ranked by mean max IoU on the given faces, with
 recall@tau reported alongside.  Per-face max IoU is computed once per
-(scale, stride divisor, shift count) the configurations use, as a running
-max over the nested shifted sub-lattices of that scale and divisor, so each
-sub-lattice's overlap kernel runs once.  A config's per-face maxima are the
-elementwise max of its scales' vectors, bit for bit what a full scan of its
-layout gives.
+(scale, stride divisor, shift count) the configurations use, from one
+layout per (scale, divisor) with one kernel per sub-lattice: the max over
+the kernels whose origins the count's shift pattern holds.  A config's
+per-face maxima are the elementwise max of its scales' vectors, bit for
+bit what a full scan of its layout gives.
 """
 
 from __future__ import annotations
@@ -19,19 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import bounding_plane, bucket_stats
+from .dataset import bounding_plane
 from .geometry import FaceTable
 from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _grid_shape,
                      _integer, build_layout)
 from .matching import max_overlap_values
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
-
-# Each sub-lattice origin mapped to the least shift count whose pattern holds
-# it.  The patterns nest (0 in 1 in 3), so a scale's vector at a count is the
-# running max over the origins that counts up to it bring in.
-_FIRST_COUNT = {origin: count for count in reversed(ALLOWED_SHIFT_COUNTS)
-                for origin in _SHIFT_PATTERNS[count]}
 
 
 @dataclass(frozen=True)
@@ -118,28 +112,10 @@ def enumerate_configs(space: SearchSpace) -> list[AnchorSpec]:
     return configs
 
 
-def evaluate_config(spec: AnchorSpec, faces: FaceTable | Sequence, tau: float = 0.5) -> ConfigScore:
-    """Mean max IoU and recall@tau of ``faces`` against the spec's layout on
-    their bounding plane: single-bucket ``bucket_stats``, the rule ``optimize``
-    matches bit for bit."""
-    report = bucket_stats(faces, build_layout(spec, *bounding_plane(faces)), edges=(), tau=tau)
-    return ConfigScore(spec, report.mean_max_iou[0], report.recall[0], spec.anchors_per_location)
-
-
-def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) -> list[ConfigScore]:
-    """Rank every admissible config by objective, best first.
-
-    Ties prefer fewer anchors per location, then the lexicographically
-    smaller spec.  All configs are scored on the same bounding plane so
-    the comparison is apples to apples, each as ``evaluate_config`` scores
-    it, and each under ``build_layout``'s anchor cap.  One per-face max-IoU
-    vector is built per (scale, stride divisor, shift count) in use, from
-    one layout per (scale, divisor) and one kernel per sub-lattice; a
-    config's maxima are the elementwise max of its scales' vectors.
-    """
-    configs = enumerate_configs(space)
-    if not configs:
-        raise ValueError("no configuration fits the budget")
+def _score(specs: list[AnchorSpec], faces: FaceTable | Sequence, tau: float) -> list[ConfigScore]:
+    """Each spec scored on the faces' bounding plane under ``build_layout``'s
+    anchor cap, in ``specs`` order, as the module docstring says.  The specs
+    share their ratios and base stride, as a search space's configs do."""
     faces = FaceTable.of(faces)
     n = len(faces)
     if n == 0:
@@ -148,31 +124,49 @@ def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) 
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
     plane = bounding_plane(faces)
     used: dict[tuple[float, int], set[int]] = {}  # (scale, divisor) -> shift counts
-    for spec in configs:
+    for spec in specs:
         _grid_shape(spec, *plane)  # the anchor cap build_layout would apply
         for s in spec.scales:
             used.setdefault((s, spec.stride_divisor), set()).add(spec.shifts_per_scale.get(s, 0))
     vectors: dict[tuple[float, int, int], np.ndarray] = {}
     for (scale, divisor), counts in used.items():
         top = max(counts)
-        layout = build_layout(AnchorSpec((scale,), space.ratios, space.base_stride, divisor,
+        layout = build_layout(AnchorSpec((scale,), specs[0].ratios, specs[0].base_stride, divisor,
                                          {scale: top}), *plane)
-        best, covered = np.zeros(n), -1
-        for count in sorted(counts):
-            for g in layout.groups:
-                if covered < _FIRST_COUNT[_SHIFT_PATTERNS[top][g.sublattice]] <= count:
-                    one_group = replace(layout, groups=(g,))
-                    np.maximum(best, max_overlap_values(one_group, faces.x, faces.y, faces.w, faces.h),
-                               out=best)
-            vectors[scale, divisor, count], covered = best.copy(), count
+        kernels = [(_SHIFT_PATTERNS[top][g.sublattice],
+                    max_overlap_values(replace(layout, groups=(g,)), faces.x, faces.y, faces.w, faces.h))
+                   for g in layout.groups]
+        for count in counts:
+            vectors[scale, divisor, count] = np.maximum.reduce(
+                [kernel for origin, kernel in kernels if origin in _SHIFT_PATTERNS[count]])
     scores = []
     buffer = np.empty(n)
-    for spec in configs:
+    for spec in specs:
         best, *rest = (vectors[s, spec.stride_divisor, spec.shifts_per_scale.get(s, 0)]
                        for s in spec.scales)
         for vector in rest:
             best = np.maximum(best, vector, out=buffer)
         scores.append(ConfigScore(spec, float(np.sum(best)) / n,
                                   float(np.count_nonzero(best >= tau)) / n, spec.anchors_per_location))
-    scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
     return scores
+
+
+def evaluate_config(spec: AnchorSpec, faces: FaceTable | Sequence, tau: float = 0.5) -> ConfigScore:
+    """Mean max IoU and recall@tau of ``faces`` against the spec's layout on
+    their bounding plane, scored as ``optimize`` scores each config."""
+    return _score([spec], faces, tau)[0]
+
+
+def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) -> list[ConfigScore]:
+    """Rank every admissible config by objective, best first.
+
+    Ties prefer fewer anchors per location, then the lexicographically
+    smaller spec.  All configs are scored on the same bounding plane so
+    the comparison is apples to apples, each as ``evaluate_config`` scores
+    it, sharing one kernel per sub-lattice.
+    """
+    configs = enumerate_configs(space)
+    if not configs:
+        raise ValueError("no configuration fits the budget")
+    return sorted(_score(configs, faces, tau),
+                  key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))

@@ -100,24 +100,16 @@ def save_spec(spec: AnchorSpec, path: str) -> None:
 
 def group_of(layout: AnchorLayout, anchor_id: int) -> LatticeGroup:
     """The lattice group holding ``anchor_id``; ValueError when out of range."""
-    if not 0 <= anchor_id < layout.anchor_count:
-        raise ValueError(f"anchor id {anchor_id} out of range [0, {layout.anchor_count})")
-    for group in layout.groups:
-        if anchor_id < group.id_start + group.count:
-            return group
-    raise AssertionError("unreachable: id ranges cover [0, anchor_count)")
+    return layout.groups[int(layout.locate(anchor_id)[0])]
 
 
 def anchor_center(layout: AnchorLayout, anchor_id: int) -> tuple[float, float]:
-    group = group_of(layout, anchor_id)
-    row, col = divmod(anchor_id - group.id_start, group.cols)
-    return (group.origin_x + col * group.stride, group.origin_y + row * group.stride)
+    _, cx, cy = layout.locate(anchor_id)
+    return float(cx), float(cy)
 
 
 def anchor_box(layout: AnchorLayout, anchor_id: int) -> RectBox:
-    group = group_of(layout, anchor_id)
-    cx, cy = anchor_center(layout, anchor_id)
-    return RectBox(cx - group.box_w / 2.0, cy - group.box_h / 2.0, group.box_w, group.box_h)
+    return RectBox(*map(float, layout.boxes(anchor_id)))
 
 
 def groups_for_scale(layout: AnchorLayout, scale: float) -> tuple[LatticeGroup, ...]:
@@ -180,10 +172,7 @@ def corner_ious(layout: AnchorLayout, x, y, w, h):
     cy = y + h / 2.0
     for g in layout.groups:
         ids = candidate_ids(g, cx, cy)
-        row, col = np.divmod(ids - g.id_start, g.cols)
-        ax = (g.origin_x + col * g.stride) - g.box_w / 2.0
-        ay = (g.origin_y + row * g.stride) - g.box_h / 2.0
-        ious = iou_xywh(ax, ay, g.box_w, g.box_h, x[:, None], y[:, None], w[:, None], h[:, None])
+        ious = iou_xywh(*layout.boxes(ids), x[:, None], y[:, None], w[:, None], h[:, None])
         yield ids, ious
 
 

@@ -454,6 +454,19 @@ class TestReplay:
                      "--out", str(replayed)]) == 0
         assert replayed.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("command", ["match", "stats"])
+    def test_jitter_manifest_without_seed_exits_1(self, files, capsys, command):
+        out = files["dir"] / "jitter.csv"
+        assert main([command, "--annotations", files["ann"], "--spec", files["spec"], "--jitter",
+                     "--seed", "5", "--out", str(out)]) == 0
+        mpath = files["dir"] / "jitter.csv.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["parameters"]["seed"], manifest["seed"]
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: manifest lacks parameter or input 'seed'\n"
+
     def test_changed_input_fails(self, files, capsys):
         out = files["dir"] / "stats.csv"
         assert main(["stats", "--annotations", files["ann"], "--spec", files["spec"],

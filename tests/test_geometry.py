@@ -174,6 +174,16 @@ class TestIouXywh:
         )
 
 
+@pytest.mark.parametrize("call", [
+    lambda: iou_xywh(0.0, 0.0, 16.0, 16.0, 8.0, 8.0, 16.0, 16.0),
+    lambda: iou_xywh(0.0, 0.0, 16.0, 16.0, 40.0, 8.0, 16.0, 16.0),
+    lambda: iou_offset_square(16.0, 8.0, 8.0),
+    lambda: iou_offset_square(np.float64(16.0), 0.0, 0.0),
+], ids=["xywh", "xywh-disjoint", "offset-square", "offset-square-numpy"])
+def test_scalar_inputs_give_a_python_float(call):
+    assert type(call()) is float
+
+
 class TestFaceTable:
     BOXES = [RectBox(1.0, 2.0, 3.0, 4.0), RectBox(-5.5, 6.0, 7.0, 8.25)]
 

@@ -182,6 +182,54 @@ class TestBuildLayout:
             group_of(layout, layout.anchor_count)
 
 
+class TestLocate:
+    """``locate`` and ``boxes`` against each group's own grid arithmetic."""
+
+    @staticmethod
+    def random_layout(seed):
+        rng = np.random.default_rng(seed)
+        scales = sorted(rng.choice([8.0, 12.0, 16.0, 24.0, 32.0], int(rng.integers(1, 4)), replace=False))
+        ratios = sorted(rng.choice([0.5, 0.8, 1.0, 1.25, 2.0], int(rng.integers(1, 3)), replace=False))
+        spec = AnchorSpec(
+            scales=tuple(scales), ratios=tuple(ratios), base_stride=16.0,
+            stride_divisor=int(rng.choice([1, 2, 4])),
+            shifts_per_scale={s: int(rng.choice([0, 1, 3])) for s in scales},
+        )
+        return build_layout(spec, float(rng.uniform(20.0, 90.0)), float(rng.uniform(20.0, 90.0))), rng
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_group_arithmetic(self, seed):
+        layout, rng = self.random_layout(seed)
+        want = []  # group, cx, cy, x, y, w, h per anchor, in ID order
+        for i, g in enumerate(layout.groups):
+            for row in range(g.rows):
+                for col in range(g.cols):
+                    cx, cy = g.origin_x + col * g.stride, g.origin_y + row * g.stride
+                    want.append((i, cx, cy, cx - g.box_w / 2.0, cy - g.box_h / 2.0, g.box_w, g.box_h))
+        want = np.array(want)
+        assert len(want) == layout.anchor_count
+        ids = rng.permutation(layout.anchor_count)[None, :]  # any order, shape kept
+        got = (*layout.locate(ids), *layout.boxes(ids))
+        assert all(v.shape == ids.shape for v in got)
+        for column, v in zip(want.T, got):
+            assert np.array_equal(v, column[ids])
+        assert np.array_equal(layout.all_boxes(), want[:, 3:])
+
+    @pytest.mark.parametrize(
+        "bad", [lambda n: -1, lambda n: n, lambda n: [0, -3], lambda n: [[0], [n]], lambda n: [0.5],
+                lambda n: np.array([True])],
+        ids=["minus-one", "count", "negative-in-list", "count-in-2d", "fraction", "bool"])
+    def test_bad_ids_raise(self, bad):
+        layout, _ = self.random_layout(0)
+        for query in (layout.locate, layout.boxes):
+            with pytest.raises(ValueError, match="anchor IDs"):
+                query(bad(layout.anchor_count))
+
+    def test_no_ids(self):
+        layout, _ = self.random_layout(1)
+        assert all(v.shape == (0,) for v in (*layout.locate([]), *layout.boxes([])))
+
+
 class TestEffectiveStride:
     def test_no_shift(self):
         assert effective_anchor_stride(plain16(), 16.0) == 16.0
