@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import FaceTable, valid_boxes
-from .layout import AnchorLayout, _integer
+from .layout import AnchorLayout, _integer, _real
 from .matching import apply_jitter, jitter_offset_bound, max_overlap_values
 
 __all__ = [
@@ -162,10 +162,7 @@ class ScaleBucketReport:
 
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
-    out = tuple(float(e) for e in edges)
-    for e in out:
-        if not (math.isfinite(e) and e > 0):
-            raise ValueError(f"bucket edges must be positive and finite, got {e!r}")
+    out = tuple(_real(e, "each bucket edge") for e in edges)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError(f"bucket edges must be strictly increasing, got {out!r}")
     return out
@@ -184,8 +181,7 @@ def bucket_stats(
     faces = FaceTable.of(faces)
     if not faces:
         raise ValueError("faces must be non-empty")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
+    tau = _real(tau, "tau", below=1.0)
     edges = _check_edges(edges)
     max_iou = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
     which = np.searchsorted(np.asarray(edges), faces.scale, side="right")
@@ -254,9 +250,7 @@ def jitter_experiment(
     the overlap kernel runs once per distinct offset, not once per trial;
     the trials are then reduced in trial order.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    trials = _integer(trials, "trials", 1)
     faces = FaceTable.of(faces)
     stride = jitter_offset_bound(layout)
     by_offset: dict[tuple[int, int], ScaleBucketReport] = {}

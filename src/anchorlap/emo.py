@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import iou_offset_square
-from .layout import AnchorLayout, _integer
+from .geometry import iou_from_overlaps
+from .layout import AnchorLayout, _integer, _real
 from .matching import max_overlap_values
 from .rng import stream
 
@@ -64,13 +64,9 @@ class EmoQuery:
 
     def __post_init__(self) -> None:
         for name in ("face_side", "anchor_stride"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        cells = _integer(self.quadrature_cells, "quadrature_cells")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        cells = _integer(self.quadrature_cells, "quadrature_cells", 16)
         object.__setattr__(self, "quadrature_cells", cells)
-        if cells < 16:
-            raise ValueError(f"quadrature_cells must be >= 16, got {cells!r}")
         if cells > MAX_QUADRATURE_CELLS:
             raise ValueError(f"{cells} quadrature cells are over the cap of {MAX_QUADRATURE_CELLS}")
 
@@ -104,11 +100,13 @@ def emo_closed_form(query: EmoQuery) -> EmoEstimate:
             f"stride {query.anchor_stride:g} vs side {side:g}; use Monte Carlo (emo --mc)"
         )
     cells = query.quadrature_cells
-    step = half / cells
-    mids = (np.arange(cells) + 0.5) * step
+    overlaps = side - (np.arange(cells) + 0.5) * (half / cells)
+    rows = max(1, 2**16 // cells)  # rows per block, which keeps memory flat at high resolutions
     total = 0.0
-    for dy in mids:  # row-wise to keep memory flat at high resolutions
-        total += iou_offset_square(side, mids, dy).sum()
+    for lo in range(0, cells, rows):
+        block = iou_from_overlaps(overlaps, overlaps[lo : lo + rows, None], 2.0 * (side * side))
+        for row_sum in block.sum(axis=1):  # in row order, so no block size moves a bit
+            total += row_sum
     return EmoEstimate(value=float(total / (cells * cells)), std_error=0.0, method="closed_form")
 
 
@@ -119,6 +117,8 @@ def _central_period_cell(layout: AnchorLayout) -> tuple[float, float, float]:
     single interior cell is a representative sampling region for uniform
     face placement.  An interior cell needs at least a 2x2 sliding grid.
     """
+    if layout.anchor_count == 0:
+        raise ValueError("layout holds no anchors")
     s = layout.spec.sliding_stride
     cols = max(g.cols for g in layout.groups)
     rows = max(g.rows for g in layout.groups)
@@ -148,22 +148,13 @@ def emo_monte_carlo(
     single-cell call gives and is bit-identical for any ``workers``.
     Estimates come back in cell order.
     """
-    samples, workers, seed = _integer(samples, "samples"), _integer(workers, "workers"), _integer(seed, "seed")
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples!r}")
+    samples = _integer(samples, "samples", 1000)
+    workers, seed = _integer(workers, "workers", 1), _integer(seed, "seed", 0)
     if samples > MAX_MC_SAMPLES:
         raise ValueError(f"{samples} samples are over the cap of {MAX_MC_SAMPLES}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    regions = []
-    for layout, face_w, face_h in cells:
-        if not (math.isfinite(face_w) and face_w > 0 and math.isfinite(face_h) and face_h > 0):
-            raise ValueError(f"face size must be positive and finite, got {face_w!r} x {face_h!r}")
-        if layout.anchor_count == 0:
-            raise ValueError("layout holds no anchors")
-        regions.append(_central_period_cell(layout))
+    cells = [(layout, _real(face_w, "face size w"), _real(face_h, "face size h"))
+             for layout, face_w, face_h in cells]
+    regions = [_central_period_cell(layout) for layout, _, _ in cells]
 
     chunks = -(-samples // MC_CHUNK)
     local = threading.local()

@@ -40,7 +40,7 @@ class RectBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"RectBox.{name} must be a finite real, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(
@@ -192,8 +192,8 @@ def iou_from_overlaps(iw, ih, areas):
     """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
-    The IoU rule of the package, called by ``iou_xywh``,
-    ``iou_offset_square`` and ``matching._nth_corner_iou``: the
+    The IoU rule of the package, called by ``iou_xywh``, ``iou_offset_square``,
+    ``emo.emo_closed_form`` and ``matching._nth_corner_iou``: the
     intersection is ``iw * ih`` where both overlaps are positive, else 0,
     and the union is bounded below by the intersection.  Every step is a
     correctly rounded monotone operation, so the result never decreases as

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -46,14 +47,33 @@ _SHIFT_PATTERNS: dict[int, tuple[tuple[float, float], ...]] = {
 }
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an int or an integral float, never a bool, a
-    string or a fraction (those raise ``ValueError``)."""
-    if type(value) is int or not isinstance(value, bool) and (  # plain ints skip the ABC checks
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``: an int or an integral
+    float, never a bool, a string or a fraction (those raise
+    ``ValueError``, as a value below ``least`` does)."""
+    if not (type(value) is int or not isinstance(value, bool) and (  # plain ints skip the ABC checks
             isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+            or isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'non-negative' if least == 0 else f'>= {least}'}, got {value!r}")
+    return value
+
+
+def _real(value, what: str, below: float = math.inf) -> float:
+    """``value`` as a float in ``(0, below)``.  A bool, a string or any other
+    non-real raises ``TypeError``; a real out of range (nan, infinities and
+    ints too large for a float included) raises ``ValueError``."""
+    if type(value) is not float and (  # plain floats skip the ABC checks
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    # Compared exactly first, so that float() never overflows.
+    number = float(value) if 0 < value <= sys.float_info.max else math.nan
+    if not 0.0 < number < below:
+        bound = "positive and finite" if below == math.inf else f"in (0, {below:g})"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -80,8 +100,8 @@ class AnchorSpec:
     shifts_per_scale: Mapping[float, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        scales = tuple(float(s) for s in self.scales)
-        ratios = tuple(float(r) for r in self.ratios)
+        scales = tuple(_real(s, "each scales entry") for s in self.scales)
+        ratios = tuple(_real(r, "each ratios entry") for r in self.ratios)
         shifts, keys = {}, {}
         for key, count in dict(self.shifts_per_scale).items():
             try:
@@ -94,18 +114,12 @@ class AnchorSpec:
         divisor = _integer(self.stride_divisor, "stride_divisor")
         if not scales:
             raise ValueError("at least one scale is required")
-        if any(not (s > 0 and math.isfinite(s)) for s in scales):
-            raise ValueError(f"scales must be positive finite, got {scales}")
         if list(scales) != sorted(set(scales)):
             raise ValueError(f"scales must be strictly ascending without duplicates, got {scales}")
         if not ratios:
             raise ValueError("at least one ratio is required")
-        if any(not (r > 0 and math.isfinite(r)) for r in ratios):
-            raise ValueError(f"ratios must be positive finite, got {ratios}")
         if list(ratios) != sorted(set(ratios)):
             raise ValueError(f"ratios must be strictly ascending without duplicates, got {ratios}")
-        if not (self.base_stride > 0 and math.isfinite(self.base_stride)):
-            raise ValueError(f"base_stride must be positive finite, got {self.base_stride!r}")
         if divisor not in ALLOWED_DIVISORS:
             raise ValueError(
                 f"stride_divisor must be one of {ALLOWED_DIVISORS}, got {self.stride_divisor!r}"
@@ -119,7 +133,7 @@ class AnchorSpec:
                 )
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "base_stride", float(self.base_stride))
+        object.__setattr__(self, "base_stride", _real(self.base_stride, "base_stride"))
         object.__setattr__(self, "stride_divisor", divisor)
         object.__setattr__(self, "shifts_per_scale", shifts)
 
@@ -230,11 +244,10 @@ class AnchorLayout:
 
 def _grid_shape(spec: AnchorSpec, plane_w: float, plane_h: float) -> tuple[int, int]:
     """Rows and columns of the spec's sliding-window grid over a plane:
-    ``ceil(extent / sliding_stride)`` per axis, at least one.  Raises
-    ``ValueError`` for a plane that is not positive and finite, or when the
-    layout would hold more than ``MAX_ANCHORS`` anchors."""
-    if not (plane_w > 0 and math.isfinite(plane_w)) or not (plane_h > 0 and math.isfinite(plane_h)):
-        raise ValueError(f"plane dimensions must be positive finite, got {plane_w!r} x {plane_h!r}")
+    ``ceil(extent / sliding_stride)`` per axis, at least one.  Raises as
+    :func:`_real` for a bad plane side, and ``ValueError`` when the layout
+    would hold more than ``MAX_ANCHORS`` anchors."""
+    plane_w, plane_h = _real(plane_w, "plane_w"), _real(plane_h, "plane_h")
     stride = spec.sliding_stride
     # The 1e-9 guards against float noise just above an exact multiple.
     cols = max(1, math.ceil(plane_w / stride - 1e-9))

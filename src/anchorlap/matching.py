@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
-from .layout import AnchorLayout, _integer, effective_anchor_stride
+from .layout import AnchorLayout, _integer, _real, effective_anchor_stride
 from .rng import stream
 
 __all__ = [
@@ -68,13 +68,13 @@ class MatchConfig:
     hc_n: int = 5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hc_n", _integer(self.hc_n, "hc_n"))
-        if not (0.0 < self.t_low <= self.t_high < 1.0):
+        object.__setattr__(self, "hc_n", _integer(self.hc_n, "hc_n", 0))
+        for name in ("t_high", "t_low"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, below=1.0))
+        if not self.t_low <= self.t_high:
             raise ValueError(
                 f"thresholds must satisfy 0 < t_low <= t_high < 1, got t_low={self.t_low!r} t_high={self.t_high!r}"
             )
-        if self.hc_n < 0:
-            raise ValueError(f"hc_n must be >= 0, got {self.hc_n!r}")
 
 
 @dataclass(frozen=True)
@@ -401,6 +401,7 @@ def apply_jitter(
     positions are untouched.  Deterministic for a given (seed,
     stream_index).
     """
+    anchor_stride = _real(anchor_stride, "anchor_stride")
     if anchor_stride < 2:
         raise ValueError(f"anchor_stride must be >= 2 to jitter, got {anchor_stride!r}")
     bound = int(math.floor(anchor_stride / 2.0))

@@ -13,7 +13,6 @@ bit what a full scan of its layout gives.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from .dataset import bounding_plane
 from .geometry import FaceTable
 from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _grid_shape,
-                     _integer, build_layout)
+                     _integer, _real, build_layout)
 from .matching import max_overlap_values
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
@@ -45,12 +44,11 @@ class SearchSpace:
     base_stride: float = 16.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "budget", _integer(self.budget, "budget"))
-        object.__setattr__(
-            self, "scale_sets", tuple(tuple(float(s) for s in ss) for ss in self.scale_sets)
-        )
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        object.__setattr__(self, "base_stride", float(self.base_stride))
+        object.__setattr__(self, "budget", _integer(self.budget, "budget", 1))
+        object.__setattr__(self, "scale_sets",
+                           tuple(tuple(_real(s, "each scale_sets entry") for s in ss) for ss in self.scale_sets))
+        object.__setattr__(self, "ratios", tuple(_real(r, "each ratios entry") for r in self.ratios))
+        object.__setattr__(self, "base_stride", _real(self.base_stride, "base_stride"))
         for name, allowed in (("stride_divisors", ALLOWED_DIVISORS),
                               ("shift_choices", ALLOWED_SHIFT_COUNTS)):
             values = tuple(_integer(v, f"each {name} entry") for v in getattr(self, name))
@@ -63,12 +61,8 @@ class SearchSpace:
                 raise ValueError(f"duplicate {name} in {values!r}")
         if not self.scale_sets:
             raise ValueError("scale_sets must be non-empty")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
         if not self.ratios:
             raise ValueError("ratios must be non-empty")
-        if not (math.isfinite(self.base_stride) and self.base_stride > 0):
-            raise ValueError(f"base_stride must be positive and finite, got {self.base_stride!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,7 @@ def _score(specs: list[AnchorSpec], faces: FaceTable | Sequence, tau: float) -> 
     n = len(faces)
     if n == 0:
         raise ValueError("faces must be non-empty")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
+    tau = _real(tau, "tau", below=1.0)
     plane = bounding_plane(faces)
     used: dict[tuple[float, int], set[int]] = {}  # (scale, divisor) -> shift counts
     for spec in specs:

@@ -25,10 +25,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     taken modulo 2**64 (they form the 128-bit Philox key).  A value that is
     not an integer (a fraction, a bool, a string) raises ``ValueError``.
     """
-    seed, index = _integer(seed, "seed"), _integer(index, "stream index")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if index < 0:
-        raise ValueError(f"stream index must be non-negative, got {index}")
+    seed, index = _integer(seed, "seed", 0), _integer(index, "stream index", 0)
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

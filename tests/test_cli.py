@@ -403,6 +403,27 @@ class TestOptimize:
         assert "Traceback" not in err
 
 
+HUGE = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["grid", "--plane", "64x64", "--spec"], {"scales": [16], "base_stride": HUGE}, "base_stride"),
+    (["grid", "--plane", "64x64", "--spec"], {"scales": [16, HUGE]}, "scales"),
+    (["optimize", "--annotations", "{ann}", "--space"],
+     {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[16]], "budget": 1, "base_stride": HUGE},
+     "base_stride"),
+    (["optimize", "--annotations", "{ann}", "--space"],
+     {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[HUGE]], "budget": 1}, "scale_sets"),
+], ids=["spec-base_stride", "spec-scale", "space-base_stride", "space-scale"])
+def test_number_too_large_for_a_float_exits_2_naming_it(files, capsys, argv, doc, field):
+    path = files["dir"] / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(**files) for a in argv] + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestReplay:
     def test_stats_replay_is_byte_exact(self, files):
         out = files["dir"] / "stats.csv"
@@ -502,6 +523,28 @@ class TestReplay:
         assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: quadrature_cells must be an integer")
 
+    @pytest.mark.parametrize(
+        "argv, key, named",
+        [
+            (["grid", "--spec", "{spec}", "--plane", "64x64"], "plane_w", "plane_w"),
+            (["emo", "--scales", "16", "--strides", "16"], "scales", "face_side"),
+            (["stats", "--annotations", "{ann}", "--spec", "{spec}"], "tau", "tau"),
+            (["match", "--annotations", "{ann}", "--spec", "{spec}"], "t_high", "t_high"),
+        ],
+        ids=["grid-plane_w", "emo-scales", "stats-tau", "match-t_high"],
+    )
+    def test_bool_for_a_real_exits_1_naming_it(self, files, capsys, argv, key, named):
+        out = files["dir"] / "run.out"
+        assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
+        mpath = files["dir"] / "run.out.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["parameters"][key] = [True] if key == "scales" else True
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest parameter has the wrong type: {named} must be a real number, got True\n")
+
     def test_unreadable_manifest_fails(self, files, capsys):
         bad = files["dir"] / "broken.manifest.json"
         bad.write_text("{")
@@ -531,12 +574,13 @@ class TestReplay:
             lambda m: {**m, "outputs": ["stats.csv"]},
             lambda m: {**m, "parameters": {}},
             lambda m: {**m, "parameters": {**m["parameters"], "tau": "high"}},
+            lambda m: {**m, "parameters": {**m["parameters"], "tau": True}},
             lambda m: {**m, "parameters": {**m["parameters"], "buckets": 5}},
             lambda m: {**m, "parameters": {**m["parameters"], "format": 3}},
         ],
         ids=["list", "no-parameters", "no-inputs", "no-outputs", "unknown-subcommand",
              "unhashable-subcommand", "parameters-list", "outputs-object", "input-no-sha256",
-             "output-not-object", "empty-parameters", "string-tau", "integer-buckets",
+             "output-not-object", "empty-parameters", "string-tau", "bool-tau", "integer-buckets",
              "integer-format"],
     )
     def test_malformed_manifest_exits_1(self, files, capsys, mangle, request):

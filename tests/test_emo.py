@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from anchorlap import emo
@@ -109,6 +110,17 @@ class TestClosedForm:
     def test_scale_invariance(self):
         # EMO depends only on the side/stride ratio
         assert closed(16.0, 8.0) == pytest.approx(closed(32.0, 16.0), rel=1e-12)
+
+    # 2,000 cells go in blocks of 32 rows, the last of them partial.
+    @pytest.mark.parametrize("cells", [16, 17, 2000])
+    @pytest.mark.parametrize("side", [9.0, 16.0, 64.0])
+    def test_blocks_equal_the_per_row_sum(self, cells, side):
+        half = 8.0
+        mids = (np.arange(cells) + 0.5) * (half / cells)
+        total = 0.0
+        for dy in mids:
+            total += iou_offset_square(side, mids, dy).sum()
+        assert closed(side, 2.0 * half, cells) == float(total / (cells * cells))
 
 
 def test_both_estimators_return_a_float_value():

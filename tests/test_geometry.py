@@ -26,6 +26,13 @@ class TestRectBox:
         with pytest.raises(ValueError):
             RectBox(0.0, 0.0, w, h)
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_bools(self, field):
+        values = [0.0, 0.0, 1.0, 1.0]
+        values[field] = True
+        with pytest.raises(ValueError, match="must be a finite real, got True"):
+            RectBox(*values)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
