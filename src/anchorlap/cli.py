@@ -32,6 +32,7 @@ from .dataset import (
     DEFAULT_BUCKET_EDGES,
     AnnotationError,
     bounding_plane,
+    bucket_bounds,
     bucket_stats,
     jitter_experiment,
     parse_annotations,
@@ -46,11 +47,6 @@ from .specfile import load_space, load_spec, spec_json
 __all__ = ["main", "build_parser"]
 
 _LABEL_NAMES = {LABEL_POSITIVE: "positive", LABEL_NEGATIVE: "negative", LABEL_IGNORE: "ignore"}
-
-_EMO_COLS = ("scale", "stride", "emo", "std_error", "method")
-_STATS_COLS = ("bucket_lo", "bucket_hi", "count", "mean_max_iou", "recall_at_tau")
-_JITTER_COLS = ("bucket_lo", "bucket_hi", "count", "mean_max_iou", "min_mean_max_iou", "max_mean_max_iou")
-_OPT_COLS = ("rank", "objective", "recall", "anchors_per_location", "spec_json")
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +112,6 @@ def _render(columns: dict, fmt: str):
     yield close
 
 
-def _columns(names, rows) -> dict:
-    """``{name: values}`` from row tuples, in ``names`` order."""
-    rows = list(rows)
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
-
-
 # ---------------------------------------------------------------------------
 # digests and manifests
 
@@ -175,14 +165,14 @@ def _write_artifacts(out: str, artifacts) -> list:
 
 
 def _load_faces(inputs: dict):
-    """The faces of the annotation listing; a listing without any is an error."""
+    """The faces of the annotation listing; a listing without any is a data error (exit 1)."""
     try:
         with open(inputs["annotations"], "r", encoding="utf-8") as fh:
             faces = parse_annotations(fh).records
     except UnicodeDecodeError as exc:
         raise OSError(f"annotation listing {inputs['annotations']} is not UTF-8 text: {exc}") from None
     if not faces:
-        raise ValueError("annotation listing contains no usable faces")
+        raise OSError("annotation listing contains no usable faces")
     return faces
 
 
@@ -203,9 +193,12 @@ def _run_emo(params: dict, inputs: dict, workers: int):
         estimates = emo_monte_carlo(cells, params["samples"], params["seed"], workers)
     else:
         estimates = [emo_closed_form(EmoQuery(scale, stride, params["cells"])) for scale, stride in pairs]
-    rows = [(float(scale), float(stride), est.value, est.std_error, est.method)
-            for (scale, stride), est in zip(pairs, estimates)]
-    return [("", _render(_columns(_EMO_COLS, rows), params["format"]))]
+    columns = {"scale": [float(scale) for scale, _ in pairs],
+               "stride": [float(stride) for _, stride in pairs],
+               "emo": [est.value for est in estimates],
+               "std_error": [est.std_error for est in estimates],
+               "method": [est.method for est in estimates]}
+    return [("", _render(columns, params["format"]))]
 
 
 def _run_grid(params: dict, inputs: dict, workers: int):
@@ -222,16 +215,17 @@ def _run_grid(params: dict, inputs: dict, workers: int):
 
 def _run_stats(params: dict, inputs: dict, workers: int):
     faces, layout = _faces_and_layout(inputs)
-    edges = params["buckets"]
+    edges, tau = params["buckets"], params["tau"]
     if params["jitter"]:
-        rep = jitter_experiment(
-            faces, layout, params["trials"], params["seed"], edges, params["tau"]
-        )
-        columns = _JITTER_COLS
+        rep = jitter_experiment(faces, layout, params["trials"], params["seed"], edges, tau)
+        stats = {"mean_max_iou": rep.mean_of_means, "min_mean_max_iou": rep.min_mean,
+                 "max_mean_max_iou": rep.max_mean}
     else:
-        rep = bucket_stats(faces, layout, edges, params["tau"])
-        columns = _STATS_COLS
-    return [("", _render(_columns(columns, rep.rows()), params["format"]))]
+        rep = bucket_stats(faces, layout, edges, tau)
+        stats = {"mean_max_iou": rep.mean_max_iou, "recall_at_tau": rep.recall}
+    lo, hi = bucket_bounds(rep.edges)
+    columns = {"bucket_lo": lo, "bucket_hi": hi, "count": rep.counts, **stats}
+    return [("", _render(columns, params["format"]))]
 
 
 def _run_match(params: dict, inputs: dict, workers: int):
@@ -266,9 +260,12 @@ def _run_match(params: dict, inputs: dict, workers: int):
 def _run_optimize(params: dict, inputs: dict, workers: int):
     faces = _load_faces(inputs)
     scores = optimize(load_space(inputs["space"]), faces, params["tau"])
-    rows = [(rank, sc.objective, sc.recall, sc.anchors_per_location, spec_json(sc.spec))
-            for rank, sc in enumerate(scores, start=1)]
-    return [("", _render(_columns(_OPT_COLS, rows), params["format"]))]
+    columns = {"rank": np.arange(1, len(scores) + 1),
+               "objective": [sc.objective for sc in scores],
+               "recall": [sc.recall for sc in scores],
+               "anchors_per_location": [sc.anchors_per_location for sc in scores],
+               "spec_json": [spec_json(sc.spec) for sc in scores]}
+    return [("", _render(columns, params["format"]))]
 
 
 # Each subcommand's runner, the parameters it reads off the parsed arguments

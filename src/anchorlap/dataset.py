@@ -24,6 +24,7 @@ __all__ = [
     "ParsedAnnotations",
     "parse_annotations",
     "DEFAULT_BUCKET_EDGES",
+    "bucket_bounds",
     "ScaleBucketReport",
     "bucket_stats",
     "JitterReport",
@@ -125,20 +126,12 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     return ParsedAnnotations(records=records, skipped=skipped + len(rows) - len(records))
 
 
-def bucket_bounds(edges: Sequence[float], bucket: int) -> tuple[float, float]:
-    """[lo, hi) of ``bucket`` for interior boundaries ``edges``."""
-    lo = 0.0 if bucket == 0 else edges[bucket - 1]
-    hi = math.inf if bucket == len(edges) else edges[bucket]
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class ScaleBucketReport:
     """Per-scale-bucket coverage statistics.
 
-    ``edges`` are the interior boundaries; bucket b spans
-    [edges[b-1], edges[b]) with 0 below the first edge and infinity above
-    the last.  Empty buckets carry NaN mean and recall.
+    ``edges`` are the interior boundaries; ``bucket_bounds(edges)`` gives
+    each bucket's [lo, hi).  Empty buckets carry NaN mean and recall.
     """
 
     edges: tuple[float, ...]
@@ -147,25 +140,18 @@ class ScaleBucketReport:
     mean_max_iou: tuple[float, ...]
     recall: tuple[float, ...]
 
-    @property
-    def num_buckets(self) -> int:
-        return len(self.edges) + 1
-
-    def bounds(self, bucket: int) -> tuple[float, float]:
-        return bucket_bounds(self.edges, bucket)
-
-    def rows(self):
-        """(lo, hi, count, mean_max_iou, recall) per bucket, in order."""
-        for b in range(self.num_buckets):
-            lo, hi = self.bounds(b)
-            yield lo, hi, self.counts[b], self.mean_max_iou[b], self.recall[b]
-
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     out = tuple(_real(e, "each bucket edge") for e in edges)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError(f"bucket edges must be strictly increasing, got {out!r}")
     return out
+
+
+def bucket_bounds(edges: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The ``lo`` and ``hi`` of each [lo, hi) bucket for interior boundaries
+    ``edges``: 0 below the first edge, infinity above the last."""
+    return (0.0, *edges), (*edges, math.inf)
 
 
 def bucket_stats(
@@ -184,29 +170,19 @@ def bucket_stats(
     tau = _real(tau, "tau", below=1.0)
     edges = _check_edges(edges)
     max_iou = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
+    # Bucket b holds the scales in [lo[b], hi[b]) of ``bucket_bounds(edges)``.
     which = np.searchsorted(np.asarray(edges), faces.scale, side="right")
+    per_bucket = [max_iou[which == b] for b in range(len(edges) + 1)]
 
-    nb = len(edges) + 1
-    counts = []
-    means = []
-    recalls = []
-    for b in range(nb):
-        mask = which == b
-        c = int(np.count_nonzero(mask))
-        counts.append(c)
-        if c == 0:
-            means.append(math.nan)
-            recalls.append(math.nan)
-        else:
-            vals = max_iou[mask]
-            means.append(float(np.sum(vals)) / c)
-            recalls.append(float(np.count_nonzero(vals >= tau)) / c)
+    def over_faces(stat) -> tuple[float, ...]:
+        return tuple(float(stat(v)) / len(v) if len(v) else math.nan for v in per_bucket)
+
     return ScaleBucketReport(
         edges=edges,
         tau=tau,
-        counts=tuple(counts),
-        mean_max_iou=tuple(means),
-        recall=tuple(recalls),
+        counts=tuple(len(v) for v in per_bucket),
+        mean_max_iou=over_faces(np.sum),
+        recall=over_faces(lambda v: np.count_nonzero(v >= tau)),
     )
 
 
@@ -214,9 +190,10 @@ def bucket_stats(
 class JitterReport:
     """Distribution of per-bucket mean max IoU across jitter trials.
 
-    Counts are constant across trials (jitter never changes face sizes);
-    mean/min/max summarize the per-trial bucket means.  ``distinct_offsets``
-    is the number of different face offsets the trials drew.
+    ``bucket_bounds(edges)`` gives each bucket's [lo, hi).  Counts are
+    constant across trials (jitter never changes face sizes); mean/min/max
+    summarize the per-trial bucket means.  ``distinct_offsets`` is the
+    number of different face offsets the trials drew.
     """
 
     edges: tuple[float, ...]
@@ -227,11 +204,6 @@ class JitterReport:
     min_mean: tuple[float, ...]
     max_mean: tuple[float, ...]
     distinct_offsets: int
-
-    def rows(self):
-        """(lo, hi, count, mean, min, max) of the bucket means, per bucket."""
-        for b, stats in enumerate(zip(self.counts, self.mean_of_means, self.min_mean, self.max_mean)):
-            yield (*bucket_bounds(self.edges, b), *stats)
 
 
 def jitter_experiment(

@@ -104,10 +104,13 @@ class AnchorSpec:
         ratios = tuple(_real(r, "each ratios entry") for r in self.ratios)
         shifts, keys = {}, {}
         for key, count in dict(self.shifts_per_scale).items():
-            try:
-                scale = float(key)
-            except (TypeError, ValueError):
-                raise ValueError(f"shifts_per_scale key {key!r} is not a number") from None
+            if isinstance(key, str):  # as spec files give them
+                try:
+                    scale = float(key)
+                except ValueError:
+                    raise ValueError(f"shifts_per_scale key {key!r} is not a number") from None
+            else:
+                scale = _real(key, "shifts_per_scale key")
             if scale in keys:
                 raise ValueError(f"shifts_per_scale keys {keys[scale]!r} and {key!r} name one scale")
             keys[scale], shifts[scale] = key, _integer(count, "each shifts_per_scale count")

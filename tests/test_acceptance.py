@@ -32,7 +32,7 @@ from anchorlap.matching import (
     max_overlap_values,
     overlapping_anchors,
 )
-from anchorlap.dataset import bucket_stats
+from anchorlap.dataset import bucket_bounds, bucket_stats
 
 from helpers import (
     assigned_of,
@@ -165,8 +165,7 @@ def test_criterion_04_stride_halving_lifts_small_faces_only():
         ]
     report_full = bucket_stats(faces, full)
     report_half = bucket_stats(faces, halved)
-    for b in range(report_full.num_buckets):
-        lo, _ = report_full.bounds(b)
+    for b, lo in enumerate(bucket_bounds(report_full.edges)[0]):
         if lo >= 64.0 and report_full.counts[b] > 0:
             drift = abs(report_half.mean_max_iou[b] - report_full.mean_max_iou[b])
             assert drift < 0.01, f"bucket at {lo:g}px moved by {drift!r}"

@@ -403,6 +403,18 @@ class TestOptimize:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("listing", ["a.jpg\n0\n", "a.jpg\n1\n5 5 0 16\n"],
+                         ids=["no-faces", "zero-width-face"])
+@pytest.mark.parametrize("argv", [["stats", "--spec", "{spec}"], ["match", "--spec", "{spec}"],
+                                  ["optimize", "--space", "{space}"]], ids=lambda argv: argv[0])
+def test_listing_without_usable_faces_exits_1(files, capsys, listing, argv):
+    path = files["dir"] / "empty.txt"
+    path.write_text(listing)
+    assert main([a.format(**files) for a in argv] + ["--annotations", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: annotation listing contains no usable faces\n"
+
+
 HUGE = 10**400  # an integer too large for a float
 
 

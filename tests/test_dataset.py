@@ -9,11 +9,11 @@ import pytest
 
 from anchorlap import dataset
 from anchorlap.dataset import (
-    DEFAULT_BUCKET_EDGES,
     AnnotationError,
     JitterReport,
     ParsedAnnotations,
     bounding_plane,
+    bucket_bounds,
     bucket_stats,
     jitter_experiment,
     parse_annotations,
@@ -138,7 +138,8 @@ class TestBucketStats:
         assert report.counts[b] == 1
         assert report.mean_max_iou[b] == 1.0
         assert report.recall[b] == 1.0
-        assert report.bounds(b) == (16.0, 32.0)
+        lo, hi = bucket_bounds(report.edges)
+        assert (lo[b], hi[b]) == (16.0, 32.0)
         assert sum(report.counts) == 1
 
     def test_boundary_scale_goes_to_upper_bucket(self):
@@ -174,9 +175,8 @@ class TestBucketStats:
     def test_single_bucket_mode(self):
         layout = l16_layout(64.0)
         report = bucket_stats([RectBox(0, 0, 16, 16), RectBox(0, 0, 100, 100)], layout, edges=())
-        assert report.num_buckets == 1
         assert report.counts == (2,)
-        assert report.bounds(0) == (0.0, math.inf)
+        assert bucket_bounds(report.edges) == ((0.0,), (math.inf,))
 
     def test_more_anchors_never_hurt(self):
         """Adding a shifted sub-lattice keeps every anchor of the base grid."""
@@ -193,13 +193,6 @@ class TestBucketStats:
         a = bucket_stats(boxes, plain, edges=())
         b = bucket_stats(boxes, dense, edges=())
         assert b.mean_max_iou[0] > a.mean_max_iou[0]
-
-    def test_rows_iteration(self):
-        layout = l16_layout(64.0)
-        report = bucket_stats([RectBox(0, 0, 16, 16)], layout)
-        rows = list(report.rows())
-        assert len(rows) == len(DEFAULT_BUCKET_EDGES) + 1
-        assert rows[0][0] == 0.0 and math.isinf(rows[-1][1])
 
     def test_validation(self):
         layout = l16_layout(64.0)

@@ -1,4 +1,5 @@
-"""No module of the package imports a name that its code never reads."""
+"""No module of the package imports a name that its code never reads, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,27 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - read) == []
+
+
+def private_definitions(tree: ast.Module):
+    """Each ``_name`` (not a dunder) that a module-level ``def``, ``class``
+    or assignment of ``tree`` binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+    unread = [f"{module}:{name}" for module, tree in trees.items()
+              for name in private_definitions(tree) if name not in read]
+    assert unread == []

@@ -87,6 +87,12 @@ def test_one_is_outside_the_unit_interval(call, name, accepted):
         call(1)
 
 
+@pytest.mark.parametrize("key, error", [(10**400, ValueError), (True, TypeError)], ids=["10**400", "True"])
+def test_shift_keys_that_are_not_strings_are_reals(key, error):
+    with pytest.raises(error, match="shifts_per_scale key"):
+        AnchorSpec(scales=(16.0,), shifts_per_scale={key: 1})
+
+
 def test_real_edges():
     assert _real(int(sys.float_info.max), "x") == sys.float_info.max
     with pytest.raises(ValueError, match="x must be positive and finite"):

@@ -1,4 +1,5 @@
-"""The README's library tour runs, and gives the values its comments state."""
+"""The README's library tour runs, and gives the values its comments state;
+its CLI example prints what the README shows."""
 
 import ast
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from anchorlap import RectBox
+from anchorlap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +58,13 @@ def test_match_result(tour):
     assert start.tolist() == [0, 4, 5]
     assert tour["result.assigned"].tolist() == [19522, 19523, 19602, 19603, 1, 81, 4880, 9601, 14400]
     assert tour["np.diff(result.assigned_start)"].tolist() == [4, 5]
+
+
+def test_cli_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    command, *table = re.search(r"```text\n(anchorlap emo .*?)```", text, re.S).group(1).splitlines()
+    argv = ["emo", "--scales", "16,32", "--strides", "8,16"]
+    assert command.split() == ["anchorlap", *argv]
+    assert main(argv) == 0
+    assert len(table) == 5
+    assert capsys.readouterr().out == "".join(line + "\n" for line in table)
