@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -263,7 +262,7 @@ def _run_optimize(params: dict, inputs: dict, workers: int):
     columns = {"rank": np.arange(1, len(scores) + 1),
                "objective": [sc.objective for sc in scores],
                "recall": [sc.recall for sc in scores],
-               "anchors_per_location": [sc.anchors_per_location for sc in scores],
+               "anchors_per_location": [sc.spec.anchors_per_location for sc in scores],
                "spec_json": [spec_json(sc.spec) for sc in scores]}
     return [("", _render(columns, params["format"]))]
 
@@ -283,18 +282,6 @@ _COMMANDS = {
 # subcommand entry points
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ANCHORLAP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"ANCHORLAP_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def cmd_run(args) -> int:
     """Run one subcommand of ``_COMMANDS``: stream its artifacts to stdout,
     or write them beside --out with a manifest."""
@@ -302,7 +289,7 @@ def cmd_run(args) -> int:
     params = {name: getattr(args, name) for name in names}
     params["format"] = args.format
     if params.get("mode") == "monte_carlo" or params.get("jitter"):
-        params["seed"] = _resolve_seed(args)
+        params["seed"] = args.seed
     paths = {name: getattr(args, name) for name in input_names}
     inputs = _input_meta(**paths)
     artifacts = runner(params, paths, getattr(args, "workers", 1))
@@ -409,8 +396,7 @@ def _add_common(p, seeded: bool) -> None:
     p.add_argument("--out", help="write the artifact here plus a .manifest.json sidecar (default: stdout, no manifest)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if seeded:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; defaults to $ANCHORLAP_SEED, then 0")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ non-square boxes land in the bucket of their equivalent square.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -69,15 +70,15 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     ``source`` is the listing text or an iterable of lines (an open file
     works).  Groups are [path, count, count face lines]; a count of zero
     may be followed by a single all-zero placeholder line, which is
-    consumed and counted as skipped.  Degenerate boxes (w or h <= 0, or
-    non-finite coordinates) are dropped and counted as skipped.  Each path
-    gets one entry in ``image_ids``, in order of first appearance.  Structural
-    problems raise :class:`AnnotationError` with the offending line number.
+    consumed and counted as skipped.  Boxes that break the RectBox rule (w
+    or h <= 0, or a non-finite coordinate or far edge) are dropped and
+    counted as skipped.  Each path gets one entry in ``image_ids``, in
+    order of first appearance.  Structural problems raise
+    :class:`AnnotationError` with the offending line number.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\r\n") for ln in source]
+        source = io.StringIO(source, newline=None)  # lines end where a text-mode file's do
+    lines = [ln.rstrip("\r\n") for ln in source]
     n = len(lines)
     rows: list[tuple[float, float, float, float]] = []
     image: list[int] = []
@@ -250,12 +251,15 @@ def jitter_experiment(
     )
 
 
-def bounding_plane(faces: FaceTable | Sequence, min_side: float = 64.0) -> tuple[float, float]:
-    """Smallest (w, h) plane containing every face, at least ``min_side``."""
+_MIN_PLANE_SIDE = 64.0
+
+
+def bounding_plane(faces: FaceTable | Sequence) -> tuple[float, float]:
+    """Smallest (w, h) plane containing every face, at least ``_MIN_PLANE_SIDE`` a side."""
     faces = FaceTable.of(faces)
     if not faces:
-        return min_side, min_side
-    w = max(min_side, math.ceil(np.max(faces.x + faces.w)))
-    h = max(min_side, math.ceil(np.max(faces.y + faces.h)))
+        return _MIN_PLANE_SIDE, _MIN_PLANE_SIDE
+    w = max(_MIN_PLANE_SIDE, math.ceil(np.max(faces.x + faces.w)))
+    h = max(_MIN_PLANE_SIDE, math.ceil(np.max(faces.y + faces.h)))
     return float(w), float(h)
 

@@ -18,7 +18,6 @@ __all__ = [
     "RectBox",
     "intersect_area",
     "iou",
-    "iou_offset_square",
     "iou_xywh",
 ]
 
@@ -27,9 +26,9 @@ __all__ = [
 class RectBox:
     """An axis-aligned rectangle: top-left corner ``(x, y)``, size ``w x h``.
 
-    Degenerate sizes (``w <= 0`` or ``h <= 0``) and non-finite coordinates
-    are rejected at construction so corrupt annotations fail fast instead
-    of silently skewing statistics.
+    Degenerate sizes (``w <= 0`` or ``h <= 0``), non-finite coordinates and
+    far edges ``x + w``, ``y + h`` that overflow are rejected at construction
+    so corrupt annotations fail fast instead of silently skewing statistics.
     """
 
     x: float
@@ -42,9 +41,9 @@ class RectBox:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"RectBox.{name} must be a finite real, got {value!r}")
-        if self.w <= 0 or self.h <= 0:
+        if not valid_boxes(self.x, self.y, self.w, self.h):
             raise ValueError(
-                f"RectBox requires positive size, got w={self.w!r} h={self.h!r}"
+                f"RectBox requires positive size and finite extents, got {self!r}"
             )
 
     @property
@@ -56,26 +55,15 @@ class RectBox:
         return self.y + self.h
 
     @property
-    def cx(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
-
-    @property
     def area(self) -> float:
         return self.w * self.h
 
-    def translated(self, dx: float, dy: float) -> "RectBox":
-        """The same box shifted by ``(dx, dy)``."""
-        return RectBox(self.x + dx, self.y + dy, self.w, self.h)
-
 
 def valid_boxes(x, y, w, h):
-    """Elementwise :class:`RectBox` rule: finite coordinates, positive size."""
-    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h)
-    return finite & (w > 0) & (h > 0)
+    """Elementwise :class:`RectBox` rule: positive size, and finite far edges
+    ``x + w`` and ``y + h``, which holds only where all four values are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +89,7 @@ class FaceTable:
         if image.ndim != 1 or any(c.shape != image.shape for c in cols.values()):
             raise ValueError("FaceTable columns must be 1-D and of equal length")
         if not valid_boxes(cols["x"], cols["y"], cols["w"], cols["h"]).all():
-            raise ValueError("FaceTable requires finite coordinates and positive sizes")
+            raise ValueError("FaceTable requires positive sizes and finite extents")
         if len(image) and not (image.min() >= 0 and image.max() < len(self.image_ids)):
             raise ValueError(f"image index out of range for {len(self.image_ids)} image ids")
         for name, col in cols.items():
@@ -154,28 +142,6 @@ def iou(a: RectBox, b: RectBox) -> float:
     return inter / max(a.area + b.area - inter, inter)
 
 
-def iou_offset_square(side, dx, dy):
-    """IoU of two ``side x side`` squares whose centers differ by ``(dx, dy)``.
-
-    This is the closed form for one period of the overlap pattern between a
-    square face and its matched same-size anchor:
-
-        (side - dx)(side - dy) / (2*side^2 - (side - dx)(side - dy))
-
-    computed by :func:`iou_from_overlaps` on the overlaps ``side - dx`` and
-    ``side - dy``.  Arguments broadcast like any numpy expression; scalar
-    inputs produce a Python float.  Offsets must satisfy ``0 <= dx, dy <
-    side`` (the squares still overlap); anything else is rejected.
-    """
-    if not np.all((side > 0) & np.isfinite(side)):
-        raise ValueError(f"side must be positive and finite, got {side!r}")
-    if not np.all((0 <= dx) & (dx < side) & (0 <= dy) & (dy < side)):
-        raise ValueError(
-            f"offsets must lie in [0, side): got dx={dx!r} dy={dy!r} for side={side!r}"
-        )
-    return iou_from_overlaps(side - dx, side - dy, 2.0 * (side * side))
-
-
 def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh):
     """Elementwise IoU for ``(x, y, w, h)`` coordinate arrays.
 
@@ -192,15 +158,14 @@ def iou_from_overlaps(iw, ih, areas):
     """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
-    The IoU rule of the package, called by ``iou_xywh``, ``iou_offset_square``,
-    ``emo.emo_closed_form`` and ``matching._nth_corner_iou``: the
-    intersection is ``iw * ih`` where both overlaps are positive, else 0,
-    and the union is bounded below by the intersection.  Every step is a
-    correctly rounded monotone operation, so the result never decreases as
-    ``iw`` or ``ih`` grows, in floating point too.  Scalar inputs give a
-    Python float.  ``matching.max_overlap_values`` writes the same ``inter
-    / max(areas - inter, inter)`` inline into scratch buffers, on overlaps
-    clamped at 0.
+    The IoU rule of the package, called by ``iou_xywh``, ``emo.emo_closed_form``
+    and ``matching._nth_corner_iou``: the intersection is ``iw * ih`` where
+    both overlaps are positive, else 0, and the union is bounded below by
+    the intersection.  Every step is a correctly rounded monotone
+    operation, so the result never decreases as ``iw`` or ``ih`` grows, in
+    floating point too.  Scalar inputs give a Python float.
+    ``matching.max_overlap_values`` writes the same ``inter / max(areas -
+    inter, inter)`` inline into scratch buffers, on overlaps clamped at 0.
     """
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     out = np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)

@@ -70,7 +70,6 @@ class ConfigScore:
     spec: AnchorSpec
     objective: float
     recall: float
-    anchors_per_location: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.objective <= 1.0):
@@ -139,8 +138,7 @@ def _score(specs: list[AnchorSpec], faces: FaceTable | Sequence, tau: float) -> 
                        for s in spec.scales)
         for vector in rest:
             best = np.maximum(best, vector, out=buffer)
-        scores.append(ConfigScore(spec, float(np.sum(best)) / n,
-                                  float(np.count_nonzero(best >= tau)) / n, spec.anchors_per_location))
+        scores.append(ConfigScore(spec, float(np.sum(best)) / n, float(np.count_nonzero(best >= tau)) / n))
     return scores
 
 
@@ -162,4 +160,4 @@ def optimize(space: SearchSpace, faces: FaceTable | Sequence, tau: float = 0.5) 
     if not configs:
         raise ValueError("no configuration fits the budget")
     return sorted(_score(configs, faces, tau),
-                  key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
+                  key=lambda sc: (-sc.objective, sc.spec.anchors_per_location, sc.spec.sort_key()))

@@ -5,7 +5,8 @@ is recomputed from the full anchor enumeration with plain numpy, using the
 same elementwise IoU expression, so "identical" comparisons are meaningful
 at the bit level.  The ``corner_*`` functions are the four-corner overlap
 kernel the library used before its per-axis one, kept as a reference, and
-``emo_exact`` is the EMO integral in closed form.  ``group_of``,
+``emo_exact`` is the EMO integral in closed form, whose integrand is
+``iou_offset_square``.  ``group_of``,
 ``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
 ``assigned_of``, ``label_counts``, ``face_lines``, ``max_overlap`` and
 ``save_spec`` are lookups and writers that only the tests need.  ``render_reference`` is the
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from anchorlap.dataset import DEFAULT_BUCKET_EDGES, JitterReport, bucket_stats
-from anchorlap.geometry import FaceTable, RectBox, iou_xywh
+from anchorlap.geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
 from anchorlap.layout import AnchorLayout, AnchorSpec, LatticeGroup
 from anchorlap.matching import (
     LABEL_IGNORE,
@@ -311,6 +312,28 @@ def brute_jitter(faces, layout: AnchorLayout, trials: int, seed: int,
     )
 
 
+def iou_offset_square(side, dx, dy):
+    """IoU of two ``side x side`` squares whose centers differ by ``(dx, dy)``.
+
+    This is the closed form for one period of the overlap pattern between a
+    square face and its matched same-size anchor:
+
+        (side - dx)(side - dy) / (2*side^2 - (side - dx)(side - dy))
+
+    computed by :func:`iou_from_overlaps` on the overlaps ``side - dx`` and
+    ``side - dy``.  Arguments broadcast like any numpy expression; scalar
+    inputs produce a Python float.  Offsets must satisfy ``0 <= dx, dy <
+    side`` (the squares still overlap); anything else is rejected.
+    """
+    if not np.all((side > 0) & np.isfinite(side)):
+        raise ValueError(f"side must be positive and finite, got {side!r}")
+    if not np.all((0 <= dx) & (dx < side) & (0 <= dy) & (dy < side)):
+        raise ValueError(
+            f"offsets must lie in [0, side): got dx={dx!r} dy={dy!r} for side={side!r}"
+        )
+    return iou_from_overlaps(side - dx, side - dy, 2.0 * (side * side))
+
+
 def brute_optimize(space, faces, tau=0.5):
     """Rank every config by a full ``build_layout`` + ``bucket_stats`` scan each."""
     from anchorlap.dataset import bounding_plane
@@ -321,9 +344,8 @@ def brute_optimize(space, faces, tau=0.5):
     scores = []
     for spec in enumerate_configs(space):
         report = bucket_stats(faces, build_layout(spec, plane_w, plane_h), edges=(), tau=tau)
-        scores.append(ConfigScore(spec, report.mean_max_iou[0], report.recall[0],
-                                  spec.anchors_per_location))
-    scores.sort(key=lambda sc: (-sc.objective, sc.anchors_per_location, sc.spec.sort_key()))
+        scores.append(ConfigScore(spec, report.mean_max_iou[0], report.recall[0]))
+    scores.sort(key=lambda sc: (-sc.objective, sc.spec.anchors_per_location, sc.spec.sort_key()))
     return scores
 
 

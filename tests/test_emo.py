@@ -16,8 +16,9 @@ from anchorlap.emo import (
     emo_closed_form,
     emo_monte_carlo,
 )
-from anchorlap.geometry import iou_offset_square
 from anchorlap.layout import AnchorSpec, build_layout
+
+from helpers import iou_offset_square
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "emo_golden.json").read_text()

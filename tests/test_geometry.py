@@ -7,19 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorlap.geometry import FaceTable, RectBox, intersect_area, iou, iou_offset_square, iou_xywh
+from anchorlap.geometry import FaceTable, RectBox, intersect_area, iou, iou_xywh
+
+from helpers import iou_offset_square
 
 
 class TestRectBox:
     def test_fields_and_derived(self):
         b = RectBox(2.0, 3.0, 10.0, 4.0)
         assert (b.x2, b.y2) == (12.0, 7.0)
-        assert (b.cx, b.cy) == (7.0, 5.0)
         assert b.area == 40.0
-
-    def test_translated(self):
-        b = RectBox(0.0, 0.0, 16.0, 16.0).translated(3.0, 1.0)
-        assert (b.x, b.y, b.w, b.h) == (3.0, 1.0, 16.0, 16.0)
 
     @pytest.mark.parametrize("w,h", [(0.0, 16.0), (16.0, 0.0), (-1.0, 16.0), (16.0, -0.5)])
     def test_rejects_degenerate_sizes(self, w, h):
@@ -32,6 +29,11 @@ class TestRectBox:
         values[field] = True
         with pytest.raises(ValueError, match="must be a finite real, got True"):
             RectBox(*values)
+
+    @pytest.mark.parametrize("box", [(1e308, 0.0, 1e308, 1.0), (0.0, 1e308, 1.0, 1e308)], ids=["x2", "y2"])
+    def test_rejects_overflowing_far_edge(self, box):
+        with pytest.raises(ValueError, match="finite extents"):
+            RectBox(*box)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -93,7 +95,7 @@ class TestIou:
         a = RectBox(x, y, w, h)
         b = RectBox(x + w / 4, y + h / 4, w, h)
         base = iou(a, b)
-        moved = iou(a.translated(dx, dy), b.translated(dx, dy))
+        moved = iou(RectBox(a.x + dx, a.y + dy, w, h), RectBox(b.x + dx, b.y + dy, w, h))
         assert moved == pytest.approx(base, rel=1e-12, abs=0)
 
     def test_one_iff_identical(self):
@@ -213,7 +215,7 @@ class TestFaceTable:
         table = FaceTable.of([RectBox(0.0, 0.0, 9.0, 16.0)])
         assert table.scale.tolist() == [12.0]
         moved = table.translated(3, 1)
-        assert moved[0] == RectBox(0.0, 0.0, 9.0, 16.0).translated(3, 1)
+        assert moved[0] == RectBox(3.0, 1.0, 9.0, 16.0)
         assert table.x[0] == 0.0
 
     @pytest.mark.parametrize(
@@ -226,6 +228,7 @@ class TestFaceTable:
             ([0.0, 1.0], [0.0], [4.0], [4.0], [0]),  # ragged columns
             ([0.0], [0.0], [4.0], [4.0], [1]),       # image index past image_ids
             ([0.0], [0.0], [4.0], [4.0], [-1]),      # negative image index
+            ([1e308], [0.0], [1e308], [4.0], [0]),   # x + w overflows
         ],
     )
     def test_rejects_invalid_rows(self, columns):

@@ -349,7 +349,7 @@ class TestNearestCenters:
                 )
                 ious = all_pair_ious(layout, [face])[0]
                 best = ious[scale_ids].max()
-                cand = nearest_centers(layout, face.cx, face.cy, scale)
+                cand = nearest_centers(layout, face.x + face.w / 2.0, face.y + face.h / 2.0, scale)
                 assert ious[cand].max() == best
 
 

@@ -11,7 +11,7 @@ import pytest
 from anchorlap import matching
 from anchorlap.cli import main
 from anchorlap.dataset import bounding_plane, parse_annotations
-from anchorlap.geometry import FaceTable, RectBox, iou_offset_square
+from anchorlap.geometry import FaceTable, RectBox
 from anchorlap.layout import AnchorSpec, build_layout
 from anchorlap.matching import (
     LABEL_IGNORE,
@@ -38,6 +38,7 @@ from helpers import (
     corner_max_overlap,
     corner_nth_iou,
     hard_faces,
+    iou_offset_square,
     label_counts,
     max_overlap,
     random_spec,
@@ -538,7 +539,10 @@ class TestJitter:
             assert after.x == before.x + dx and after.y == before.y + dy
             assert after.w == before.w and after.h == before.h
         # relative positions survive
-        assert moved[1].cx - moved[0].cx == faces[1].cx - faces[0].cx
+        def center_x(b):
+            return b.x + b.w / 2.0
+
+        assert center_x(moved[1]) - center_x(moved[0]) == center_x(faces[1]) - center_x(faces[0])
 
     def test_deterministic_per_seed_and_stream(self):
         a = apply_jitter([], 8.0, seed=5, stream_index=2)[1]

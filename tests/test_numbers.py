@@ -3,6 +3,7 @@ of number: ``layout._real`` for reals, ``layout._integer`` for integers."""
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,20 @@ UNIT_PARAMETERS = {key: entry for key, entry in REAL_PARAMETERS.items() if entry
 def test_one_is_outside_the_unit_interval(call, name, accepted):
     with pytest.raises(ValueError, match=rf"{name} must be in \(0, 1\), got 1$"):
         call(1)
+
+
+# Face sides enter the EMO estimators squared, so each stays below 2**500.
+FACE_SIDES = {key: REAL_PARAMETERS[key] for key in ("EmoQuery.face_side", "emo_monte_carlo.face_size")}
+
+
+@pytest.mark.parametrize("call, name, accepted", FACE_SIDES.values(), ids=FACE_SIDES)
+def test_face_sides_stay_below_2_to_500(call, name, accepted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(2.0**499)
+        for bad in (2.0**500, 1e300):
+            with pytest.raises(ValueError, match=rf"{name}.* must be in \(0, 3.27339e\+150\), got "):
+                call(bad)
 
 
 @pytest.mark.parametrize("key, error", [(10**400, ValueError), (True, TypeError)], ids=["10**400", "True"])

@@ -114,7 +114,7 @@ class TestEvaluate:
         score = evaluate_config(spec, faces)
         assert score.objective == 1.0
         assert score.recall == 1.0
-        assert score.anchors_per_location == 1
+        assert score.spec == spec
 
     def test_needs_faces(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,7 @@ class TestEvaluate:
 
     def test_score_bounds_checked(self):
         with pytest.raises(ValueError):
-            ConfigScore(AnchorSpec(scales=(16.0,)), objective=1.2, recall=0.5,
-                        anchors_per_location=1)
+            ConfigScore(AnchorSpec(scales=(16.0,)), objective=1.2, recall=0.5)
 
 
 class TestOptimize:
@@ -164,7 +163,7 @@ class TestOptimize:
         )
         scores = optimize(space, faces)
         assert all(s.objective == 1.0 for s in scores)
-        assert [s.anchors_per_location for s in scores] == [1, 2, 4]
+        assert [s.spec.anchors_per_location for s in scores] == [1, 2, 4]
 
     def test_needs_faces(self):
         space = SearchSpace(stride_divisors=(1,), shift_choices=(0,), scale_sets=((16.0,),), budget=1)
