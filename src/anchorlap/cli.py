@@ -39,7 +39,7 @@ from .dataset import (
 from .emo import EmoQuery, emo_closed_form, emo_monte_carlo
 from .layout import AnchorSpec, build_layout
 from .matching import (LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig, apply_jitter,
-                       compensate_hard_faces, jitter_offset_bound, match_faces)
+                       compensate_hard_faces, match_faces)
 from .optimizer import optimize
 from .specfile import load_space, load_spec, spec_json
 
@@ -231,10 +231,8 @@ def _run_match(params: dict, inputs: dict, workers: int):
     faces, layout = _faces_and_layout(inputs)
     cfg = MatchConfig(t_high=params["t_high"], t_low=params["t_low"], hc_n=params["hc_n"])
     if params["jitter"]:
-        faces, _ = apply_jitter(faces, jitter_offset_bound(layout), params["seed"])
-    result = match_faces(faces, layout, cfg)
-    if cfg.hc_n > 0:
-        result = compensate_hard_faces(result, faces, layout, cfg)
+        faces, _ = apply_jitter(faces, layout, params["seed"])
+    result = compensate_hard_faces(match_faces(faces, layout, cfg), faces, layout, cfg)
 
     face_cols = {
         "face": np.arange(len(faces)),

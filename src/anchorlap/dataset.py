@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import FaceTable, valid_boxes
 from .layout import AnchorLayout, _integer, _real
-from .matching import apply_jitter, jitter_offset_bound, max_overlap_values
+from .matching import apply_jitter, max_overlap_values
 
 __all__ = [
     "AnnotationError",
@@ -136,7 +136,6 @@ class ScaleBucketReport:
     """
 
     edges: tuple[float, ...]
-    tau: float
     counts: tuple[int, ...]
     mean_max_iou: tuple[float, ...]
     recall: tuple[float, ...]
@@ -180,7 +179,6 @@ def bucket_stats(
 
     return ScaleBucketReport(
         edges=edges,
-        tau=tau,
         counts=tuple(len(v) for v in per_bucket),
         mean_max_iou=over_faces(np.sum),
         recall=over_faces(lambda v: np.count_nonzero(v >= tau)),
@@ -198,8 +196,6 @@ class JitterReport:
     """
 
     edges: tuple[float, ...]
-    tau: float
-    trials: int
     counts: tuple[int, ...]
     mean_of_means: tuple[float, ...]
     min_mean: tuple[float, ...]
@@ -219,17 +215,16 @@ def jitter_experiment(
 
     Trial t draws its offset from the (seed, t) random stream, so reports
     are reproducible and independent of evaluation order.  Offsets take at
-    most ``floor(b/2)**2`` values (``b`` = :func:`jitter_offset_bound`), so
+    most ``floor(b/2)**2`` values (``b`` as in :func:`apply_jitter`), so
     the overlap kernel runs once per distinct offset, not once per trial;
     the trials are then reduced in trial order.
     """
     trials = _integer(trials, "trials", 1)
     faces = FaceTable.of(faces)
-    stride = jitter_offset_bound(layout)
     by_offset: dict[tuple[int, int], ScaleBucketReport] = {}
     per_trial: list[ScaleBucketReport] = []
     for t in range(trials):
-        shifted, offset = apply_jitter(faces, stride, seed, stream_index=t)
+        shifted, offset = apply_jitter(faces, layout, seed, stream_index=t)
         if offset not in by_offset:
             by_offset[offset] = bucket_stats(shifted, layout, edges, tau)
         per_trial.append(by_offset[offset])
@@ -241,8 +236,6 @@ def jitter_experiment(
 
     return JitterReport(
         edges=per_trial[0].edges,
-        tau=tau,
-        trials=trials,
         counts=counts,
         mean_of_means=over_trials(np.mean),
         min_mean=over_trials(np.min),

@@ -8,7 +8,7 @@ box center sits at ``(x + w/2, y + h/2)``.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +39,10 @@ class RectBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            # Compared exactly, so an int too large for a float never overflows.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"RectBox.{name} must be a finite real, got {value!r}")
-        if not valid_boxes(self.x, self.y, self.w, self.h):
+        if not valid_boxes(*(float(v) for v in (self.x, self.y, self.w, self.h))):
             raise ValueError(
                 f"RectBox requires positive size and finite extents, got {self!r}"
             )

@@ -252,13 +252,14 @@ def _grid_shape(spec: AnchorSpec, plane_w: float, plane_h: float) -> tuple[int, 
     would hold more than ``MAX_ANCHORS`` anchors."""
     plane_w, plane_h = _real(plane_w, "plane_w"), _real(plane_h, "plane_h")
     stride = spec.sliding_stride
-    # The 1e-9 guards against float noise just above an exact multiple.
-    cols = max(1, math.ceil(plane_w / stride - 1e-9))
-    rows = max(1, math.ceil(plane_h / stride - 1e-9))
-    needed = rows * cols * spec.anchors_per_location
-    if needed > MAX_ANCHORS:
-        raise ValueError(f"{plane_w:g} x {plane_h:g} plane needs {needed} anchors, over the cap of {MAX_ANCHORS}")
-    return rows, cols
+    # The 1e-9 guards against float noise just above an exact multiple.  A
+    # quotient over the cap (inf included, which math.ceil rejects) is too.
+    cols, rows = plane_w / stride - 1e-9, plane_h / stride - 1e-9
+    if max(cols, rows) <= MAX_ANCHORS:
+        cols, rows = max(1, math.ceil(cols)), max(1, math.ceil(rows))
+        if rows * cols * spec.anchors_per_location <= MAX_ANCHORS:
+            return rows, cols
+    raise ValueError(f"{plane_w:g} x {plane_h:g} plane needs a layout over the cap of {MAX_ANCHORS} anchors")
 
 
 def build_layout(spec: AnchorSpec, plane_w: float, plane_h: float) -> AnchorLayout:

@@ -8,16 +8,17 @@ compensated by force-assigning their top-N overlapping anchors.
 
 All heavy paths here are exact accelerations: results are defined to be
 identical to an exhaustive faces-by-anchors scan, and the test suite holds
-them to that.  Per-face maxima come from the per-axis cell-corner kernel
-(:func:`max_overlap_values`), which can fall a few ulps short of the
-exhaustive maximum for anchors of non-dyadic sides (see there).
-Everything else comes from one stream of flat ``(boxes, ids, ious)``
+them to that.  The per-axis cell-corner kernel (:func:`max_overlap_values`)
+can fall a few ulps short of the exhaustive maximum for anchors of
+non-dyadic sides (see there); ``match_faces`` only takes its floor from
+it.  Its results come from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
 above the face's floor, once.  ``match_faces`` streams every face down to
-``t_low`` (a hard face down to its own max) for the labels, sources and
-assigned anchors (two flat CSR arrays); one lowest-index-at-max rule picks
-each face's argmax anchor and each anchor's owner face.  An argmax anchor
-that no pair at or above ``t_low`` reaches gets its source from all faces.
+``t_low`` (a hard face down to its kernel value) for the maxima, labels,
+sources and assigned anchors (two flat CSR arrays); one lowest-index-at-max
+fold picks each face's max and argmax anchor and each anchor's max and
+owner face.  An argmax anchor that no pair at or above ``t_low`` reaches
+gets its source from all faces.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
 """
@@ -45,7 +46,6 @@ __all__ = [
     "apply_jitter",
     "max_overlap_values",
     "overlapping_anchors",
-    "jitter_offset_bound",
 ]
 
 LABEL_POSITIVE = 1
@@ -59,8 +59,8 @@ class MatchConfig:
 
     ``t_low`` has no canonical value in the anchor-matching lineage this
     follows; 0.3 is the customary region-proposal default and is settable.
-    ``match_faces`` never compensates: ``compensate_hard_faces`` needs
-    ``hc_n >= 1``, and the CLI skips it when ``hc_n`` is 0.
+    ``match_faces`` never compensates; ``compensate_hard_faces`` does, and
+    leaves the result as it is when ``hc_n`` is 0.
     """
 
     t_high: float = 0.5
@@ -173,7 +173,10 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     result's shape is overwritten, whatever it held, and returned.  For an
     anchor side that is not dyadic, a column off the corners can score a
     few ulps higher: ``(ax + aw) - ax`` rounds differently per column while
-    the box holds the anchor whole along x (likewise for rows).
+    the box holds the anchor whole along x (likewise for rows).  The value
+    is still the IoU of a real corner anchor, so never above the exhaustive
+    maximum; ``match_faces`` reads its maxima off the scanned pairs, so the
+    caveat does not reach it.
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     if out is None:
@@ -309,22 +312,17 @@ def _assigned(keys: np.ndarray, anchor_count: int, n_faces: int):
     return keys % anchor_count, np.searchsorted(keys, np.arange(n_faces + 1) * anchor_count)
 
 
-def _lowest_at_max(lowest, keys, values, best, candidates) -> None:
-    """The lowest-index-at-max rule: fold into ``lowest[keys[k]]`` each
-    ``candidates[k]`` whose ``values[k]`` equals ``best[k]``, keeping the
-    least.  It picks both a face's argmax anchor and an anchor's owner."""
-    top = values == best
-    np.minimum.at(lowest, keys[top], candidates[top])
-
-
-def _keep_best(best, owner, ids, ious, faces) -> None:
-    """Fold pairs into each anchor's max IoU and the lowest face attaining it,
-    which is what a strict ``>`` over faces in ascending order keeps."""
-    before = best[ids]
-    np.maximum.at(best, ids, ious)
-    after = best[ids]
-    owner[ids[after > before]] = _NONE
-    _lowest_at_max(owner, ids, ious, after, faces)
+def _keep_best(best, owner, keys, values, candidates) -> None:
+    """The lowest-index-at-max rule: fold pairs into ``best[keys]``, the max
+    of ``values``, and ``owner[keys]``, the least ``candidates`` attaining
+    it, which is what a strict ``>`` over candidates in ascending order
+    keeps.  It picks both a face's argmax anchor and an anchor's owner."""
+    before = best[keys]
+    np.maximum.at(best, keys, values)
+    after = best[keys]
+    owner[keys[after > before]] = _NONE
+    top = values == after
+    np.minimum.at(owner, keys[top], candidates[top])
 
 
 def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.ndarray:
@@ -381,30 +379,25 @@ def overlapping_anchors(layout: AnchorLayout, box: RectBox):
     return _pairs(layout, *one)[1:]
 
 
-def jitter_offset_bound(layout: AnchorLayout) -> float:
-    """Stride governing the jitter offset range: the smallest effective
-    anchor stride across the layout's scales."""
-    return min(effective_anchor_stride(layout.spec, s) for s in layout.spec.scales)
-
-
 def apply_jitter(
     faces: FaceTable | Sequence[RectBox],
-    anchor_stride: float,
+    layout: AnchorLayout,
     seed: int,
     stream_index: int = 0,
 ) -> tuple[FaceTable, tuple[int, int]]:
     """Translate every face by one shared random integer offset.
 
-    The offset components are drawn independently and uniformly from
-    ``{0, 1, ..., floor(anchor_stride/2) - 1}`` (x first, then y), which
-    spans one period of the overlap pattern.  Face sizes and relative
-    positions are untouched.  Deterministic for a given (seed,
-    stream_index).
+    With ``b`` the smallest effective anchor stride over the layout's
+    scales, the offset components are drawn independently and uniformly
+    from ``{0, 1, ..., floor(b/2) - 1}`` (x first, then y), which spans one
+    period of the overlap pattern.  A ``b`` below 2 leaves no offset to
+    draw and raises ``ValueError``.  Face sizes and relative positions are
+    untouched.  Deterministic for a given (seed, stream_index).
     """
-    anchor_stride = _real(anchor_stride, "anchor_stride")
-    if anchor_stride < 2:
-        raise ValueError(f"anchor_stride must be >= 2 to jitter, got {anchor_stride!r}")
-    bound = int(math.floor(anchor_stride / 2.0))
+    b = min(effective_anchor_stride(layout.spec, s) for s in layout.spec.scales)
+    if b < 2:
+        raise ValueError(f"the smallest effective anchor stride must be >= 2 to jitter, got {b!r}")
+    bound = int(math.floor(b / 2.0))
     rng = stream(seed, stream_index)
     dx = int(rng.integers(0, bound))
     dy = int(rng.integers(0, bound))
@@ -416,27 +409,30 @@ def match_faces(
 ) -> MatchResult:
     """Assign faces to anchors and label every anchor.
 
-    Per-face max IoU comes from the cell-corner kernel; argmax, labels,
-    sources and assigned sets from one window scan of the anchors each
-    face can lift to ``t_low`` (see the module docstring).  All equal an
-    exhaustive scan exactly.  An empty face list labels all anchors
-    negative.  Faces are matched where they are; to match shifted faces,
-    pass the output of :func:`apply_jitter`.
+    Per-face max IoU and argmax, labels, sources and assigned sets come
+    from one window scan of the anchors each face can lift to ``t_low``
+    or, where lower, to its cell-corner kernel value (see the module
+    docstring).  All equal an exhaustive scan exactly.  An empty face
+    list labels all anchors negative.  Faces are matched where they are;
+    to match shifted faces, pass the output of :func:`apply_jitter`.
     """
     if layout.anchor_count == 0:
         raise ValueError("layout holds no anchors")
     faces = FaceTable.of(faces)
     n_faces = len(faces)
     labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
-    face_max = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
+    # The IoU of a real anchor, so a lower bound on each face's max.
+    kernel = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
+    face_max = np.zeros(n_faces, dtype=np.float64)
     face_argmax = np.full(n_faces, _NONE, dtype=np.int64)
     anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
     anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
     # (face, anchor) keys of pairs at or above t_high, plus each argmax.
     keys = [np.empty(0, dtype=np.int64)]
-    floor = np.where(face_max > 0.0, np.minimum(face_max, cfg.t_low), cfg.t_low)
+    floor = np.where(kernel > 0.0, np.minimum(kernel, cfg.t_low), cfg.t_low)
     for boxes, ids, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
-        _lowest_at_max(face_argmax, boxes, ious, face_max[boxes], ids)
+        top = ious >= kernel[boxes]
+        _keep_best(face_max, face_argmax, boxes[top], ious[top], ids[top])
         near = ious >= cfg.t_low
         boxes, ids, ious = boxes[near], ids[near], ious[near]
         _keep_best(anchor_best, anchor_best_face, ids, ious, boxes)
@@ -467,7 +463,8 @@ def compensate_hard_faces(
     layout: AnchorLayout,
     cfg: MatchConfig,
 ) -> MatchResult:
-    """Force-assign each hard face its top-N overlapping anchors.
+    """Force-assign each hard face its top-N overlapping anchors; ``result``
+    itself when ``cfg.hc_n`` is 0.
 
     A face is hard when its max IoU is below ``cfg.t_high``.  Its anchors
     are ranked by IoU (ties to the lower ID) and the best ``cfg.hc_n`` with
@@ -478,8 +475,8 @@ def compensate_hard_faces(
     that can reach the N-th best IoU of its cell corners, a set that holds
     its exact top N.
     """
-    if cfg.hc_n < 1:
-        raise ValueError(f"compensation needs hc_n >= 1, got {cfg.hc_n!r}")
+    if cfg.hc_n == 0:
+        return result
     faces = FaceTable.of(faces)
     if result.num_faces != len(faces):
         raise ValueError(f"result covers {result.num_faces} faces but {len(faces)} were given")

@@ -32,10 +32,9 @@ from anchorlap.matching import (
     MatchResult,
     _NONE,
     _flat_boxes,
-    _lowest_at_max,
+    _keep_best,
     _scan,
     apply_jitter,
-    jitter_offset_bound,
     max_overlap_values,
 )
 from anchorlap.specfile import spec_to_dict
@@ -66,23 +65,25 @@ def brute_max_overlap(layout: AnchorLayout, boxes):
 
 
 def max_overlap(layout: AnchorLayout, x, y, w, h):
-    """Like ``max_overlap_values``, plus lowest-ID argmax anchor IDs.
+    """Per-box max IoU and lowest-ID argmax anchor ID, as ``match_faces``
+    finds them.
 
-    The max value comes from the per-axis kernel.  When several anchors
-    tie (commonly: a large anchor fully containing a small box keeps the
-    same IoU across a run of lattice positions) the lowest-ID maximizer may
-    sit outside the enclosing cell's corners.  So each box's pairs at or
-    above its max are streamed (``_scan`` with the max as floor), and the
-    ID returned is the lowest anchor whose IoU equals that max.  Boxes
-    overlapping no anchor get ID -1.  Both results have the broadcast
-    shape of the coordinates.
+    The per-axis kernel's value is the IoU of a real anchor, so each box's
+    pairs at or above it (``_scan`` with it as floor) hold the box's max.
+    When several anchors tie (commonly: a large anchor fully containing a
+    small box keeps the same IoU across a run of lattice positions) the
+    lowest-ID maximizer may sit outside the enclosing cell's corners.  The
+    pairs are folded by ``_keep_best``, the lowest-index-at-max rule.
+    Boxes overlapping no anchor get max 0 and ID -1.  Both results have
+    the broadcast shape of the coordinates.
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
-    best = max_overlap_values(layout, x, y, w, h)
-    live = np.flatnonzero(best > 0.0)
-    best_id = np.full(best.shape, _NONE, dtype=np.int64)
-    for boxes, ids, ious in _scan(layout, x[live], y[live], w[live], h[live], best[live]):
-        _lowest_at_max(best_id, live[boxes], ious, best[live[boxes]], ids)
+    kernel = max_overlap_values(layout, x, y, w, h)
+    live = np.flatnonzero(kernel > 0.0)
+    best = np.zeros(kernel.shape)
+    best_id = np.full(kernel.shape, _NONE, dtype=np.int64)
+    for boxes, ids, ious in _scan(layout, x[live], y[live], w[live], h[live], kernel[live]):
+        _keep_best(best, best_id, live[boxes], ious, ids)
     best_id[best_id == _NONE] = -1
     return best.reshape(shape), best_id.reshape(shape)
 
@@ -287,11 +288,10 @@ def brute_jitter(faces, layout: AnchorLayout, trials: int, seed: int,
     """``jitter_experiment`` with one full ``bucket_stats`` per trial, whether
     or not an earlier trial drew the same offset."""
     faces = FaceTable.of(faces)
-    stride = jitter_offset_bound(layout)
     per_trial = []
     offsets = set()
     for t in range(trials):
-        shifted, offset = apply_jitter(faces, stride, seed, stream_index=t)
+        shifted, offset = apply_jitter(faces, layout, seed, stream_index=t)
         offsets.add(offset)
         per_trial.append(bucket_stats(shifted, layout, edges, tau))
     counts = per_trial[0].counts
@@ -302,8 +302,6 @@ def brute_jitter(faces, layout: AnchorLayout, trials: int, seed: int,
 
     return JitterReport(
         edges=per_trial[0].edges,
-        tau=tau,
-        trials=trials,
         counts=counts,
         mean_of_means=over_trials(np.mean),
         min_mean=over_trials(np.min),

@@ -270,18 +270,19 @@ def test_criterion_07_compensation_tops_up_hard_faces():
 
 
 def test_criterion_08_jitter_uniform_and_beneficial():
+    # effective stride 8
+    layout = build_layout(AnchorSpec(scales=(16.0,), base_stride=8.0), 64.0, 64.0)
     draws_x = np.empty(100_000, dtype=np.int64)
     draws_y = np.empty(100_000, dtype=np.int64)
     for t in range(draws_x.size):
-        _, (dx, dy) = apply_jitter([], 8.0, seed=6, stream_index=t)
+        _, (dx, dy) = apply_jitter([], layout, seed=6, stream_index=t)
         draws_x[t], draws_y[t] = dx, dy
     for draws in (draws_x, draws_y):
         freq = np.bincount(draws, minlength=4) / draws.size
         assert freq.shape == (4,)
         assert np.all(np.abs(freq - 0.25) <= 0.01), freq
 
-    # exhaustive offsets on corner-pinned faces, effective stride 8
-    layout = build_layout(AnchorSpec(scales=(16.0,), base_stride=8.0), 64.0, 64.0)
+    # exhaustive offsets on corner-pinned faces
     faces = [
         RectBox(8.0 * i - 8.0, 8.0 * j - 8.0, 16.0, 16.0)
         for i in (2, 4) for j in (2, 4)

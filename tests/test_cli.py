@@ -439,6 +439,28 @@ def test_number_too_large_for_a_float_exits_2_naming_it(files, capsys, argv, doc
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, spec, listing", [
+    (["stats", "--annotations", str(DATA / "golden_faces.txt")], {"scales": [16], "base_stride": 1e-310}, None),
+    (["grid", "--plane", "1e308x1e308"], {"scales": [16], "base_stride": 1e-300}, None),
+    (["match"], None, "img/a.jpg\n1\n1e300 1e300 16 16\n"),
+    (["grid", "--plane", "1e308x1e308"], None, None),
+], ids=["stats-subnormal-stride", "grid-huge-plane-tiny-stride", "match-far-face", "grid-huge-plane"])
+def test_extreme_plane_or_stride_exits_2_on_one_line(tmp_path, argv, spec, listing):
+    # Each quotient plane / stride is over the anchor cap or infinite.
+    spec_path = DATA / "golden_spec.json"
+    if spec is not None:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+    if listing is not None:
+        ann = tmp_path / "far.txt"
+        ann.write_text(listing)
+        argv = [*argv, "--annotations", str(ann)]
+    proc = run_console_script(*argv, "--spec", str(spec_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(f" plane needs a layout over the cap of {MAX_ANCHORS} anchors\n")
+
+
 class TestReplay:
     def test_stats_replay_is_byte_exact(self, files):
         out = files["dir"] / "stats.csv"

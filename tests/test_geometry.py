@@ -30,12 +30,14 @@ class TestRectBox:
         with pytest.raises(ValueError, match="must be a finite real, got True"):
             RectBox(*values)
 
-    @pytest.mark.parametrize("box", [(1e308, 0.0, 1e308, 1.0), (0.0, 1e308, 1.0, 1e308)], ids=["x2", "y2"])
+    @pytest.mark.parametrize("box", [(1e308, 0.0, 1e308, 1.0), (0.0, 1e308, 1.0, 1e308), (10**308, 0, 10**308, 1)],
+                             ids=["x2", "y2", "int-x2"])
     def test_rejects_overflowing_far_edge(self, box):
         with pytest.raises(ValueError, match="finite extents"):
             RectBox(*box)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "-inf", "10**400", "-10**400"])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             RectBox(bad, 0.0, 16.0, 16.0)

@@ -20,7 +20,6 @@ from anchorlap.matching import (
     MatchConfig,
     apply_jitter,
     compensate_hard_faces,
-    jitter_offset_bound,
     match_faces,
     max_overlap_values,
     overlapping_anchors,
@@ -48,6 +47,16 @@ from helpers import (
 def grid16(plane=64.0):
     """Plain scale-16 lattice: anchors at (8+16c, 8+16r)."""
     return build_layout(AnchorSpec(scales=(16.0,), base_stride=16.0), plane, plane)
+
+
+def stride_grid(base_stride, **spec):
+    """A scale-16 lattice of the given base stride on a 64 x 64 plane."""
+    return build_layout(AnchorSpec(scales=(16.0,), base_stride=base_stride, **spec), 64.0, 64.0)
+
+
+def offsets(layout, draws, seed=5):
+    """The offsets ``apply_jitter`` draws from streams 0 to ``draws - 1``."""
+    return [apply_jitter([], layout, seed, stream_index=t)[1] for t in range(draws)]
 
 
 CFG = MatchConfig()
@@ -510,31 +519,26 @@ class TestCompensation:
         layout = grid16()
         face = RectBox(8.0, 8.0, 16.0, 16.0)
         base = match_faces([face], layout, CFG)
-        with pytest.raises(ValueError):
-            compensate_hard_faces(base, [face], layout, MatchConfig(hc_n=0))
+        assert compensate_hard_faces(base, [face], layout, MatchConfig(hc_n=0)) is base
         with pytest.raises(ValueError):
             compensate_hard_faces(base, [face, face], layout, CFG)
 
 
 class TestJitter:
     def test_offsets_stay_in_half_stride_range(self):
-        seen = set()
-        for t in range(400):
-            _, (dx, dy) = apply_jitter([], 8.0, seed=3, stream_index=t)
-            assert 0 <= dx <= 3 and 0 <= dy <= 3
-            seen.add((dx, dy))
+        seen = set(offsets(stride_grid(8.0), 400, seed=3))
         assert seen == {(a, b) for a in range(4) for b in range(4)}
 
     def test_stride_two_is_identity(self):
         face = RectBox(5.0, 6.0, 7.0, 8.0)
         for t in range(20):
-            moved, off = apply_jitter([face], 2.0, seed=1, stream_index=t)
+            moved, off = apply_jitter([face], stride_grid(2.0), seed=1, stream_index=t)
             assert off == (0, 0)
             assert moved[0] == face
 
     def test_translation_preserves_shape(self):
         faces = [RectBox(0.0, 0.0, 16.0, 16.0), RectBox(30.0, 40.0, 8.0, 12.0)]
-        moved, (dx, dy) = apply_jitter(faces, 8.0, seed=9)
+        moved, (dx, dy) = apply_jitter(faces, stride_grid(8.0), seed=9)
         for before, after in zip(faces, moved):
             assert after.x == before.x + dx and after.y == before.y + dy
             assert after.w == before.w and after.h == before.h
@@ -545,34 +549,39 @@ class TestJitter:
         assert center_x(moved[1]) - center_x(moved[0]) == center_x(faces[1]) - center_x(faces[0])
 
     def test_deterministic_per_seed_and_stream(self):
-        a = apply_jitter([], 8.0, seed=5, stream_index=2)[1]
-        b = apply_jitter([], 8.0, seed=5, stream_index=2)[1]
+        layout = stride_grid(8.0)
+        a = apply_jitter([], layout, seed=5, stream_index=2)[1]
+        b = apply_jitter([], layout, seed=5, stream_index=2)[1]
         assert a == b
-        draws = {apply_jitter([], 16.0, seed=5, stream_index=t)[1] for t in range(32)}
-        assert len(draws) > 1
+        assert len(set(offsets(grid16(), 32))) > 1
 
     def test_small_stride_rejected(self):
-        with pytest.raises(ValueError):
-            apply_jitter([], 1.0, seed=0)
+        # b = 1, and b = 2/sqrt(2) for one shifted anchor at base stride 2.
+        for layout in (stride_grid(1.0), stride_grid(2.0, shifts_per_scale={16.0: 1})):
+            with pytest.raises(ValueError, match="smallest effective anchor stride must be >= 2"):
+                apply_jitter([], layout, seed=0)
 
     def test_offset_bound_follows_effective_stride(self):
-        assert jitter_offset_bound(grid16()) == 16.0
+        # Each component stays below floor(b/2) for b the smallest
+        # effective stride over the scales: 16, 16/2 and, for the scale
+        # with three shifts, 16/2 again.
         div2 = build_layout(
             AnchorSpec(scales=(16.0,), base_stride=16.0, stride_divisor=2), 64.0, 64.0
         )
-        assert jitter_offset_bound(div2) == 8.0
         quad = build_layout(
             AnchorSpec(scales=(16.0, 32.0), base_stride=16.0, shifts_per_scale={16.0: 3}),
             64.0, 64.0,
         )
-        assert jitter_offset_bound(quad) == 8.0
+        for layout, half in ((grid16(), 8), (div2, 4), (quad, 4)):
+            drawn = offsets(layout, 200)
+            assert {dx for dx, _ in drawn} == {dy for _, dy in drawn} == set(range(half))
 
     def test_match_with_jitter_equals_manual_translation(self, tmp_path):
         # ``match --jitter`` matches and compensates the faces apply_jitter
         # returns for the layout's offset bound and the run's seed.
         faces = parse_annotations(DATA.joinpath("golden_faces.txt").read_text().splitlines()).records
         layout = build_layout(load_spec(DATA / "golden_spec.json"), *bounding_plane(faces))
-        moved, offset = apply_jitter(faces, jitter_offset_bound(layout), 21)
+        moved, offset = apply_jitter(faces, layout, 21)
         assert offset != (0, 0)
         want = compensate_hard_faces(match_faces(moved, layout, CFG), moved, layout, CFG)
         out = tmp_path / "m.csv"
@@ -588,7 +597,7 @@ class TestJitter:
 
     def test_compensation_tops_up_the_jittered_face(self):
         layout = grid16(128.0)
-        faces, offset = apply_jitter([RectBox(8.0, 8.0, 16.0, 16.0)], 16.0, 4)
+        faces, offset = apply_jitter([RectBox(8.0, 8.0, 16.0, 16.0)], layout, 4)
         assert offset != (0, 0)
         base = match_faces(faces, layout, CFG)
         res = compensate_hard_faces(base, faces, layout, CFG)
@@ -613,7 +622,7 @@ def test_jittered_corpus_still_matches_brute_force():
             )
             for _ in range(5)
         ]
-        moved, _ = apply_jitter(faces, jitter_offset_bound(layout), trial)
+        moved, _ = apply_jitter(faces, layout, trial)
         got = match_faces(moved, layout, CFG)
         want, want_comp = brute_match(layout, moved, CFG)
         assert_same_match(got, want)
@@ -689,7 +698,7 @@ class TestBruteMatchSweep:
             layout = build_layout(spec, side, side)
             boxes = sweep_faces(rng, layout, side)
             if jitter_seed is not None:
-                boxes, _ = apply_jitter(boxes, jitter_offset_bound(layout), jitter_seed)
+                boxes, _ = apply_jitter(boxes, layout, jitter_seed)
             want, want_comp = brute_match(layout, boxes, cfg)
             got = match_faces(boxes, layout, cfg)
             assert_same_match(got, want)
@@ -700,6 +709,30 @@ class TestBruteMatchSweep:
                 low_argmax_elsewhere += bool(want.anchor_source[a] != f and want.anchor_labels[a] == LABEL_POSITIVE)
         # The exact fallback for argmax anchors no pair at or above t_low reaches ran.
         assert low_argmax_elsewhere > 0
+
+
+    @pytest.mark.parametrize("hc_n", [0, 5])
+    @pytest.mark.parametrize("shifts", [{12.0: 3}, {12.0: 1, 24.0: 3}], ids=["quad12", "quincunx12-quad24"])
+    def test_non_square_anchors(self, shifts, hc_n):
+        # Anchor sides that are not dyadic, where the cell-corner kernel can
+        # fall a few ulps short of a face's max: the maxima, argmaxes,
+        # labels and sources are still the dense oracle's, bit for bit.
+        cfg = MatchConfig(hc_n=hc_n)
+        spec = AnchorSpec(scales=(12.0, 24.0), ratios=(0.5, 1.0, 2.0), base_stride=8.0,
+                          shifts_per_scale=shifts)
+        layout = build_layout(spec, 96.0, 96.0)
+        rng = np.random.default_rng(hc_n)
+        for _ in range(6):
+            w = np.exp(rng.uniform(math.log(4.0), math.log(40.0), 150))
+            h = w * np.exp(rng.uniform(math.log(0.5), math.log(2.0), 150))
+            x = rng.uniform(-w / 2.0, 96.0 - w / 2.0)
+            y = rng.uniform(-h / 2.0, 96.0 - h / 2.0)
+            boxes = [RectBox(*map(float, t)) for t in zip(x, y, w, h)]
+            want, want_comp = brute_match(layout, boxes, cfg)
+            got = match_faces(boxes, layout, cfg)
+            assert_same_match(got, want)
+            if hc_n:
+                assert_same_match(compensate_hard_faces(got, boxes, layout, cfg), want_comp)
 
 
 def mixed_corpus(n=1000, seed=5):

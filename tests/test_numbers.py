@@ -13,7 +13,7 @@ from anchorlap.dataset import bucket_stats, jitter_experiment
 from anchorlap.emo import EmoQuery, emo_monte_carlo
 from anchorlap.geometry import RectBox
 from anchorlap.layout import AnchorSpec, _real, build_layout
-from anchorlap.matching import MatchConfig, apply_jitter
+from anchorlap.matching import MatchConfig
 from anchorlap.optimizer import SearchSpace, evaluate_config
 from anchorlap.rng import stream
 
@@ -51,12 +51,10 @@ REAL_PARAMETERS = {
     "EmoQuery.anchor_stride": (lambda v: EmoQuery(16.0, v).anchor_stride, "anchor_stride", POSITIVE),
     "emo_monte_carlo.face_size": (lambda v: monte_carlo(face_w=v) and None, "face size", POSITIVE),
     "bucket_stats.edges": (lambda v: bucket_stats(FACES, LAYOUT, edges=(v,)).edges[0], "bucket edge", POSITIVE),
-    "bucket_stats.tau": (lambda v: bucket_stats(FACES, LAYOUT, tau=v).tau, "tau", UNIT),
+    "bucket_stats.tau": (lambda v: bucket_stats(FACES, LAYOUT, tau=v) and None, "tau", UNIT),
     "evaluate_config.tau": (lambda v: evaluate_config(SPEC, FACES, tau=v) and None, "tau", UNIT),
     "MatchConfig.t_low": (lambda v: MatchConfig(t_low=v).t_low, "t_low", UNIT),
     "MatchConfig.t_high": (lambda v: MatchConfig(t_high=v, t_low=0.1).t_high, "t_high", UNIT),
-    "apply_jitter.anchor_stride": (lambda v: apply_jitter(FACES, v, seed=0) and None, "anchor_stride",
-                                   (16, np.float64(16.0), np.int64(16), Fraction(5, 2))),
 }
 
 

@@ -199,7 +199,7 @@ class TestAnchorCap:
         space = SearchSpace(stride_divisors=(1,), shift_choices=(0, 3),
                             scale_sets=((16.0, 32.0),), budget=8)
         assert len(optimize(space, faces)) == 4
-        with pytest.raises(ValueError, match=f"needs 5242880 anchors, over the cap of {MAX_ANCHORS}"):
+        with pytest.raises(ValueError, match=f"^4096 x 4096 plane needs a layout over the cap of {MAX_ANCHORS} anchors$"):
             optimize(replace(space, stride_divisors=(1, 4)), faces)
 
 
