@@ -6,14 +6,16 @@ and ``--jitter``) and ``optimize`` on a small fixed listing
 sides from 6 to 300 px, one degenerate line, one face sitting exactly on
 an anchor), the closed-form ``emo`` table, and ``emo --mc`` at 1 and 2
 workers with 70,000 samples per cell (one full 65,536-sample chunk plus a
-remainder chunk), in both output formats, and compares the sha256 of every
-artifact with digests frozen from an earlier build.  A refactor that claims
-identical output must leave every digest alone; a deliberate output change
-must update the digest and say which rows moved.
+remainder chunk), and ``grid`` on a 1023.5x767 plane (98,304 anchors, so
+the table crosses a 65,536-row render chunk), in both output formats, and
+compares the sha256 of every artifact with digests frozen from an earlier
+build.  A refactor that claims identical output must leave every digest
+alone; a deliberate output change must update the digest and say which
+rows moved.
 
-The ``parameters`` and ``seed`` each of those runs (and one ``grid``) records
-in its manifest are pinned as well: they are what ``replay`` reads back, so
-an old manifest replays only while the schema stays put.
+The ``parameters`` and ``seed`` each of those runs records in its manifest
+(``grid`` on a 64x48 plane) are pinned as well: they are what ``replay``
+reads back, so an old manifest replays only while the schema stays put.
 
 The committed ``golden_*.manifest.json`` files were written by that earlier
 build with paths relative to the repository root; replaying them checks
@@ -56,6 +58,7 @@ EMO_MC = ["emo", "--mc", "--scales", "6,16,40", "--strides", "4,16",
           "--samples", "70000", "--seed", "11"]
 RUNS["emo-mc"] = EMO_MC + ["--workers", "1"]
 RUNS["emo-mc-2workers"] = EMO_MC + ["--workers", "2"]
+RUNS["grid"] = ["grid", "--spec", SPEC, "--plane", "1023.5x767"]
 
 BUCKETS = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
 EMO_MC_PARAMETERS = {"mode": "monte_carlo", "scales": [6.0, 16.0, 40.0], "strides": [4.0, 16.0],
@@ -75,6 +78,7 @@ PARAMETERS = {
     "stats-jitter": {"buckets": BUCKETS, "tau": 0.5, "jitter": True, "trials": 4, "seed": 3},
     "stats-jitter64": {"buckets": BUCKETS, "tau": 0.5, "jitter": True, "trials": 64, "seed": 3},
 }
+# The manifest pins only parameters, so its ``grid`` run takes a small plane.
 MANIFEST_RUNS = {**RUNS, "grid": ["grid", "--spec", SPEC, "--plane", "64x48"]}
 
 DIGESTS = {
@@ -84,6 +88,8 @@ DIGESTS = {
     "emo-mc.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
     "emo-mc-2workers.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
     "emo-mc-2workers.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
+    "grid.csv": "5460b731655b91a07be4c6ea13ae0de9d822b812e50db64ae61fbe7ecff0aeab",
+    "grid.json": "042152e3461ddaa8d3b06cbf6ae00aa58b70216f1652f51e1193a4d438a43ced",
     "match.csv": "7272e4f38f1d39a8a6e98f3035418d971b6be604ea62de0cc41c8a1577281596",
     "match.csv.anchors.csv": "8ea5c205c577e598732455c48fe85b2658da466532cb24b087826ce3699e43b1",
     "match.json": "8d3a700b2f04b27e9c7564e89dcff1476c66f0806123f0e72b03ea1968eac766",
