@@ -19,6 +19,7 @@ is byte-identical.  Exit codes: 0 success, 1 I/O or input-data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -45,7 +46,8 @@ from .specfile import load_space, load_spec, spec_json
 
 __all__ = ["main", "build_parser"]
 
-_LABEL_NAMES = {LABEL_POSITIVE: "positive", LABEL_NEGATIVE: "negative", LABEL_IGNORE: "ignore"}
+_LABEL_NAMES = np.empty(3, dtype="U8")  # indexed by label code; LABEL_IGNORE (-1) is the last
+_LABEL_NAMES[[LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_IGNORE]] = "positive", "negative", "ignore"
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +76,33 @@ def _json_text(v) -> str:
 
 
 def _cells(column, lo: int, fmt: str):
-    """The cell texts of one chunk of a column, from row ``lo``."""
+    """The cell texts of one chunk of a column, from row ``lo``.  A numpy
+    column formats each distinct value once per chunk: ints by a table over
+    ``[min, max]`` when that is under half the chunk (``value - min`` in the
+    column's dtype, which cannot overflow), else ``str`` per cell; floats by
+    bit pattern, so ``-0.0`` and ``0.0`` and nan payloads keep their texts;
+    ``U`` strings by a dict memo (``U`` drops trailing NULs, so only fixed
+    names may travel as one).  Bools, other kinds and Python sequences go
+    cell by cell: ``1``, ``True`` and ``1.0`` compare equal but print
+    differently."""
     part = column[lo : lo + _RENDER_ROWS]
-    if isinstance(part, np.ndarray):
-        kind, part = part.dtype.kind, part.tolist()
-        if kind in "iu":
-            return list(map(str, part))
-        if kind == "f" and fmt == "csv":
-            return list(map("{:.9g}".format, part))
-    return list(map(_csv_text if fmt == "csv" else _json_text, part))
+    text = _csv_text if fmt == "csv" else _json_text
+    kind = part.dtype.kind if isinstance(part, np.ndarray) else "sequence"
+    if kind in ("i", "u"):
+        low, high = part.min(), part.max()
+        if int(high) - int(low) >= len(part) // 2:
+            return list(map(str, part.tolist()))
+        texts, index = list(map(str, range(int(low), int(high) + 1))), part - low
+    elif kind == "f" and part.itemsize <= 8:
+        distinct, index = np.unique(part.view(f"i{part.itemsize}"), return_inverse=True)
+        texts = list(map(text, distinct.view(part.dtype).tolist()))
+    elif kind == "U":
+        values = part.tolist()
+        memo = {value: text(value) for value in dict.fromkeys(values)}
+        return list(map(memo.__getitem__, values))
+    else:
+        return list(map(text, part if kind == "sequence" else part.tolist()))
+    return np.array(texts, dtype=object)[index].tolist()
 
 
 def _render(columns: dict, fmt: str):
@@ -93,7 +113,8 @@ def _render(columns: dict, fmt: str):
     is its cells joined by ``,`` and ended by ``\\n``, quoted as
     ``csv.writer`` quotes rows of two or more cells.  JSON is the text of
     ``json.dumps(rows, indent=2, sort_keys=True)`` plus ``\\n`` for a list
-    of one object per row, each row filled into one template.
+    of one object per row, each row filled into one template.  Each chunk
+    formats each distinct value of a numpy column once (see ``_cells``).
     """
     names = list(columns)
     n_rows = len(columns[names[0]])
@@ -236,7 +257,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
 
     face_cols = {
         "face": np.arange(len(faces)),
-        "image_id": [faces.image_ids[i] for i in faces.image.tolist()],
+        "image_id": np.array(faces.image_ids, dtype=object)[faces.image],
         "scale": faces.scale,
         "max_iou": result.face_max_iou,
         "argmax_anchor": result.face_argmax,
@@ -244,7 +265,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
     }
     anchor_cols = {
         "anchor": np.arange(layout.anchor_count),
-        "label": [_LABEL_NAMES[label] for label in result.anchor_labels.tolist()],
+        "label": _LABEL_NAMES[result.anchor_labels],
         "source_face": result.anchor_source,
     }
     fmt = params["format"]
@@ -428,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="scale-bucketed mean max IoU and recall")
     p.add_argument("--annotations", required=True, help="face annotation listing")
     p.add_argument("--spec", required=True, help="anchor spec JSON file")
-    p.add_argument("--buckets", type=_float_list, default=list(DEFAULT_BUCKET_EDGES),
+    p.add_argument("--buckets", type=_float_list, default=DEFAULT_BUCKET_EDGES,
                    metavar="LIST", help="bucket edges (empty string for a single bucket)")
     p.add_argument("--tau", type=float, default=0.5, help="recall IoU threshold")
     p.add_argument("--jitter", action="store_true", help="average over random face shifts")
@@ -465,8 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built by the first ``main``; every default is immutable.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AnnotationError, OSError) as exc:

@@ -26,9 +26,9 @@ __all__ = [
 class RectBox:
     """An axis-aligned rectangle: top-left corner ``(x, y)``, size ``w x h``.
 
-    Degenerate sizes (``w <= 0`` or ``h <= 0``), non-finite coordinates and
-    far edges ``x + w``, ``y + h`` that overflow are rejected at construction
-    so corrupt annotations fail fast instead of silently skewing statistics.
+    Degenerate sizes (a side ``<= 0`` or an area that underflows to 0),
+    non-finite coordinates and far edges ``x + w``, ``y + h`` that overflow are
+    rejected at construction so corrupt annotations fail fast.
     """
 
     x: float
@@ -61,10 +61,10 @@ class RectBox:
 
 
 def valid_boxes(x, y, w, h):
-    """Elementwise :class:`RectBox` rule: positive size, and finite far edges
-    ``x + w`` and ``y + h``, which holds only where all four values are finite."""
+    """Elementwise :class:`RectBox` rule: positive sides with a nonzero product,
+    and finite far edges ``x + w`` and ``y + h`` (so all four values finite)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0)
+        return np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (w * h > 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,8 +61,8 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return value
 
 
-def _real(value, what: str, below: float = math.inf) -> float:
-    """``value`` as a float in ``(0, below)``.  A bool, a string or any other
+def _real(value, what: str, below: float = math.inf, above: float = 0.0) -> float:
+    """``value`` as a float in ``(above, below)``.  A bool, a string or any other
     non-real raises ``TypeError``; a real out of range (nan, infinities and
     ints too large for a float included) raises ``ValueError``."""
     if type(value) is not float and (  # plain floats skip the ABC checks
@@ -70,8 +70,8 @@ def _real(value, what: str, below: float = math.inf) -> float:
         raise TypeError(f"{what} must be a real number, got {value!r}")
     # Compared exactly first, so that float() never overflows.
     number = float(value) if 0 < value <= sys.float_info.max else math.nan
-    if not 0.0 < number < below:
-        bound = "positive and finite" if below == math.inf else f"in (0, {below:g})"
+    if not above < number < below:
+        bound = "positive and finite" if (above, below) == (0.0, math.inf) else f"in ({above:g}, {below:g})"
         raise ValueError(f"{what} must be {bound}, got {value!r}")
     return number
 
@@ -100,7 +100,8 @@ class AnchorSpec:
     shifts_per_scale: Mapping[float, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        scales = tuple(_real(s, "each scales entry") for s in self.scales)
+        # 2**-500 keeps an anchor's area from underflowing to 0 (IoU 0/0).
+        scales = tuple(_real(s, "each scales entry", above=2.0**-500) for s in self.scales)
         ratios = tuple(_real(r, "each ratios entry") for r in self.ratios)
         shifts, keys = {}, {}
         for key, count in dict(self.shifts_per_scale).items():

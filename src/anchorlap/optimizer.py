@@ -45,8 +45,8 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget", _integer(self.budget, "budget", 1))
-        object.__setattr__(self, "scale_sets",
-                           tuple(tuple(_real(s, "each scale_sets entry") for s in ss) for ss in self.scale_sets))
+        object.__setattr__(self, "scale_sets", tuple(tuple(_real(s, "each scale_sets entry", above=2.0**-500)
+                                                           for s in ss) for ss in self.scale_sets))
         object.__setattr__(self, "ratios", tuple(_real(r, "each ratios entry") for r in self.ratios))
         object.__setattr__(self, "base_stride", _real(self.base_stride, "base_stride"))
         for name, allowed in (("stride_divisors", ALLOWED_DIVISORS),

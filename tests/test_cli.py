@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, exit codes, manifests, replay."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -11,9 +12,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorlap
 from anchorlap import cli
@@ -119,7 +123,7 @@ class TestEmo:
     def test_face_side_from_2_to_500_exits_2_naming_it(self, mode, named):
         proc = run_console_script("emo", "--scales", "1e300", "--strides", "16", *mode)
         assert proc.returncode == 2
-        assert proc.stderr == f"error: {named} must be in (0, 3.27339e+150), got 1e+300\n"
+        assert proc.stderr == f"error: {named} must be in (3.05494e-151, 3.27339e+150), got 1e+300\n"
 
     def test_mc_seed_matters(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc", "--samples", "10000"]
@@ -439,6 +443,34 @@ def test_number_too_large_for_a_float_exits_2_naming_it(files, capsys, argv, doc
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+TINY_FACE = "a.jpg\n1\n8 8 1e-300 1e-300\n"  # its area underflows to 0
+NO_FACES = "error: annotation listing contains no usable faces\n"
+TINY_SCALE = "error: each {} entry must be in (3.05494e-151, inf), got 1e-300\n"
+
+
+@pytest.mark.parametrize("argv, doc, listing, code, err", [
+    (["stats", "--spec"], {"scales": [1e-300]}, TINY_FACE, 1, NO_FACES),
+    (["match", "--spec"], {"scales": [1e-300]}, TINY_FACE, 1, NO_FACES),
+    (["stats", "--spec"], {"scales": [1e-300]}, ANNOTATIONS, 2, TINY_SCALE.format("scales")),
+    (["optimize", "--space"], {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[1e-300]],
+                               "budget": 1}, ANNOTATIONS, 2, TINY_SCALE.format("scale_sets")),
+    (["emo", "--mc", "--scales", "1e-310", "--strides", "16"], None, None, 2,
+     "error: each scales entry must be in (3.05494e-151, inf), got 1e-310\n"),
+    (["emo", "--scales", "1e-310", "--strides", "16"], None, None, 2,
+     "error: face_side must be in (3.05494e-151, 3.27339e+150), got 1e-310\n"),
+], ids=["stats-tiny-face", "match-tiny-face", "stats-tiny-scale", "optimize-tiny-scale", "emo-mc", "emo"])
+def test_area_underflowing_to_zero_is_refused_on_one_line(tmp_path, argv, doc, listing, code, err):
+    # Each used to reach a 0/0 IoU: a nan row or a numpy warning on stderr.
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        argv = [*argv, str(tmp_path / "doc.json")]
+    if listing is not None:
+        (tmp_path / "faces.txt").write_text(listing)
+        argv = [*argv, "--annotations", str(tmp_path / "faces.txt")]
+    proc = run_console_script(*argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 @pytest.mark.parametrize("argv, spec, listing", [
     (["stats", "--annotations", str(DATA / "golden_faces.txt")], {"scales": [16], "base_stride": 1e-310}, None),
     (["grid", "--plane", "1e308x1e308"], {"scales": [16], "base_stride": 1e-300}, None),
@@ -705,6 +737,55 @@ class TestRender:
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
         assert "".join(cli._render(self.COLUMNS, fmt)) == render_reference(self.COLUMNS, fmt)
 
+    # Few values each, so that chunks repeat them: 0.0 beside -0.0, nans of
+    # both signs, ints at the ends of int64 and uint64, quoted strings, and
+    # a list whose 1, True and 1.0 compare equal but print differently.
+    POOLS = [
+        np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 1e16, 5e-324]),
+        np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1e16, 2.5], dtype=np.float32),
+        np.array([-2**63, -2**63 + 1, -2**63 + 3], dtype=np.int64),
+        np.array([-3, 0, 5, 2**63 - 1], dtype=np.int64),
+        np.array([2**64 - 1, 2**64 - 2, 2**64 - 4], dtype=np.uint64),
+        np.array([0, 1, 255], dtype=np.uint8),
+        np.array(["a", "a,b", 'say "hi"', "two\nlines", "", "é 日本"]),
+        np.array([True, False]),
+        np.array(["img/a.jpg", "b,c.jpg", "d\x00"], dtype=object),
+        [1, True, 1.0, 0.0, -0.0, "s", None, math.nan, 'q"'],
+    ]
+
+    @staticmethod
+    @st.composite
+    def tables(draw):
+        n_rows = draw(st.integers(0, 24))
+        columns = {}
+        for name in range(draw(st.integers(2, 4))):  # csv.writer quotes a lone "" cell
+            pool = draw(st.sampled_from(TestRender.POOLS))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+            columns[f"c{name}"] = [pool[i] for i in picks] if isinstance(pool, list) else pool[picks]
+        return columns
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=tables(), fmt=st.sampled_from(["csv", "json"]),
+           chunk=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 1 << 16]))
+    def test_duplicate_heavy_columns_match_row_rendering(self, columns, fmt, chunk):
+        with mock.patch.object(cli, "_RENDER_ROWS", chunk):
+            assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+
+    @pytest.mark.parametrize("fmt, formatter", [("csv", "_csv_text"), ("json", "_json_text")])
+    def test_each_distinct_value_is_formatted_once_per_chunk(self, monkeypatch, fmt, formatter):
+        n_rows = 200_000  # four chunks
+        pick = np.arange(n_rows) % 3
+        columns = {"value": np.array([0.5, 2.0, 1e16])[pick], "name": np.array(["a", "b,c", "d"])[pick]}
+        calls = collections.Counter()
+        real = getattr(cli, formatter)
+        monkeypatch.setattr(cli, formatter, lambda v: calls.update([v]) or real(v))
+        text = "".join(cli._render(columns, fmt))
+        assert text.count("1e+16") == n_rows // 3
+        chunks = -(-n_rows // cli._RENDER_ROWS)
+        header = {"value": 1, "name": 1} if fmt == "csv" else {}
+        assert calls == {0.5: chunks, 2.0: chunks, 1e16: chunks, "a": chunks, "b,c": chunks, "d": chunks,
+                         **header}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
         columns = {"a": [], "b": np.array([], dtype=np.float64)}
@@ -801,6 +882,21 @@ def test_parser_defaults_are_the_library_defaults():
     assert (args.t_high, args.t_low, args.hc_n) == dataclasses.astuple(MatchConfig())
     args = parser.parse_args(["emo", "--scales", "16", "--strides", "16"])
     assert args.cells == EmoQuery(16.0, 16.0).quadrature_cells
+
+
+@pytest.mark.parametrize("argv", [
+    ["emo", "--scales", "16", "--strides", "16"], ["grid", "--spec", "s", "--plane", "8x8"],
+    ["stats", "--annotations", "a", "--spec", "s"], ["match", "--annotations", "a", "--spec", "s"],
+    ["optimize", "--annotations", "a", "--space", "s"], ["replay", "--manifest", "m", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_the_one_parser_has_only_immutable_defaults(argv):
+    # ``main`` reuses one parser, so a run that mutated a default would leak
+    # into every later run of the process.
+    assert cli._parser() is cli._parser()
+    args = vars(cli._parser().parse_args(argv))
+    for name, value in args.items():
+        if name not in ("scales", "strides"):  # given, so parsed afresh
+            hash(value)
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -94,6 +94,12 @@ class TestParsing:
         assert parsed.skipped == 1
         assert face_lines(parsed) == 1
 
+    def test_area_underflowing_to_zero_skipped(self):
+        # 1e-300 * 1e-300 is 0.0, which would make every IoU 0/0.
+        parsed = parse_annotations("d.jpg\n3\n8 8 1e-300 1e-300\n8 8 1e-150 1e-150\n8 8 1e-300 1e300\n")
+        assert parsed.records.w.tolist() == [1e-150, 1e-300]
+        assert parsed.skipped == 1
+
     def test_negative_width_skipped(self):
         parsed = parse_annotations("c.jpg\n2\n5 5 -3 10\n5 5 3 10\n")
         assert len(parsed.records) == 1

@@ -96,7 +96,23 @@ def test_face_sides_stay_below_2_to_500(call, name, accepted):
         warnings.simplefilter("error")
         call(2.0**499)
         for bad in (2.0**500, 1e300):
-            with pytest.raises(ValueError, match=rf"{name}.* must be in \(0, 3.27339e\+150\), got "):
+            with pytest.raises(ValueError, match=rf"{name}.* must be in \(3.05494e-151, 3.27339e\+150\), got "):
+                call(bad)
+
+
+# Anchor scales and EMO face sides stay above 2**-500, so that no area
+# underflows to 0 and no IoU becomes 0/0.
+SIDES = {key: REAL_PARAMETERS[key] for key in ("AnchorSpec.scales", "SearchSpace.scale_sets",
+                                               "EmoQuery.face_side", "emo_monte_carlo.face_size")}
+
+
+@pytest.mark.parametrize("call, name, accepted", SIDES.values(), ids=SIDES)
+def test_sides_stay_above_2_to_minus_500(call, name, accepted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(2.0**-499)
+        for bad in (2.0**-500, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=rf"{name}.* must be in \(3.05494e-151, "):
                 call(bad)
 
 
