@@ -6,7 +6,9 @@ and ``--jitter``) and ``optimize`` on a small fixed listing
 sides from 6 to 300 px, one degenerate line, one face sitting exactly on
 an anchor), the closed-form ``emo`` table, and ``emo --mc`` at 1 and 2
 workers with 70,000 samples per cell (one full 65,536-sample chunk plus a
-remainder chunk), and ``grid`` on a 1023.5x767 plane (98,304 anchors, so
+remainder chunk) on two tables: one with no two cells equal up to a
+power-of-two scale, and the bench's table, whose cells (8, 8) and (16, 16),
+and (16, 8) and (32, 16), are such twins; and ``grid`` on a 1023.5x767 plane (98,304 anchors, so
 the table crosses a 65,536-row render chunk), in both output formats, and
 compares the sha256 of every artifact with digests frozen from an earlier
 build.  A refactor that claims identical output must leave every digest
@@ -58,11 +60,16 @@ EMO_MC = ["emo", "--mc", "--scales", "6,16,40", "--strides", "4,16",
           "--samples", "70000", "--seed", "11"]
 RUNS["emo-mc"] = EMO_MC + ["--workers", "1"]
 RUNS["emo-mc-2workers"] = EMO_MC + ["--workers", "2"]
+EMO_MC_TWINS = ["emo", "--mc", "--scales", "8,16,32", "--strides", "8,16",
+                "--samples", "70000", "--seed", "11"]
+RUNS["emo-mc-twins"] = EMO_MC_TWINS + ["--workers", "1"]
+RUNS["emo-mc-twins-2workers"] = EMO_MC_TWINS + ["--workers", "2"]
 RUNS["grid"] = ["grid", "--spec", SPEC, "--plane", "1023.5x767"]
 
 BUCKETS = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
 EMO_MC_PARAMETERS = {"mode": "monte_carlo", "scales": [6.0, 16.0, 40.0], "strides": [4.0, 16.0],
                      "cells": 512, "samples": 70000, "seed": 11}
+EMO_MC_TWINS_PARAMETERS = {**EMO_MC_PARAMETERS, "scales": [8.0, 16.0, 32.0], "strides": [8.0, 16.0]}
 # The manifest ``parameters`` of each run, less ``format``; ``seed`` is also
 # the manifest's top-level ``seed`` (null where absent).
 PARAMETERS = {
@@ -70,6 +77,8 @@ PARAMETERS = {
             "cells": 512, "samples": 100000},
     "emo-mc": EMO_MC_PARAMETERS,
     "emo-mc-2workers": EMO_MC_PARAMETERS,
+    "emo-mc-twins": EMO_MC_TWINS_PARAMETERS,
+    "emo-mc-twins-2workers": EMO_MC_TWINS_PARAMETERS,
     "grid": {"plane_w": 64.0, "plane_h": 48.0},
     "match": {"t_high": 0.5, "t_low": 0.3, "hc_n": 5, "jitter": False},
     "match-jitter": {"t_high": 0.5, "t_low": 0.3, "hc_n": 5, "jitter": True, "seed": 3},
@@ -88,6 +97,10 @@ DIGESTS = {
     "emo-mc.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
     "emo-mc-2workers.csv": "e19f294308bcf64aaff8aed3039985774227c7660c4f83079553f0fe56877a5f",
     "emo-mc-2workers.json": "f4192f0672707fec13718f043086527c51d9fbf6bc6898466fcf38fc268204a2",
+    "emo-mc-twins.csv": "a3b32e7c147a14a8c58196833d69d526bdb6f5b07afe83fd3e155298f179b567",
+    "emo-mc-twins.json": "a0bb58d0ce1f8ca149c2aba6118ad034439e22b22f40083ef6f4521a0e34df9d",
+    "emo-mc-twins-2workers.csv": "a3b32e7c147a14a8c58196833d69d526bdb6f5b07afe83fd3e155298f179b567",
+    "emo-mc-twins-2workers.json": "a0bb58d0ce1f8ca149c2aba6118ad034439e22b22f40083ef6f4521a0e34df9d",
     "grid.csv": "5460b731655b91a07be4c6ea13ae0de9d822b812e50db64ae61fbe7ecff0aeab",
     "grid.json": "042152e3461ddaa8d3b06cbf6ae00aa58b70216f1652f51e1193a4d438a43ced",
     "match.csv": "7272e4f38f1d39a8a6e98f3035418d971b6be604ea62de0cc41c8a1577281596",
