@@ -10,7 +10,8 @@ Two estimators:
   over every anchor (all scales, ratios and shifted sub-lattices).  Every
   cell of a table is estimated from one shared sample stream, drawn once
   per chunk, and each estimate is to the bit the one a call for that cell
-  alone gives.
+  alone gives.  Cells equal up to a power-of-two scale, all lengths in
+  ``[2**-400, 2**400]``, share one pass.
 
 The quadrature is only valid while the worst-offset face still overlaps its
 matched anchor, i.e. ``s_A/2 < l``; at or beyond that use the Monte Carlo
@@ -132,6 +133,20 @@ def _central_period_cell(layout: AnchorLayout) -> tuple[float, float, float]:
     return x0, y0, s
 
 
+def _scale_class(index: int, layout: AnchorLayout, face_w: float, face_h: float, region) -> object:
+    """The cell's lengths (face, sampling region, each group's box, origin
+    and stride) over the power of two just above the period, then each
+    group's grid size; or ``index``, a class of its own, when a nonzero
+    length lies outside ``[2**-400, 2**400]``."""
+    lengths = [face_w, face_h, *region]
+    for g in layout.groups:
+        lengths += [g.box_w, g.box_h, g.origin_x, g.origin_y, g.stride]
+    if not all(v == 0.0 or 2.0**-400 <= abs(v) <= 2.0**400 for v in lengths):
+        return index
+    e = math.frexp(region[2])[1]
+    return (*(math.ldexp(v, -e) for v in lengths), *((g.rows, g.cols) for g in layout.groups))
+
+
 def emo_monte_carlo(
     cells: Sequence[tuple[AnchorLayout, float, float]],
     samples: int,
@@ -148,6 +163,15 @@ def emo_monte_carlo(
     statistics are merged in index order, so each estimate is the one a
     single-cell call gives and is bit-identical for any ``workers``.
     Estimates come back in cell order.
+
+    Cells equal up to a power-of-two scale ``2**k`` (:func:`_scale_class`)
+    share one pass: they run the same float operations on values scaled by
+    ``2**k``.  The uniforms are multiples of ``2**-53``, so while every
+    nonzero length lies in ``[2**-400, 2**400]`` each coordinate is a
+    multiple of ``2**(E-105)``, ``E`` the smallest length exponent, a
+    nonzero intersection area is at least ``2**(2E-210)``, still normal,
+    no area overflows, and every quotient, ``floor``, clip index and IoU
+    ratio comes out bit-identical.  A cell outside that guard runs alone.
     """
     samples = _integer(samples, "samples", 1000)
     workers, seed = _integer(workers, "workers", 1), _integer(seed, "seed", 0)
@@ -157,6 +181,9 @@ def emo_monte_carlo(
     cells = [(layout, _real(face_w, "face size w", 2.0**500, 2.0**-500),
               _real(face_h, "face size h", 2.0**500, 2.0**-500)) for layout, face_w, face_h in cells]
     regions = [_central_period_cell(layout) for layout, _, _ in cells]
+    classes: dict = {}  # scale class key -> index of the class's first cell
+    firsts = [classes.setdefault(_scale_class(k, *cell, region), k)
+              for k, (cell, region) in enumerate(zip(cells, regions))]
 
     chunks = -(-samples // MC_CHUNK)
     local = threading.local()
@@ -169,8 +196,9 @@ def emo_monte_carlo(
         rng = stream(seed, index)
         rng.random(out=ux)
         rng.random(out=uy)
-        sums = np.empty((len(cells), 2))
-        for k, ((layout, face_w, face_h), (x0, y0, period)) in enumerate(zip(cells, regions)):
+        sums = np.zeros((len(cells), 2))  # 0 in the rows of the other cells of a class
+        for k in classes.values():
+            (layout, face_w, face_h), (x0, y0, period) = cells[k], regions[k]
             np.subtract(np.add(np.multiply(ux, period, out=bx), x0, out=bx), face_w / 2.0, out=bx)
             np.subtract(np.add(np.multiply(uy, period, out=by), y0, out=by), face_h / 2.0, out=by)
             max_overlap_values(layout, bx, by, face_w, face_h, out=vals)
@@ -189,7 +217,7 @@ def emo_monte_carlo(
     for part in parts:  # fixed merge order keeps each sum exact
         totals += part
     estimates = []
-    for total, total_sq in totals.tolist():
+    for total, total_sq in totals[firsts].tolist():
         mean = total / samples
         var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
         estimates.append(EmoEstimate(value=mean, std_error=math.sqrt(var / samples), method="monte_carlo"))

@@ -125,6 +125,15 @@ class TestEmo:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {named} must be in (3.05494e-151, 3.27339e+150), got 1e+300\n"
 
+    def test_mc_stride_from_2_to_500_exits_2_naming_the_strides(self, capsys):
+        # The plane is 8 strides wide, so a larger stride would reach it as inf.
+        assert main(["emo", "--mc", "--scales", "16", "--strides", "8,3e307"]) == 2
+        assert capsys.readouterr().err == "error: strides must be in (0, 3.27339e+150), got 3e+307\n"
+        assert main(["emo", "--scales", "16", "--strides", "3e307"]) == 2
+        assert capsys.readouterr().err == (
+            "error: closed-form invalid: anchor_stride/2 must stay below face_side, got stride "
+            "3e+307 vs side 16; use Monte Carlo (emo --mc)\n")
+
     def test_mc_seed_matters(self, files):
         base = ["emo", "--scale", "16", "--stride", "16", "--mc", "--samples", "10000"]
         a = files["dir"] / "s1.csv"

@@ -6,10 +6,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlap import emo
 from anchorlap.emo import (
     MAX_MC_SAMPLES,
+    MC_CHUNK,
     MAX_QUADRATURE_CELLS,
     EmoEstimate,
     EmoQuery,
@@ -266,6 +269,85 @@ class TestSharedStream:
             assert requested == ([] if threads is None else [threads])
             if samples == 200_000:
                 assert bits(got) == want
+
+
+def scaled_cell(spec, plane, face, k):
+    """The cell of ``spec`` (AnchorSpec keywords) on a ``plane`` for a
+    ``face``, with every length scaled by ``2**k``."""
+    scale = lambda v: math.ldexp(v, k)
+    layout = build_layout(AnchorSpec(**{
+        **spec, "scales": tuple(map(scale, spec["scales"])), "base_stride": scale(16.0),
+        "shifts_per_scale": {scale(s): n for s, n in spec["shifts_per_scale"].items()}}),
+        *map(scale, plane))
+    return (layout, *map(scale, face))
+
+
+@st.composite
+def twin_tables(draw):
+    """Cells of one or two random layouts (ratios other than 1, 1- and
+    3-shift sub-lattices, divisors 1, 2 and 4) and square or oblong faces
+    from small pools, so that some cells differ in one length only (scale 8
+    at ratio 1/2 and scale 16 at ratio 2 share the box width); each
+    beside a twin scaled by ``2**k``, some twins just outside ``[2**-400,
+    2**400]``, and some cells repeated exactly."""
+    specs = []
+    for _ in range(draw(st.integers(1, 2))):
+        scales = sorted(draw(st.sets(st.sampled_from((8.0, 12.0, 16.0, 32.0)), min_size=1, max_size=2)))
+        specs.append({"scales": tuple(scales), "ratios": draw(st.sampled_from([(1.0,), (0.5,), (2.0,), (0.5, 2.0)])),
+                      "stride_divisor": draw(st.sampled_from([1, 2, 4])),
+                      "shifts_per_scale": {s: n for s in scales if (n := draw(st.sampled_from([0, 1, 3])))}})
+    sides, planes = st.sampled_from((9.0, 12.0, 16.0)), st.sampled_from(((96.0, 128.0), (128.0, 128.0)))
+    twin = st.one_of(st.integers(-3, 3), st.integers(-403, -396), st.integers(392, 401))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec, plane, face = draw(st.sampled_from(specs)), draw(planes), (draw(sides), draw(sides))
+        cells += [scaled_cell(spec, plane, face, 0), scaled_cell(spec, plane, face, draw(twin))]
+    cells += draw(st.lists(st.sampled_from(cells), max_size=2))
+    return draw(st.permutations(cells))
+
+
+class TestScaleClasses:
+    """Cells equal up to a power-of-two scale share one kernel pass per chunk."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(cells=twin_tables())
+    def test_table_equals_one_call_per_cell(self, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emo, "MC_CHUNK", 512)  # 1,200 samples: chunks of 512, 512 and 176
+            mp.setattr(emo.os, "cpu_count", lambda: 2)
+            singles = bits(emo_monte_carlo([cell], 1200, seed=5)[0] for cell in cells)
+            for workers in (1, 2):
+                assert bits(emo_monte_carlo(cells, 1200, seed=5, workers=workers)) == singles
+
+    def test_cells_one_length_apart_run_apart(self):
+        # Scale 8 at ratio 1/2 and scale 16 at ratio 2 share the box width only.
+        wide, tall = ({"scales": (scale,), "ratios": (ratio,), "stride_divisor": 1, "shifts_per_scale": {}}
+                      for scale, ratio in ((8.0, 0.5), (16.0, 2.0)))
+        cells = [scaled_cell(wide, (128.0, 128.0), (12.0, 12.0), 0),
+                 scaled_cell(tall, (128.0, 128.0), (12.0, 12.0), 0),
+                 scaled_cell(wide, (128.0, 128.0), (12.0, 16.0), 0),
+                 scaled_cell(wide, (128.0, 128.0), (16.0, 12.0), 0)]
+        singles = bits(emo_monte_carlo([cell], 1000, seed=3)[0] for cell in cells)
+        assert bits(emo_monte_carlo(cells, 1000, seed=3)) == singles
+        assert len(set(singles)) == len(cells)
+
+    def test_kernel_runs_once_per_class_and_chunk(self, monkeypatch):
+        calls, kernel = [], emo.max_overlap_values
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(emo, "max_overlap_values", counting)
+        # The bench's table: (8, 8) and (16, 16), and (16, 8) and (32, 16), are twins.
+        bench = [(single_scale_layout(scale, stride), scale, scale)
+                 for scale in (8.0, 16.0, 32.0) for stride in (8.0, 16.0)]
+        table = emo_monte_carlo(bench, MC_CHUNK + 1000, seed=1, workers=2)
+        assert len(calls) == 4 * 2
+        assert bits(table[i] for i in (0, 2)) == bits(table[i] for i in (3, 5))
+        calls.clear()
+        emo_monte_carlo(mixed_cells(), MC_CHUNK + 1000, seed=1)
+        assert len(calls) == len(mixed_cells()) * 2
 
 
 class TestEmoTable:
