@@ -10,8 +10,8 @@ Two estimators:
   over every anchor (all scales, ratios and shifted sub-lattices).  Every
   cell of a table is estimated from one shared sample stream, drawn once
   per chunk, and each estimate is to the bit the one a call for that cell
-  alone gives.  Cells equal up to a power-of-two scale, all lengths in
-  ``[2**-400, 2**400]``, share one pass.
+  alone gives.  Cells equal up to a power-of-two scale, every nonzero
+  length in ``[2**-400, 2**400]``, share one pass.
 
 The quadrature is only valid while the worst-offset face still overlaps its
 matched anchor, i.e. ``s_A/2 < l``; at or beyond that use the Monte Carlo

@@ -274,7 +274,9 @@ class TestSharedStream:
 def scaled_cell(spec, plane, face, k):
     """The cell of ``spec`` (AnchorSpec keywords) on a ``plane`` for a
     ``face``, with every length scaled by ``2**k``."""
-    scale = lambda v: math.ldexp(v, k)
+    def scale(v):
+        return math.ldexp(v, k)
+
     layout = build_layout(AnchorSpec(**{
         **spec, "scales": tuple(map(scale, spec["scales"])), "base_stride": scale(16.0),
         "shifts_per_scale": {scale(s): n for s, n in spec["shifts_per_scale"].items()}}),
