@@ -75,34 +75,81 @@ def _json_text(v) -> str:
     return str(v) if type(v) is int else json.dumps(v)
 
 
-def _cells(column, lo: int, fmt: str):
-    """The cell texts of one chunk of a column, from row ``lo``.  A numpy
-    column formats each distinct value once per chunk: ints by a table over
-    ``[min, max]`` when that is under half the chunk (``value - min`` in the
-    column's dtype, which cannot overflow), else ``str`` per cell; floats by
-    bit pattern, so ``-0.0`` and ``0.0`` and nan payloads keep their texts;
-    ``U`` strings by a dict memo (``U`` drops trailing NULs, so only fixed
-    names may travel as one).  Bools, other kinds and Python sequences go
-    cell by cell: ``1``, ``True`` and ``1.0`` compare equal but print
-    differently."""
-    part = column[lo : lo + _RENDER_ROWS]
-    text = _csv_text if fmt == "csv" else _json_text
-    kind = part.dtype.kind if isinstance(part, np.ndarray) else "sequence"
-    if kind in ("i", "u"):
-        low, high = part.min(), part.max()
-        if int(high) - int(low) >= len(part) // 2:
-            return list(map(str, part.tolist()))
-        texts, index = list(map(str, range(int(low), int(high) + 1))), part - low
-    elif kind == "f" and part.itemsize <= 8:
-        distinct, index = np.unique(part.view(f"i{part.itemsize}"), return_inverse=True)
-        texts = list(map(text, distinct.view(part.dtype).tolist()))
+# A chunk is one uint8 matrix, a row per table row, whose cells are padded
+# with 0xFF, a byte UTF-8 never writes; deleting it leaves the text.
+_PAD = b"\xff"
+# Decimal texts four digits to a uint32 word: _QUADS[q] is q in 4 digits,
+# _QUADS[10_000 + q] the same with its leading zeros padded (0 all padding).
+_QUADS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_QUADS = np.concatenate([_QUADS % 10 + ord("0"), np.where(_QUADS, _QUADS % 10 + ord("0"), _PAD[0])])
+_QUADS = _QUADS.astype(np.uint8).view(np.uint32).ravel()
+_ZERO, _MINUS, _BLANK = np.frombuffer(b"\xff\xff\xff0\xff\xff\xff-\xff\xff\xff\xff", np.uint32)
+_POW10000 = 10_000 ** np.arange(1, 5, dtype=np.uint64)
+
+
+def _text_rows(texts) -> np.ndarray:
+    """The UTF-8 bytes of each text as one padded matrix row."""
+    data = [t.encode() for t in texts]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    rows = np.full((len(data), lengths.max(initial=0)), _PAD[0], np.uint8)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(data), np.uint8)
+    return rows
+
+
+def _int_cells(part: np.ndarray) -> np.ndarray:
+    """Decimal texts of an int column, four digits to a ``_QUADS`` word,
+    behind a ``-`` word when any cell is negative."""
+    negative = part < 0
+    rest = part.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # modulo 2**64, so -2**63 too
+    n_quads = 1 + int(np.searchsorted(_POW10000, rest.max(), side="right"))
+    words = np.empty((len(part), n_quads + bool(negative.any())), np.uint32)
+    for j in range(1, n_quads + 1):
+        rest, low = np.divmod(rest, 10_000)
+        np.add(low, 10_000, out=low, where=rest == 0)  # no digit above: pad zeros
+        words[:, -j] = _QUADS.take(low)
+    words[part == 0, -1] = _ZERO
+    if words.shape[1] > n_quads:
+        words[:, 0] = np.where(negative, _MINUS, _BLANK)
+    return words.view(np.uint8)
+
+
+def _cells(part, text) -> np.ndarray:
+    """The cells of one chunk of a column as padded rows of UTF-8 bytes.
+
+    Ints are written four digits at a time, never through ``str``.  Every
+    other column passes each distinct value through ``text`` once and
+    indexes the texts: floats and bools keyed by bit pattern, so ``-0.0``,
+    ``0.0`` and nan payloads keep their texts; ``U`` strings of at most 8
+    code points below 256 packed into one uint64, longer ones compared as
+    strings (``U`` drops trailing NULs, so only fixed names may travel as
+    one); Python objects, from object arrays or sequences, by identity,
+    since equal objects may print differently (``1``, ``True`` and ``1.0``;
+    ``-0.0`` and ``0.0``).  That still finds the repeats of a column like
+    ``match``'s ``image_id``, whose cells of one image are one ``str``.
+    """
+    kind = part.dtype.kind if isinstance(part, np.ndarray) else "O"
+    if kind in "iu":
+        return _int_cells(part)
+    if kind in "fb" and part.itemsize <= 8:
+        keys = part.view(f"u{part.itemsize}")
     elif kind == "U":
-        values = part.tolist()
-        memo = {value: text(value) for value in dict.fromkeys(values)}
-        return list(map(memo.__getitem__, values))
+        codes = np.ascontiguousarray(part).view(np.uint32).reshape(len(part), -1)
+        keys = part
+        if codes.shape[1] <= 8 and codes.max() < 256:
+            keys = np.zeros((len(part), 8), np.uint8)
+            keys[:, : codes.shape[1]] = codes
+            keys = keys.view(np.uint64).ravel()
     else:
-        return list(map(text, part if kind == "sequence" else part.tolist()))
-    return np.array(texts, dtype=object)[index].tolist()
+        values = part.tolist() if isinstance(part, np.ndarray) else part
+        ids = list(map(id, values))
+        reps = dict(zip(ids, values))
+        slots = dict(zip(reps, range(len(reps))))
+        return _text_rows(map(text, reps.values()))[list(map(slots.__getitem__, ids))]
+    distinct, index = np.unique(keys, return_inverse=True)
+    first = np.empty(len(distinct), np.intp)
+    first[index] = np.arange(len(part))
+    return _text_rows(map(text, part[first].tolist()))[index]
 
 
 def _render(columns: dict, fmt: str):
@@ -113,23 +160,39 @@ def _render(columns: dict, fmt: str):
     is its cells joined by ``,`` and ended by ``\\n``, quoted as
     ``csv.writer`` quotes rows of two or more cells.  JSON is the text of
     ``json.dumps(rows, indent=2, sort_keys=True)`` plus ``\\n`` for a list
-    of one object per row, each row filled into one template.  Each chunk
-    formats each distinct value of a numpy column once (see ``_cells``).
+    of one object per row, each row one template filled with its cells.
     """
     names = list(columns)
     n_rows = len(columns[names[0]])
     if fmt == "csv":
         yield ",".join(map(_csv_text, names)) + "\n"
-        row, sep, last, close = ",".join, "\n", "\n", ""
+        order, glue, last, close = names, ["", *[","] * (len(names) - 1), "\n"], "\n", ""
     else:
         yield "[\n" if n_rows else "["
-        keys = sorted(range(len(names)), key=names.__getitem__)
-        template = "  {{\n" + ",\n".join(f"    {json.dumps(names[i])}: {{{i}}}" for i in keys) + "\n  }}"
-        row, sep, last, close = (lambda cells: template.format(*cells)), ",\n", "\n", "]\n"
+        order = sorted(names)
+        keys = [f"\n    {json.dumps(name)}: " for name in order]
+        glue, last, close = ["  {" + keys[0], *["," + key for key in keys[1:]], "\n  },\n"], "\n  }\n", "]\n"
+    text = _csv_text if fmt == "csv" else _json_text
     for lo in range(0, n_rows, _RENDER_ROWS):
-        rows = zip(*(_cells(col, lo, fmt) for col in columns.values()))
-        yield sep.join(map(row, rows)) + (sep if lo + _RENDER_ROWS < n_rows else last)
+        parts = [columns[name][lo : lo + _RENDER_ROWS] for name in order]
+        yield _chunk_text(parts, text, glue, last if lo + _RENDER_ROWS >= n_rows else glue[-1])
     yield close
+
+
+def _chunk_text(parts: list, text, glue: list, end: str) -> str:
+    """One chunk's rows as one byte matrix: ``glue[0]``, the first part's
+    cells (see ``_cells``), ``glue[1]``, ..., ``glue[-1]`` as constant
+    columns between them, except that the chunk's last row ends in ``end``
+    (no longer than ``glue[-1]``).  Deleting the padding leaves the text."""
+    pieces = [np.frombuffer(g.encode(), np.uint8) for g in glue]
+    pieces = [*(x for g, part in zip(pieces, parts) for x in (g, _cells(part, text))), pieces[-1]]
+    edges = np.cumsum([0, *(piece.shape[-1] for piece in pieces)]).tolist()
+    matrix = np.empty((len(parts[0]), edges[-1]), np.uint8)
+    for piece, lo, hi in zip(pieces, edges, edges[1:]):
+        matrix[:, lo:hi] = piece
+    matrix[-1, lo:] = np.frombuffer(end.encode().ljust(hi - lo, _PAD), np.uint8)
+    del pieces  # the cells, before the text's copies
+    return matrix.tobytes().translate(None, _PAD).decode()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +267,9 @@ def _faces_and_layout(inputs: dict):
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
+    for name in ("scales", "strides"):
+        if not params[name]:
+            raise ValueError(f"--{name} lists no values; the table would have no rows")
     pairs = [(scale, stride) for scale in sorted(params["scales"]) for stride in sorted(params["strides"])]
     if params["mode"] == "monte_carlo":
         cells = []

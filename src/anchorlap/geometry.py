@@ -162,12 +162,15 @@ def iou_from_overlaps(iw, ih, areas):
     The IoU rule of the package, called by ``iou_xywh``, ``emo.emo_closed_form``
     and ``matching._nth_corner_iou``: the intersection is ``iw * ih`` where
     both overlaps are positive, else 0, and the union is bounded below by
-    the intersection.  Every step is a correctly rounded monotone
-    operation, so the result never decreases as ``iw`` or ``ih`` grows, in
-    floating point too.  Scalar inputs give a Python float.
+    the intersection.  Each overlap is clamped at 0 before the product, and
+    a product that is not positive (a nan overlap too) gives 0.  Every step
+    is a correctly rounded monotone operation, so the result never
+    decreases as ``iw`` or ``ih`` grows, in floating point too.  Scalar
+    inputs give a Python float.
     ``matching.max_overlap_values`` writes the same ``inter / max(areas -
     inter, inter)`` inline into scratch buffers, on overlaps clamped at 0.
     """
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    out = np.where(inter > 0.0, inter / np.maximum(areas - inter, inter), 0.0)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)  # nan where an overlap is nan
+    union = np.maximum(areas - inter, inter)
+    out = np.divide(inter, union, out=np.zeros(np.shape(union), np.result_type(union)), where=inter > 0.0)
     return float(out) if out.ndim == 0 else out

@@ -294,9 +294,9 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
                     ax, ay, g.box_w, g.box_h,
                     x[f, None, None], y[f, None, None], w[f, None, None], h[f, None, None],
                 )
-                hit = ious >= least[f, None, None]
-                b, r, c = np.nonzero(hit)
-                yield f[b], id0[k[b]] + r * g.cols + c, ious[hit]
+                flat = np.flatnonzero(ious >= least[f, None, None])
+                b, rc = np.divmod(flat, nr * nc)
+                yield f[b], id0[k[b]] + rc // nc * g.cols + rc % nc, ious.ravel()[flat]
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -152,6 +152,16 @@ class TestEmo:
         manifest = json.loads((files["dir"] / "default.csv.manifest.json").read_text())
         assert manifest["seed"] == 0 and manifest["parameters"]["seed"] == 0
 
+    @pytest.mark.parametrize("method", [[], ["--mc"]], ids=["closed-form", "mc"])
+    @pytest.mark.parametrize("argv, named", [(["--scales=", "--strides", "16"], "--scales"),
+                                             (["--scales", "16", "--strides", " "], "--strides")])
+    def test_empty_list_exits_2_naming_the_flag(self, capsys, method, argv, named):
+        # A table with no (scale, stride) pair once printed its header alone and exited 0.
+        assert main(["emo", *argv, *method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named} lists no values; the table would have no rows\n"
+
 
 class TestGrid:
     def test_plain_grid(self, capsys, files):
@@ -601,6 +611,20 @@ class TestReplay:
         assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: quadrature_cells must be an integer")
 
+    @pytest.mark.parametrize("mode", [[], ["--mc", "--samples", "1000"]], ids=["closed-form", "mc"])
+    @pytest.mark.parametrize("key", ["scales", "strides"])
+    def test_empty_list_in_manifest_exits_2_naming_it(self, files, capsys, mode, key):
+        out = files["dir"] / "emo.csv"
+        assert main(["emo", "--scales", "16", "--strides", "16", *mode, "--out", str(out)]) == 0
+        mpath = files["dir"] / "emo.csv.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["parameters"][key] = []
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --{key} lists no values; the table would have no rows\n"
+        assert not (files["dir"] / "r.csv").exists()
+
     @pytest.mark.parametrize(
         "argv, key, named",
         [
@@ -725,6 +749,14 @@ class TestJsonFormat:
             assert int(row["id"]) == ref["id"]
 
 
+def digit_boundaries(dtype):
+    """The ints of ``dtype`` at each end of its range and next to every
+    power of ten (9/10, 9999/10000, 10**k +- 1), of both signs."""
+    info = np.iinfo(dtype)
+    near = {info.min, info.max, *(sign * (10**k + d) for k in range(20) for d in (-1, 0, 1) for sign in (1, -1))}
+    return np.array(sorted(v for v in near if info.min <= v <= info.max), dtype=dtype)
+
+
 class TestRender:
     """``_render`` writes columns exactly as ``csv.writer`` and one ``json.dumps``
     of row dicts would, however the rows are chunked."""
@@ -756,9 +788,18 @@ class TestRender:
         np.array([-3, 0, 5, 2**63 - 1], dtype=np.int64),
         np.array([2**64 - 1, 2**64 - 2, 2**64 - 4], dtype=np.uint64),
         np.array([0, 1, 255], dtype=np.uint8),
+        *map(digit_boundaries, [np.int8, np.int16, np.int32, np.uint32, np.int64, np.uint64]),
         np.array(["a", "a,b", 'say "hi"', "two\nlines", "", "é 日本"]),
+        # ASCII names of up to 8 code points; Latin-1 ones with separators,
+        # quotes, backslashes, control characters and an inner NUL; longer
+        # names; short names beyond Latin-1.
+        np.array(["positive", "negative", "ignore", "", "a b", "~"]),
+        np.array([",", '"', "\\", "\x01\x7f", "é", 'a\\,"b', "\t\r", "a\x00b"]),
+        np.array(["a_longer_name", "img/0001.jpg", "x"]),
+        np.array(["\u0100", "", "\u0101", "\x01", "日本"]),
         np.array([True, False]),
         np.array(["img/a.jpg", "b,c.jpg", "d\x00"], dtype=object),
+        np.array(["in\x00ner", "trail\x00", "trail", "\x00", ""], dtype=object),
         [1, True, 1.0, 0.0, -0.0, "s", None, math.nan, 'q"'],
     ]
 
@@ -780,6 +821,15 @@ class TestRender:
         with mock.patch.object(cli, "_RENDER_ROWS", chunk):
             assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("pool", range(len(POOLS)))
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    def test_every_pool_value_matches_row_rendering(self, monkeypatch, fmt, pool, chunk):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
+        values = self.POOLS[pool]
+        columns = {"a": values, "b": values[::-1]}
+        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+
     @pytest.mark.parametrize("fmt, formatter", [("csv", "_csv_text"), ("json", "_json_text")])
     def test_each_distinct_value_is_formatted_once_per_chunk(self, monkeypatch, fmt, formatter):
         n_rows = 200_000  # four chunks
@@ -794,6 +844,17 @@ class TestRender:
         header = {"value": 1, "name": 1} if fmt == "csv" else {}
         assert calls == {0.5: chunks, 2.0: chunks, 1e16: chunks, "a": chunks, "b,c": chunks, "d": chunks,
                          **header}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_anchor_shaped_table_matches_row_rendering(self, fmt):
+        # match's .anchors table: every ID, three label names, sources from -1.
+        n_rows = 70_000
+        assert n_rows > cli._RENDER_ROWS
+        rng = np.random.default_rng(25)
+        columns = {"anchor": np.arange(n_rows),
+                   "label": np.array(["positive", "negative", "ignore"])[rng.integers(0, 3, n_rows)],
+                   "source_face": rng.integers(-1, 2000, n_rows)}
+        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
