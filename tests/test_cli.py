@@ -156,7 +156,7 @@ class TestEmo:
     @pytest.mark.parametrize("argv, named", [(["--scales=", "--strides", "16"], "--scales"),
                                              (["--scales", "16", "--strides", " "], "--strides")])
     def test_empty_list_exits_2_naming_the_flag(self, capsys, method, argv, named):
-        # A table with no (scale, stride) pair once printed its header alone and exited 0.
+        # No (scale, stride) pair: the table would be its header alone.
         assert main(["emo", *argv, *method]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
