@@ -141,7 +141,7 @@ def _cells(part, text) -> np.ndarray:
             keys[:, : codes.shape[1]] = codes
             keys = keys.view(np.uint64).ravel()
     else:
-        values = part.tolist() if isinstance(part, np.ndarray) else part
+        values = part.tolist() if isinstance(part, np.ndarray) else list(part)  # alive while keyed
         ids = list(map(id, values))
         reps = dict(zip(ids, values))
         slots = dict(zip(reps, range(len(reps))))

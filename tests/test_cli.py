@@ -846,6 +846,12 @@ class TestRender:
                          **header}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sequences_that_make_their_items_match_row_rendering(self, fmt):
+        # A range makes a new int per item, which may reuse a freed one's id.
+        columns = {"a": range(300, 310), "b": tuple(x / 4 for x in range(10))}
+        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_anchor_shaped_table_matches_row_rendering(self, fmt):
         # match's .anchors table: every ID, three label names, sources from -1.
         n_rows = 70_000
