@@ -328,7 +328,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
         "scale": faces.scale,
         "max_iou": result.face_max_iou,
         "argmax_anchor": result.face_argmax,
-        "assigned_count": np.diff(result.assigned_start),
+        "assigned_count": result.assigned_count,
     }
     anchor_cols = {
         "anchor": np.arange(layout.anchor_count),

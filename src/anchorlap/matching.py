@@ -14,10 +14,10 @@ non-dyadic sides (see there); ``match_faces`` only takes its floor from
 it.  Its results come from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
 above the face's floor, once.  ``match_faces`` streams every face down to
-``t_low`` (a hard face down to its kernel value) for the maxima, labels,
-sources and assigned anchors (two flat CSR arrays); one lowest-index-at-max
-fold picks each face's max and argmax anchor and each anchor's max and
-owner face.  An argmax anchor that no pair at or above ``t_low`` reaches
+``t_low``, or to its kernel value where that is lower, for the maxima,
+labels, sources and assigned-anchor counts; one lowest-index-at-max fold
+picks each face's max and argmax anchor and each anchor's max and owner
+face.  An argmax anchor that no pair at or above ``t_low`` reaches
 gets its source from all faces.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
@@ -81,19 +81,19 @@ class MatchConfig:
 class MatchResult:
     """Outcome of matching a set of faces against one anchor layout.
 
-    Per face: the max IoU over every anchor and the argmax anchor ID (-1 for
-    a face overlapping none); face ``f``'s sorted assigned anchor IDs are
-    ``assigned[assigned_start[f]:assigned_start[f + 1]]`` (int64, with
-    ``num_faces + 1`` offsets).  Per anchor: a label (1 positive, 0
-    negative, -1 ignore) and, for positives, the index of the face that owns
-    the assignment: the max-IoU face for threshold/argmax positives, the
-    compensated face for anchors promoted by hard-face compensation.
+    Per face: the max IoU over every anchor, the argmax anchor ID (-1 for
+    a face overlapping none) and the number of anchors assigned to it
+    (int64): its anchors of IoU at or above ``t_high`` and its argmax, or,
+    for a hard face after compensation, its top N.  Per anchor: a label
+    (1 positive, 0 negative, -1 ignore) and, for positives, the index of
+    the face that owns the assignment: the max-IoU face for
+    threshold/argmax positives, the compensated face for anchors promoted
+    by hard-face compensation.
     """
 
     face_max_iou: np.ndarray
     face_argmax: np.ndarray
-    assigned: np.ndarray
-    assigned_start: np.ndarray
+    assigned_count: np.ndarray
     anchor_labels: np.ndarray
     anchor_source: np.ndarray
 
@@ -299,19 +299,6 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
                 yield f[b], id0[k[b]] + rc // nc * g.cols + rc % nc, ious.ravel()[flat]
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` by sorting, which its hashing path is far slower than
-    on the large integer arrays here."""
-    a.sort()
-    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
-
-
-def _assigned(keys: np.ndarray, anchor_count: int, n_faces: int):
-    """:class:`MatchResult`'s CSR arrays from ``face * anchor_count + anchor`` keys."""
-    keys = _sorted_unique(keys)
-    return keys % anchor_count, np.searchsorted(keys, np.arange(n_faces + 1) * anchor_count)
-
-
 def _keep_best(best, owner, keys, values, candidates) -> None:
     """The lowest-index-at-max rule: fold pairs into ``best[keys]``, the max
     of ``values``, and ``owner[keys]``, the least ``candidates`` attaining
@@ -409,7 +396,7 @@ def match_faces(
 ) -> MatchResult:
     """Assign faces to anchors and label every anchor.
 
-    Per-face max IoU and argmax, labels, sources and assigned sets come
+    Per-face max IoU and argmax, labels, sources and assigned counts come
     from one window scan of the anchors each face can lift to ``t_low``
     or, where lower, to its cell-corner kernel value (see the module
     docstring).  All equal an exhaustive scan exactly.  An empty face
@@ -427,8 +414,8 @@ def match_faces(
     face_argmax = np.full(n_faces, _NONE, dtype=np.int64)
     anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
     anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
-    # (face, anchor) keys of pairs at or above t_high, plus each argmax.
-    keys = [np.empty(0, dtype=np.int64)]
+    # The faces of the pairs at or above t_high, one entry per pair.
+    high_faces = [np.empty(0, dtype=np.int64)]
     floor = np.where(kernel > 0.0, np.minimum(kernel, cfg.t_low), cfg.t_low)
     for boxes, ids, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
         top = ious >= kernel[boxes]
@@ -436,25 +423,25 @@ def match_faces(
         near = ious >= cfg.t_low
         boxes, ids, ious = boxes[near], ids[near], ious[near]
         _keep_best(anchor_best, anchor_best_face, ids, ious, boxes)
-        high = ious >= cfg.t_high
-        keys.append(boxes[high] * layout.anchor_count + ids[high])
+        high_faces.append(boxes[ious >= cfg.t_high])
     face_argmax[face_argmax == _NONE] = -1
 
     labels[anchor_best >= cfg.t_low] = LABEL_IGNORE
     labels[anchor_best >= cfg.t_high] = LABEL_POSITIVE
     owned = np.flatnonzero(face_argmax >= 0)
     labels[face_argmax[owned]] = LABEL_POSITIVE
-    keys.append(owned * layout.anchor_count + face_argmax[owned])
+    # A face's argmax is one of its pairs at or above t_high when its max
+    # reaches t_high, and otherwise its one assigned anchor.
+    count = np.bincount(np.concatenate(high_faces), minlength=n_faces)
+    count[(face_max > 0.0) & (face_max < cfg.t_high)] += 1
     # An argmax anchor no pair at or above t_low reached: its owner may be
     # any face, so it is found over all of them.
-    lost = _sorted_unique(face_argmax[owned])
-    lost = lost[anchor_best_face[lost] < 0]
+    lost = face_argmax[owned]
+    lost = np.unique(lost[anchor_best_face[lost] < 0])
     anchor_best_face[lost] = _best_faces(layout, lost, faces)
     source = np.where(labels == LABEL_POSITIVE, anchor_best_face, -1)
-
-    assigned, start = _assigned(np.concatenate(keys), layout.anchor_count, n_faces)
-    return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, assigned=assigned,
-                       assigned_start=start, anchor_labels=labels, anchor_source=source)
+    return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, assigned_count=count,
+                       anchor_labels=labels, anchor_source=source)
 
 
 def compensate_hard_faces(
@@ -499,7 +486,7 @@ def compensate_hard_faces(
     keep = labels[fresh] != LABEL_POSITIVE
     labels[fresh[keep]] = LABEL_POSITIVE
     source[fresh[keep]] = hard[pos[first[keep]]]
-    keys = np.repeat(np.arange(result.num_faces), np.diff(result.assigned_start)) * layout.anchor_count
-    keys = np.concatenate((keys + result.assigned, hard[pos] * layout.anchor_count + ids))
-    assigned, start = _assigned(keys, layout.anchor_count, result.num_faces)
-    return replace(result, assigned=assigned, assigned_start=start, anchor_labels=labels, anchor_source=source)
+    # A hard face's argmax leads its top N, so its top N is all it holds.
+    count = result.assigned_count.copy()
+    count[hard] = np.bincount(pos, minlength=len(hard))
+    return replace(result, assigned_count=count, anchor_labels=labels, anchor_source=source)

@@ -8,7 +8,7 @@ kernel the library used before its per-axis one, kept as a reference, and
 ``emo_exact`` is the EMO integral in closed form, whose integrand is
 ``iou_offset_square``.  ``group_of``,
 ``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
-``assigned_of``, ``label_counts``, ``face_lines``, ``max_overlap`` and
+``label_counts``, ``face_lines``, ``max_overlap`` and
 ``save_spec`` are lookups and writers that only the tests need.  ``render_reference`` is the
 CSV and JSON text the CLI's chunked renderer must reproduce.
 """
@@ -216,6 +216,7 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
     """Exhaustive ``match_faces`` and ``compensate_hard_faces`` from the dense
     IoU matrix: ``(matched, compensated)``, compensated None when hc_n is 0.
 
+    Assigned anchors are a dense faces-by-anchors mask, counted per face.
     Every rule is read straight off the matrix: a face's argmax is the lowest
     ID at its max, an anchor's source the lowest face index at its max.
     """
@@ -232,7 +233,8 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
     source = np.where(labels == 1, anchor_face, -1)
     assigned = ious >= cfg.t_high
     assigned[np.flatnonzero(face_max > 0.0), face_argmax[face_max > 0.0]] = True
-    matched = MatchResult(face_max, face_argmax, *_csr(assigned), labels, source)
+    count = np.count_nonzero(assigned, axis=1).astype(np.int64)
+    matched = MatchResult(face_max, face_argmax, count, labels, source)
     if cfg.hc_n == 0:
         return matched, None
 
@@ -244,17 +246,8 @@ def brute_match(layout: AnchorLayout, boxes, cfg):
         labels[fresh] = 1
         source[fresh] = f
         assigned[f, top] = True
-    return matched, MatchResult(face_max, face_argmax, *_csr(assigned), labels, source)
-
-
-def _csr(mask):
-    """A (faces, anchors) mask's true columns, row by row, and row offsets."""
-    return np.nonzero(mask)[1], np.r_[0, np.cumsum(np.count_nonzero(mask, axis=1))]
-
-
-def assigned_of(result, f: int) -> np.ndarray:
-    """Face ``f``'s assigned anchor IDs in a MatchResult."""
-    return result.assigned[result.assigned_start[f] : result.assigned_start[f + 1]]
+    count = np.count_nonzero(assigned, axis=1).astype(np.int64)
+    return matched, MatchResult(face_max, face_argmax, count, labels, source)
 
 
 def assert_same_match(got, want):

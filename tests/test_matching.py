@@ -29,7 +29,6 @@ from anchorlap.specfile import load_spec
 from helpers import (
     all_pair_ious,
     assert_same_match,
-    assigned_of,
     brute_labels,
     brute_match,
     brute_max_overlap,
@@ -386,7 +385,7 @@ class TestMatchFaces:
         assert res.face_argmax[0] == 0
         assert res.anchor_labels[0] == LABEL_POSITIVE
         assert res.anchor_source[0] == 0
-        assert assigned_of(res, 0).tolist() == [0]
+        assert res.assigned_count.tolist() == [1]
         # everything out of reach of the face stays negative
         assert res.anchor_labels[10] == LABEL_NEGATIVE
         assert res.anchor_source[10] == -1
@@ -417,8 +416,7 @@ class TestMatchFaces:
         layout = grid16()
         res = match_faces([], layout, CFG)
         assert res.num_faces == 0
-        assert res.assigned_start.tolist() == [0]
-        assert res.assigned.dtype == np.int64 and res.assigned.size == 0
+        assert res.assigned_count.dtype == np.int64 and res.assigned_count.size == 0
         assert np.all(res.anchor_labels == LABEL_NEGATIVE)
         assert label_counts(res)["negative"] == layout.anchor_count
 
@@ -449,9 +447,20 @@ class TestMatchFaces:
     def test_assigned_holds_threshold_and_argmax(self):
         layout = grid16()
         # offset 4 from anchor 0: IoU 0.6 with it, nothing else reaches 0.5
-        res = match_faces([RectBox(4.0, 0.0, 16.0, 16.0)], layout, CFG)
+        face = [RectBox(4.0, 0.0, 16.0, 16.0)]
+        res = match_faces(face, layout, CFG)
         assert res.face_max_iou[0] == pytest.approx(0.6, rel=1e-12)
-        assert assigned_of(res, 0).tolist() == [0]
+        assert res.assigned_count.tolist() == [1]
+        # At t_high equal to the max, the argmax is also a threshold pair
+        # and counts once; a hair above it, the face is hard and its top 1
+        # is that same argmax.
+        m = float(res.face_max_iou[0])
+        for cfg in (MatchConfig(t_high=m, t_low=m, hc_n=0), MatchConfig(t_high=m, t_low=m, hc_n=5),
+                    MatchConfig(t_high=float(np.nextafter(m, 1.0)), hc_n=1)):
+            got = compensate_hard_faces(match_faces(face, layout, cfg), face, layout, cfg)
+            assert got.assigned_count.tolist() == [1]
+            want, want_comp = brute_match(layout, face, cfg)
+            assert_same_match(got, want if want_comp is None else want_comp)
 
     def test_source_is_the_better_face(self):
         layout = grid16()
@@ -468,8 +477,8 @@ class TestCompensation:
         face = RectBox(8.0, 8.0, 16.0, 16.0)
         base = match_faces([face], layout, CFG)
         res = compensate_hard_faces(base, [face], layout, CFG)
-        assert assigned_of(res, 0).tolist() == [0, 1, 8, 9]
-        assert assigned_of(res, 0).tolist() == brute_top_n(layout, face, 5)
+        assert res.assigned_count.tolist() == [4]
+        assert brute_top_n(layout, face, 5) == [0, 1, 8, 9]
         owned = np.flatnonzero(res.anchor_source == 0)
         assert owned.tolist() == [0, 1, 8, 9]
         assert np.all(res.anchor_labels[owned] == LABEL_POSITIVE)
@@ -483,8 +492,9 @@ class TestCompensation:
         base = match_faces([face], layout, MatchConfig(t_high=0.9, hc_n=5))
         assert base.face_max_iou[0] < 0.9
         res = compensate_hard_faces(base, [face], layout, MatchConfig(t_high=0.9, hc_n=5))
-        assert len(assigned_of(res, 0)) == 5
-        assert assigned_of(res, 0).tolist() == sorted(brute_top_n(layout, face, 5))
+        assert res.assigned_count.tolist() == [5]
+        # no anchor reaches t_high, so the positives are the top 5 alone
+        assert np.flatnonzero(res.anchor_source == 0).tolist() == sorted(brute_top_n(layout, face, 5))
 
     def test_never_resteals_a_positive(self):
         layout = grid16(128.0)
@@ -495,7 +505,8 @@ class TestCompensation:
         res = compensate_hard_faces(base, [owner, hard], layout, CFG)
         assert res.anchor_labels[0] == LABEL_POSITIVE
         assert res.anchor_source[0] == 0  # still owned by the exact face
-        assert assigned_of(res, 1).tolist() == [0]
+        assert brute_top_n(layout, hard, 5) == [0]
+        assert res.assigned_count.tolist() == [1, 1]
 
     def test_non_hard_faces_untouched(self):
         layout = grid16(128.0)
@@ -503,16 +514,16 @@ class TestCompensation:
         hard = RectBox(8.0, 72.0, 16.0, 16.0)
         base = match_faces([easy, hard], layout, CFG)
         res = compensate_hard_faces(base, [easy, hard], layout, CFG)
-        assert np.array_equal(assigned_of(res, 0), assigned_of(base, 0))
-        assert res.anchor_source[assigned_of(base, 0)[0]] == 0
-        assert len(assigned_of(res, 1)) > len(assigned_of(base, 1))
+        assert res.assigned_count[0] == base.assigned_count[0] == 1
+        assert res.anchor_source[base.face_argmax[0]] == 0
+        assert res.assigned_count[1] > base.assigned_count[1]
 
     def test_face_overlapping_nothing_is_skipped(self):
         layout = grid16()
         lost = RectBox(900.0, 900.0, 16.0, 16.0)
         base = match_faces([lost], layout, CFG)
         res = compensate_hard_faces(base, [lost], layout, CFG)
-        assert assigned_of(res, 0).size == 0
+        assert res.assigned_count.tolist() == [0]
         assert np.all(res.anchor_labels == LABEL_NEGATIVE)
 
     def test_validation(self):
@@ -591,7 +602,7 @@ class TestJitter:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [float(r["max_iou"]) for r in rows] == pytest.approx(want.face_max_iou.tolist(), abs=1e-9)
         assert [int(r["argmax_anchor"]) for r in rows] == want.face_argmax.tolist()
-        assert [int(r["assigned_count"]) for r in rows] == [len(assigned_of(want, f)) for f in range(want.num_faces)]
+        assert [int(r["assigned_count"]) for r in rows] == want.assigned_count.tolist()
         anchors = list(csv.DictReader((tmp_path / "m.csv.anchors.csv").read_text().splitlines()))
         assert [int(r["source_face"]) for r in anchors] == want.anchor_source.tolist()
 
@@ -603,8 +614,10 @@ class TestJitter:
         res = compensate_hard_faces(base, faces, layout, CFG)
         # the compensated anchors overlap the face where it was matched
         ids, _ = overlapping_anchors(layout, faces[0])
-        assert set(assigned_of(res, 0)) <= set(ids.tolist())
-        assert set(assigned_of(res, 0)) == set(brute_top_n(layout, faces[0], CFG.hc_n))
+        top = brute_top_n(layout, faces[0], CFG.hc_n)
+        assert set(top) <= set(ids.tolist())
+        assert res.assigned_count.tolist() == [len(top)]
+        assert set(np.flatnonzero(res.anchor_source == 0)) == set(top)
 
 
 def test_jittered_corpus_still_matches_brute_force():
@@ -686,7 +699,7 @@ class TestBruteMatchSweep:
         got = match_faces(boxes, layout, CFG)
         assert_same_match(got, want)
         assert_same_match(compensate_hard_faces(got, boxes, layout, CFG), want_comp)
-        assert want_comp.assigned_start.tolist() == ([0] if not boxes else [0, 0, 4])
+        assert want_comp.assigned_count.tolist() == ([] if not boxes else [0, 4])
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(5150)
