@@ -118,6 +118,10 @@ class TestParsing:
             ("a.jpg\n", 1),                       # no count line at all
             ("a.jpg\n1\n1 2 three 4\n", 3),       # non-numeric coordinate
             ("a.jpg\n1\n1 2 3\n", 3),             # too few numbers
+            # The first error in file order wins:
+            ("a.jpg\n1\n1 2 x 4\nb.jpg\nyy\n", 3),  # a bad face line before a bad count
+            ("a.jpg\n3\n1 2 3\n4 4 4 4\n", 3),     # a short line in a truncated group
+            ("a.jpg\n1\n1 1 4 4\nb.jpg\n-2\n", 5),  # a negative count after a valid group
         ],
     )
     def test_structural_errors_carry_line(self, text, line):
