@@ -46,7 +46,7 @@ from .specfile import load_space, load_spec, spec_json
 
 __all__ = ["main", "build_parser"]
 
-_LABEL_NAMES = np.empty(3, dtype="U8")  # indexed by label code; LABEL_IGNORE (-1) is the last
+_LABEL_NAMES = np.empty(3, dtype=object)  # indexed by label code; LABEL_IGNORE (-1) is the last
 _LABEL_NAMES[[LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_IGNORE]] = "positive", "negative", "ignore"
 
 
@@ -114,32 +114,40 @@ def _int_cells(part: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
+class _Coded:
+    """A column whose row ``i`` is ``names[codes[i]]``, such as ``match``'s
+    labels: its chunks format each name once and index the texts by code."""
+
+    def __init__(self, codes: np.ndarray, names):
+        self.codes, self.names = codes, names
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "_Coded":
+        return _Coded(self.codes[rows], self.names)
+
+
 def _cells(part, text) -> np.ndarray:
     """The cells of one chunk of a column as padded rows of UTF-8 bytes.
 
-    Ints are written four digits at a time, never through ``str``.  Every
-    other column passes each distinct value through ``text`` once and
-    indexes the texts: floats and bools keyed by bit pattern, so ``-0.0``,
-    ``0.0`` and nan payloads keep their texts; ``U`` strings of at most 8
-    code points below 256 packed into one uint64, longer ones compared as
-    strings (``U`` drops trailing NULs, so only fixed names may travel as
-    one); Python objects, from object arrays or sequences, by identity,
-    since equal objects may print differently (``1``, ``True`` and ``1.0``;
-    ``-0.0`` and ``0.0``).  That still finds the repeats of a column like
-    ``match``'s ``image_id``, whose cells of one image are one ``str``.
+    Ints are written four digits at a time, never through ``str``; a
+    :class:`_Coded` column formats each of its names once.  Every other
+    column passes each distinct value through ``text`` once and indexes the
+    texts: floats and bools keyed by bit pattern, so ``-0.0``, ``0.0`` and
+    nan payloads keep their texts; Python objects, from object or string
+    arrays or sequences, by identity, since equal objects may print
+    differently (``1``, ``True`` and ``1.0``; ``-0.0`` and ``0.0``).  That
+    still finds the repeats of a column like ``match``'s ``image_id``,
+    whose cells of one image are one ``str``.
     """
+    if isinstance(part, _Coded):
+        return _text_rows(map(text, part.names))[part.codes]
     kind = part.dtype.kind if isinstance(part, np.ndarray) else "O"
     if kind in "iu":
         return _int_cells(part)
     if kind in "fb" and part.itemsize <= 8:
         keys = part.view(f"u{part.itemsize}")
-    elif kind == "U":
-        codes = np.ascontiguousarray(part).view(np.uint32).reshape(len(part), -1)
-        keys = part
-        if codes.shape[1] <= 8 and codes.max() < 256:
-            keys = np.zeros((len(part), 8), np.uint8)
-            keys[:, : codes.shape[1]] = codes
-            keys = keys.view(np.uint64).ravel()
     else:
         values = part.tolist() if isinstance(part, np.ndarray) else list(part)  # alive while keyed
         ids = list(map(id, values))
@@ -332,7 +340,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
     }
     anchor_cols = {
         "anchor": np.arange(layout.anchor_count),
-        "label": _LABEL_NAMES[result.anchor_labels],
+        "label": _Coded(result.anchor_labels, _LABEL_NAMES),
         "source_face": result.anchor_source,
     }
     fmt = params["format"]

@@ -12,13 +12,14 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import FaceTable, valid_boxes
 from .layout import AnchorLayout, _integer, _real
-from .matching import apply_jitter, max_overlap_values
+from .matching import _jitter_offsets, max_overlap_values
 
 __all__ = [
     "AnnotationError",
@@ -55,11 +56,9 @@ class ParsedAnnotations:
 
 
 def _is_zero_box_line(line: str) -> bool:
-    tokens = line.split()
-    if len(tokens) < 4:
-        return False
+    tokens = line.split()[:4]
     try:
-        return all(float(t) == 0.0 for t in tokens[:4])
+        return len(tokens) == 4 and all(float(t) == 0.0 for t in tokens)
     except ValueError:
         return False
 
@@ -71,60 +70,68 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     works).  Groups are [path, count, count face lines]; a count of zero
     may be followed by a single all-zero placeholder line, which is
     consumed and counted as skipped.  Boxes that break the RectBox rule (w
-    or h <= 0, or a non-finite coordinate or far edge) are dropped and
-    counted as skipped.  Each path gets one entry in ``image_ids``, in
-    order of first appearance.  Structural problems raise
-    :class:`AnnotationError` with the offending line number.
+    or h <= 0, an area ``w * h`` that underflows to 0, or a non-finite
+    coordinate or far edge) are dropped and counted as skipped.  Each path
+    gets one entry in ``image_ids``, in order of first appearance.  The
+    first structural problem in file order raises :class:`AnnotationError`
+    with its line number.  The face lines are converted in one batch.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)  # lines end where a text-mode file's do
-    lines = [ln.rstrip("\r\n") for ln in source]
+    lines = list(source)
     n = len(lines)
-    rows: list[tuple[float, float, float, float]] = []
-    image: list[int] = []
+    groups: list[tuple[int, int, int]] = []  # (first face line, face lines, image index)
     image_index: dict[str, int] = {}
     skipped = 0
+    error = None  # a structural error; the face lines before it are checked first
     i = 0
-    while i < n:
-        path = lines[i].strip()
-        i += 1
-        if not path:
-            continue
-        if i >= n:
-            raise AnnotationError(n, f"expected a face count after {path!r}, got end of file")
-        count_text = lines[i].strip()
-        i += 1
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise AnnotationError(i, f"expected an integer face count, got {count_text!r}") from None
-        if count < 0:
-            raise AnnotationError(i, f"face count must be >= 0, got {count}")
-        index = image_index.setdefault(path, len(image_index))
-        if count == 0:
-            if i < n and _is_zero_box_line(lines[i]):
-                skipped += 1
-                i += 1
-            continue
-        for k in range(count):
-            if i >= n:
-                raise AnnotationError(
-                    n, f"{path!r} declares {count} faces but the listing ends after {k}"
-                )
-            text = lines[i]
+    try:
+        while i < n:
+            path = lines[i].strip()
             i += 1
-            tokens = text.split()
-            if len(tokens) < 4:
-                raise AnnotationError(i, f"face line needs at least 4 numbers, got {text!r}")
+            if not path:
+                continue
+            if i >= n:
+                raise AnnotationError(n, f"expected a face count after {path!r}, got end of file")
+            count_text = lines[i].strip()
+            i += 1
             try:
-                rows.append(tuple(float(t) for t in tokens[:4]))
+                count = int(count_text)
             except ValueError:
-                raise AnnotationError(i, f"non-numeric face coordinates in {text!r}") from None
-            image.append(index)
-    cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+                raise AnnotationError(i, f"expected an integer face count, got {count_text!r}") from None
+            if count < 0:
+                raise AnnotationError(i, f"face count must be >= 0, got {count}")
+            index = image_index.setdefault(path, len(image_index))
+            if count == 0:
+                if i < n and _is_zero_box_line(lines[i]):
+                    skipped += 1
+                    i += 1
+                continue
+            groups.append((i, min(count, n - i), index))
+            if count > n - i:
+                raise AnnotationError(n, f"{path!r} declares {count} faces but the listing ends after {n - i}")
+            i += count
+    except AnnotationError as exc:
+        error = exc
+    heads = [ln.split(None, 4)[:4] for ln in chain.from_iterable([lines[s : s + c] for s, c, _ in groups])]
+    try:  # one batch; a short line leaves the iterator short of 4 tokens a row
+        values = np.fromiter(map(float, chain.from_iterable(heads)), np.float64, 4 * len(heads))
+    except ValueError:
+        for i, head in zip((i for s, c, _ in groups for i in range(s, s + c)), heads):
+            text = lines[i].rstrip("\r\n")
+            if len(head) < 4:
+                raise AnnotationError(i + 1, f"face line needs at least 4 numbers, got {text!r}") from None
+            try:
+                list(map(float, head))
+            except ValueError:
+                raise AnnotationError(i + 1, f"non-numeric face coordinates in {text!r}") from None
+    if error is not None:
+        raise error
+    cols = values.reshape(-1, 4).T
+    image = np.repeat(np.array([g[2] for g in groups], np.int64), [g[1] for g in groups])
     keep = valid_boxes(*cols)
-    records = FaceTable(*cols[:, keep], np.array(image, dtype=np.int64)[keep], tuple(image_index))
-    return ParsedAnnotations(records=records, skipped=skipped + len(rows) - len(records))
+    records = FaceTable(*cols[:, keep], image[keep], tuple(image_index))
+    return ParsedAnnotations(records=records, skipped=skipped + len(heads) - len(records))
 
 
 @dataclass(frozen=True)
@@ -213,20 +220,19 @@ def jitter_experiment(
 ) -> JitterReport:
     """Repeat bucket_stats under per-trial random face shifts.
 
-    Trial t draws its offset from the (seed, t) random stream, so reports
-    are reproducible and independent of evaluation order.  Offsets take at
-    most ``floor(b/2)**2`` values (``b`` as in :func:`apply_jitter`), so
-    the overlap kernel runs once per distinct offset, not once per trial;
-    the trials are then reduced in trial order.
+    Trial t draws :func:`apply_jitter`'s offset from the (seed, t) stream,
+    so reports are reproducible and independent of evaluation order.
+    Offsets take at most ``floor(b/2)**2`` values (``b`` as there), so the
+    shifted table is built and the overlap kernel runs once per distinct
+    offset, not once per trial; the trials are then reduced in trial order.
     """
     trials = _integer(trials, "trials", 1)
     faces = FaceTable.of(faces)
     by_offset: dict[tuple[int, int], ScaleBucketReport] = {}
     per_trial: list[ScaleBucketReport] = []
-    for t in range(trials):
-        shifted, offset = apply_jitter(faces, layout, seed, stream_index=t)
+    for offset in _jitter_offsets(layout, seed, range(trials)):
         if offset not in by_offset:
-            by_offset[offset] = bucket_stats(shifted, layout, edges, tau)
+            by_offset[offset] = bucket_stats(faces.translated(*offset), layout, edges, tau)
         per_trial.append(by_offset[offset])
     counts = per_trial[0].counts
     per_bucket = list(zip(*(r.mean_max_iou for r in per_trial)))

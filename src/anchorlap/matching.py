@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -381,14 +381,19 @@ def apply_jitter(
     draw and raises ``ValueError``.  Face sizes and relative positions are
     untouched.  Deterministic for a given (seed, stream_index).
     """
+    (dx, dy), = _jitter_offsets(layout, seed, (stream_index,))
+    return FaceTable.of(faces).translated(dx, dy), (dx, dy)
+
+
+def _jitter_offsets(layout: AnchorLayout, seed: int, stream_indices: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The :func:`apply_jitter` offset of each stream index, ``b`` worked out once."""
     b = min(effective_anchor_stride(layout.spec, s) for s in layout.spec.scales)
     if b < 2:
         raise ValueError(f"the smallest effective anchor stride must be >= 2 to jitter, got {b!r}")
     bound = int(math.floor(b / 2.0))
-    rng = stream(seed, stream_index)
-    dx = int(rng.integers(0, bound))
-    dy = int(rng.integers(0, bound))
-    return FaceTable.of(faces).translated(dx, dy), (dx, dy)
+    for index in stream_indices:
+        rng = stream(seed, index)
+        yield int(rng.integers(0, bound)), int(rng.integers(0, bound))
 
 
 def match_faces(

@@ -9,7 +9,9 @@ kernel the library used before its per-axis one, kept as a reference, and
 ``iou_offset_square``.  ``group_of``,
 ``anchor_center``, ``anchor_box``, ``groups_for_scale``, ``hard_faces``,
 ``label_counts``, ``face_lines``, ``max_overlap`` and
-``save_spec`` are lookups and writers that only the tests need.  ``render_reference`` is the
+``save_spec`` are lookups and writers that only the tests need.
+``per_line_parse`` is the listing parser as it was before its batch
+conversion, the oracle the batch parser must reproduce.  ``render_reference`` is the
 CSV and JSON text the CLI's chunked renderer must reproduce.
 """
 
@@ -21,8 +23,9 @@ import math
 
 import numpy as np
 
-from anchorlap.dataset import DEFAULT_BUCKET_EDGES, JitterReport, bucket_stats
-from anchorlap.geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh
+from anchorlap.dataset import (DEFAULT_BUCKET_EDGES, AnnotationError, JitterReport, ParsedAnnotations,
+                               bucket_stats)
+from anchorlap.geometry import FaceTable, RectBox, iou_from_overlaps, iou_xywh, valid_boxes
 from anchorlap.layout import AnchorLayout, AnchorSpec, LatticeGroup
 from anchorlap.matching import (
     LABEL_IGNORE,
@@ -91,6 +94,71 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
 def face_lines(parsed) -> int:
     """Face lines a parse read: the kept faces plus the skipped ones."""
     return len(parsed.records) + parsed.skipped
+
+
+def _is_zero_box_line(line: str) -> bool:
+    tokens = line.split()
+    if len(tokens) < 4:
+        return False
+    try:
+        return all(float(t) == 0.0 for t in tokens[:4])
+    except ValueError:
+        return False
+
+
+def per_line_parse(source) -> ParsedAnnotations:
+    """``parse_annotations`` as it once was: one line at a time, each face
+    line split and converted as it is read, the first error raised where
+    it is met."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)  # lines end where a text-mode file's do
+    lines = [ln.rstrip("\r\n") for ln in source]
+    n = len(lines)
+    rows: list[tuple[float, float, float, float]] = []
+    image: list[int] = []
+    image_index: dict[str, int] = {}
+    skipped = 0
+    i = 0
+    while i < n:
+        path = lines[i].strip()
+        i += 1
+        if not path:
+            continue
+        if i >= n:
+            raise AnnotationError(n, f"expected a face count after {path!r}, got end of file")
+        count_text = lines[i].strip()
+        i += 1
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise AnnotationError(i, f"expected an integer face count, got {count_text!r}") from None
+        if count < 0:
+            raise AnnotationError(i, f"face count must be >= 0, got {count}")
+        index = image_index.setdefault(path, len(image_index))
+        if count == 0:
+            if i < n and _is_zero_box_line(lines[i]):
+                skipped += 1
+                i += 1
+            continue
+        for k in range(count):
+            if i >= n:
+                raise AnnotationError(
+                    n, f"{path!r} declares {count} faces but the listing ends after {k}"
+                )
+            text = lines[i]
+            i += 1
+            tokens = text.split()
+            if len(tokens) < 4:
+                raise AnnotationError(i, f"face line needs at least 4 numbers, got {text!r}")
+            try:
+                rows.append(tuple(float(t) for t in tokens[:4]))
+            except ValueError:
+                raise AnnotationError(i, f"non-numeric face coordinates in {text!r}") from None
+            image.append(index)
+    cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    keep = valid_boxes(*cols)
+    records = FaceTable(*cols[:, keep], np.array(image, dtype=np.int64)[keep], tuple(image_index))
+    return ParsedAnnotations(records=records, skipped=skipped + len(rows) - len(records))
 
 
 def save_spec(spec: AnchorSpec, path: str) -> None:

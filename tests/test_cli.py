@@ -25,7 +25,7 @@ from anchorlap.cli import main
 from anchorlap.dataset import parse_annotations
 from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS, EmoQuery
 from anchorlap.layout import MAX_ANCHORS
-from anchorlap.matching import MatchConfig
+from anchorlap.matching import LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig
 
 from helpers import render_reference
 
@@ -834,16 +834,18 @@ class TestRender:
     def test_each_distinct_value_is_formatted_once_per_chunk(self, monkeypatch, fmt, formatter):
         n_rows = 200_000  # four chunks
         pick = np.arange(n_rows) % 3
-        columns = {"value": np.array([0.5, 2.0, 1e16])[pick], "name": np.array(["a", "b,c", "d"])[pick]}
+        # match's label column is coded and its image_id column shares one str per image.
+        columns = {"value": np.array([0.5, 2.0, 1e16])[pick], "name": cli._Coded(pick, ["a", "b,c", "d"]),
+                   "image": np.array(["i/0.jpg", "i/1.jpg", "i/2.jpg"], dtype=object)[pick]}
         calls = collections.Counter()
         real = getattr(cli, formatter)
         monkeypatch.setattr(cli, formatter, lambda v: calls.update([v]) or real(v))
         text = "".join(cli._render(columns, fmt))
         assert text.count("1e+16") == n_rows // 3
         chunks = -(-n_rows // cli._RENDER_ROWS)
-        header = {"value": 1, "name": 1} if fmt == "csv" else {}
+        header = {"value": 1, "name": 1, "image": 1} if fmt == "csv" else {}
         assert calls == {0.5: chunks, 2.0: chunks, 1e16: chunks, "a": chunks, "b,c": chunks, "d": chunks,
-                         **header}
+                         "i/0.jpg": chunks, "i/1.jpg": chunks, "i/2.jpg": chunks, **header}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sequences_that_make_their_items_match_row_rendering(self, fmt):
@@ -861,6 +863,20 @@ class TestRender:
                    "label": np.array(["positive", "negative", "ignore"])[rng.integers(0, 3, n_rows)],
                    "source_face": rng.integers(-1, 2000, n_rows)}
         assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_coded_labels_match_the_string_column(self, fmt):
+        # match renders its .anchors labels from their int8 codes.
+        n_rows = cli._RENDER_ROWS + 4_000
+        codes = np.random.default_rng(27).choice(
+            np.array([LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_IGNORE], np.int8), n_rows)
+        for chunk in (codes[: cli._RENDER_ROWS], codes[cli._RENDER_ROWS :]):
+            assert len(set(chunk.tolist())) == 3
+        names = {LABEL_POSITIVE: "positive", LABEL_NEGATIVE: "negative", LABEL_IGNORE: "ignore"}
+        strings = np.array([names[c] for c in codes.tolist()])
+        table = {"anchor": np.arange(n_rows), "label": strings, "source_face": np.arange(n_rows) % 7 - 1}
+        coded = cli._render({**table, "label": cli._Coded(codes, cli._LABEL_NAMES)}, fmt)
+        assert "".join(coded) == "".join(cli._render(table, fmt)) == render_reference(table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anchorlap import dataset
+from anchorlap import dataset, matching
 from anchorlap.dataset import (
     AnnotationError,
     JitterReport,
@@ -20,10 +22,11 @@ from anchorlap.dataset import (
 )
 from anchorlap.emo import EmoQuery, emo_closed_form
 from anchorlap.geometry import FaceTable, RectBox
-from anchorlap.layout import AnchorSpec, build_layout
+from anchorlap.layout import AnchorSpec, build_layout, effective_anchor_stride
 from anchorlap.matching import apply_jitter
+from anchorlap.rng import stream
 from anchorlap.specfile import load_spec
-from helpers import brute_jitter, face_lines
+from helpers import brute_jitter, face_lines, per_line_parse
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,6 +151,70 @@ class TestParsing:
         assert from_text.records.image_ids == from_file.records.image_ids == ("a.jpg", "b.jpg")
         for name in ("x", "y", "w", "h", "image"):
             assert np.array_equal(getattr(from_text.records, name), getattr(from_file.records, name))
+
+
+# Tokens for mangled listings: plain numbers, texts that Python's float
+# reads its own way, and texts that are not numbers at all.
+NUMBERS = ["1", "4", "16", "2.5", "30", "1E2"] * 3 + ["0", "-3", "-0", "1e-300", "1e300", "nan", "-inf",
+                                                     "1e400", "1_0", "\u0663", "+7"]
+NOT_NUMBERS = ["x", "1e", "0x10", "--1", "1__0"]
+COUNTS = ["0", "1", "2", "3", " +2 ", "00"] * 3 + ["-1", "1.5", "x", "1_0"]
+
+
+@st.composite
+def mangled_listings(draw):
+    """A listing of up to 4 groups, its lines ended by ``\n`` or ``\r\n``:
+    repeated paths, blank lines, zero-count placeholders, counts that are
+    negative, not integers or past the listing's end, and face lines with
+    extra, too few or non-numeric tokens.  A group may hold one face line
+    fewer than its count, which truncates it or misreads the next group."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(draw(st.sampled_from(["a.jpg", "b.jpg", " c d.jpg "])))
+        count = draw(st.sampled_from(COUNTS))
+        lines.append(count)
+        declared = int(count) if count.strip().lstrip("+").isdigit() else 1
+        if declared == 0 and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["0 0 0 0", "0 0 0 0 0 0", "0 0 0", "-0 0 0 0"])))
+        for _ in range(declared - (draw(st.integers(0, 7)) == 0)):
+            line = draw(st.lists(st.sampled_from(NUMBERS), min_size=4, max_size=6))
+            mangle = draw(st.integers(0, 15))
+            if mangle == 0:
+                line = line[:3]
+            elif mangle == 1:
+                line[draw(st.integers(0, 3))] = draw(st.sampled_from(NOT_NUMBERS))
+            lines.append(" ".join(line))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def parse_outcome(parse, source):
+    """Bit patterns of the parsed columns with the image ids and skip count,
+    or the line and message of the AnnotationError."""
+    try:
+        parsed = parse(source)
+    except AnnotationError as exc:
+        return exc.line, str(exc)
+    table = parsed.records
+    columns = [getattr(table, name) for name in ("x", "y", "w", "h", "image")]
+    return [(c.dtype.str, c.tobytes()) for c in columns], table.image_ids, parsed.skipped
+
+
+class TestBatchParse:
+    """``parse_annotations`` converts face lines in one batch; the listing
+    parsed one line at a time (``per_line_parse``) is its oracle."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(text=mangled_listings())
+    def test_equals_the_per_line_parse(self, text):
+        for source in (text, text.splitlines(True)):
+            assert parse_outcome(parse_annotations, source) == parse_outcome(per_line_parse, source)
+
+    @pytest.mark.parametrize("text", ["a.jpg\n2\n1_0 2 3 4\n\u0663 1e400 nan 4\n",
+                                      "a.jpg\n1\n1 2 3 4 x\nb.jpg\n1\n0x1 2 3 4\n"])
+    def test_python_float_rules(self, text):
+        assert parse_outcome(parse_annotations, text) == parse_outcome(per_line_parse, text)
 
 
 def l16_layout(plane=256.0, divisor=1):
@@ -350,6 +417,29 @@ def kernel_passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def shifted_tables(monkeypatch):
+    """Records the offset of every shifted ``FaceTable`` built."""
+    offsets = []
+    real = FaceTable.translated
+
+    def counting(self, dx, dy):
+        offsets.append((dx, dy))
+        return real(self, dx, dy)
+
+    monkeypatch.setattr(FaceTable, "translated", counting)
+    return offsets
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """Records every ``rng.stream`` call that jitter draws make."""
+    calls = []
+    real = matching.stream
+    monkeypatch.setattr(matching, "stream", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestJitterOnePassPerOffset:
     """``jitter_experiment`` runs the kernel once per distinct offset, and its
     report equals one full ``bucket_stats`` per trial (``brute_jitter``)."""
@@ -371,6 +461,18 @@ class TestJitterOnePassPerOffset:
         faces, layout = golden_jitter_inputs()
         report = jitter_experiment(faces, layout, trials=64, seed=3)
         assert len(kernel_passes) == report.distinct_offsets == 4
+
+    def test_golden_spec_builds_one_shifted_table_per_offset(self, shifted_tables, stream_calls):
+        faces, layout = golden_jitter_inputs()
+        bound = int(min(effective_anchor_stride(layout.spec, s) for s in layout.spec.scales) // 2)
+        drawn = [tuple(int(v) for v in stream(3, t).integers(0, bound, 2)) for t in range(64)]
+        assert [apply_jitter(faces, layout, 3, stream_index=t)[1] for t in range(64)] == drawn
+        shifted_tables.clear()
+        stream_calls.clear()
+        report = jitter_experiment(faces, layout, trials=64, seed=3)
+        assert shifted_tables == list(dict.fromkeys(drawn))  # in order of first draw
+        assert len(shifted_tables) == report.distinct_offsets == 4
+        assert stream_calls == [(3, t) for t in range(64)]
 
     def test_single_offset_spec_makes_one_pass_of_unshifted_faces(self, kernel_passes):
         faces = mixed_faces(60, seed=7)
