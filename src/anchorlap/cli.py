@@ -31,6 +31,8 @@ from . import __version__
 from .dataset import (
     DEFAULT_BUCKET_EDGES,
     AnnotationError,
+    ListingPlaneError,
+    _check_plane,
     bounding_plane,
     bucket_bounds,
     bucket_stats,
@@ -271,7 +273,9 @@ def _faces_and_layout(inputs: dict):
     """The listing's faces and the spec's layout on their bounding plane."""
     faces = _load_faces(inputs)
     spec = load_spec(inputs["spec"])
-    return faces, build_layout(spec, *bounding_plane(faces))
+    plane = bounding_plane(faces)
+    _check_plane([spec], plane)
+    return faces, build_layout(spec, *plane)
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
@@ -569,7 +573,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AnnotationError, OSError) as exc:
+    except (AnnotationError, ListingPlaneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

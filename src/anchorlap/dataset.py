@@ -18,11 +18,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import FaceTable, valid_boxes
-from .layout import AnchorLayout, _integer, _real
+from .layout import MAX_ANCHORS, AnchorLayout, AnchorSpec, _grid_shape, _integer, _real
 from .matching import _jitter_offsets, max_overlap_values
 
 __all__ = [
     "AnnotationError",
+    "ListingPlaneError",
     "ParsedAnnotations",
     "parse_annotations",
     "DEFAULT_BUCKET_EDGES",
@@ -45,6 +46,12 @@ class AnnotationError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class ListingPlaneError(ValueError):
+    """A listing's faces span a plane over the anchor cap for every spec
+    asked for, though one of them fits the least plane: the listing, not
+    the parameters, is at fault."""
 
 
 @dataclass(frozen=True)
@@ -262,3 +269,26 @@ def bounding_plane(faces: FaceTable | Sequence) -> tuple[float, float]:
     h = max(_MIN_PLANE_SIDE, math.ceil(np.max(faces.y + faces.h)))
     return float(w), float(h)
 
+
+def _check_plane(specs: Sequence[AnchorSpec], plane: tuple[float, float]) -> None:
+    """Raise unless each of ``specs`` fits the anchor cap on ``plane``, a
+    listing's bounding plane.  When none fits it but one fits the least
+    plane, the listing is at fault: :class:`ListingPlaneError`.  Otherwise
+    the parameters are, and the first spec over the cap raises
+    ``ValueError`` as ``build_layout`` does."""
+    over = []
+    for spec in specs:
+        try:
+            _grid_shape(spec, *plane)
+        except ValueError as exc:
+            over.append(exc)
+    if over and len(over) == len(specs):
+        for spec in specs:
+            try:
+                _grid_shape(spec, _MIN_PLANE_SIDE, _MIN_PLANE_SIDE)
+            except ValueError:
+                continue
+            raise ListingPlaneError(f"the annotation listing's {plane[0]:g} x {plane[1]:g} bounding plane "
+                                    f"needs a layout over the cap of {MAX_ANCHORS} anchors")
+    if over:
+        raise over[0]

@@ -143,34 +143,56 @@ def iou(a: RectBox, b: RectBox) -> float:
     return inter / max(a.area + b.area - inter, inter)
 
 
-def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh):
+# The least positive float: the area sum's floor, so 0 / 0 never arises.
+_LEAST = np.nextafter(0.0, 1.0)
+
+
+def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh, out=None):
     """Elementwise IoU for ``(x, y, w, h)`` coordinate arrays.
 
     Broadcasts like any numpy expression; scalar inputs produce a Python
     float.  Matches :func:`iou` bit-for-bit on equal inputs, which the
-    accelerated matching paths rely on.
+    accelerated matching paths rely on.  ``out`` goes to
+    :func:`iou_from_overlaps`, the one step at the full broadcast shape:
+    the per-axis overlaps and the area sum keep their own, smaller shapes.
     """
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    return iou_from_overlaps(iw, ih, aw * ah + bw * bh)
+    return iou_from_overlaps(iw, ih, aw * ah + bw * bh, out)
 
 
-def iou_from_overlaps(iw, ih, areas):
+def iou_from_overlaps(iw, ih, areas, out=None):
     """IoU from the per-axis overlaps ``iw``, ``ih`` of two boxes and the sum
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
-    The IoU rule of the package, called by ``iou_xywh``, ``emo.emo_closed_form``
-    and ``matching._nth_corner_iou``: the intersection is ``iw * ih`` where
-    both overlaps are positive, else 0, and the union is bounded below by
-    the intersection.  Each overlap is clamped at 0 before the product, and
-    a product that is not positive (a nan overlap too) gives 0.  Every step
-    is a correctly rounded monotone operation, so the result never
-    decreases as ``iw`` or ``ih`` grows, in floating point too.  Scalar
-    inputs give a Python float.
+    The IoU rule of the package, called by ``iou_xywh`` (so by the matching
+    window scan, ``matching._best_faces`` and the test oracles),
+    ``emo.emo_closed_form`` and ``matching._nth_corner_iou``: the
+    intersection is ``iw * ih`` where both overlaps are positive, else 0,
+    and the union is bounded below by the intersection.  Each overlap is
+    clamped at 0 before the product, and the area sum is bounded below by
+    the least positive float, so a zero intersection gives 0 whatever the
+    areas; a nan quotient (from a nan overlap or area) gives 0 too, so the
+    result stays in [0, 1].  Every step is a correctly rounded monotone
+    operation, so the result never decreases as ``iw`` or ``ih`` grows, in
+    floating point too.  Scalar inputs give a Python float.
     ``matching.max_overlap_values`` writes the same ``inter / max(areas -
     inter, inter)`` inline into scratch buffers, on overlaps clamped at 0.
+
+    A C-contiguous float64 ``out`` of the broadcast shape is overwritten,
+    whatever it held, and returned, with the bits of the allocating form.
+    It holds the intersection on the way, so the union is the one array of
+    that shape allocated per call.
     """
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)  # nan where an overlap is nan
-    union = np.maximum(areas - inter, inter)
-    out = np.divide(inter, union, out=np.zeros(np.shape(union), np.result_type(union)), where=inter > 0.0)
-    return float(out) if out.ndim == 0 else out
+    shape = np.broadcast(iw, ih, areas).shape
+    given = out is not None
+    if not given:
+        out = np.empty(shape, np.result_type(iw, ih, areas, 0.0))
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    inter = np.multiply(np.maximum(iw, 0.0), np.maximum(ih, 0.0), out=out)  # nan where an overlap is nan
+    union = np.subtract(np.maximum(areas, _LEAST), inter, out=np.empty_like(out))
+    np.maximum(union, inter, out=union)
+    np.divide(inter, union, out=out)
+    np.fmax(out, 0.0, out=out)  # nan to 0
+    return out if given or out.ndim else float(out)

@@ -13,12 +13,13 @@ can fall a few ulps short of the exhaustive maximum for anchors of
 non-dyadic sides (see there); ``match_faces`` only takes its floor from
 it.  Its results come from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
-above the face's floor, once.  ``match_faces`` streams every face down to
-``t_low``, or to its kernel value where that is lower, for the maxima,
-labels, sources and assigned-anchor counts; one lowest-index-at-max fold
-picks each face's max and argmax anchor and each anchor's max and owner
-face.  An argmax anchor that no pair at or above ``t_low`` reaches
-gets its source from all faces.
+above the face's floor, once, evaluated per block in buffers allocated
+once per scan and emitted by mask compression.  ``match_faces`` streams
+every face down to ``t_low``, or to its kernel value where that is lower,
+for the maxima, labels, sources and assigned-anchor counts; one
+lowest-index-at-max fold picks each face's max and argmax anchor and each
+anchor's max and owner face.  An argmax anchor that no pair at or above
+``t_low`` reaches gets its source from all faces.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
 """
@@ -215,8 +216,9 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     return out
 
 
-# IoU pairs in one streamed block of the window scan.  A block's working
-# memory is about ten float64 arrays of this size.
+# IoU pairs in one streamed block of the window scan.  Its IoUs, hit mask
+# and anchor IDs go into buffers of this size, allocated once per scan; the
+# IoU rule allocates one more float64 array, and the hits are copied out.
 _BLOCK_PAIRS = 1 << 15
 
 # Relative slack on the least intersection an anchor needs to reach an IoU
@@ -252,13 +254,22 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
     Windows are widened one cell against rounding, then padded to a size
     class (and shifted to stay inside the group) so that boxes of similar
     windows share one broadcast IoU evaluation, ``iw`` per column times
-    ``ih`` per row; only its hits get anchor IDs.
+    ``ih`` per row.
+
+    A block's IoUs, its hit mask (IoU at or above the box's floor) and the
+    anchor ID of each of its window cells, each window's first ID plus a
+    per-group ``row * cols + col`` offset table, are written into float,
+    bool and int64 buffers allocated once per call and grown only for a
+    window larger than ``_BLOCK_PAIRS``.  The hits are then emitted by mask
+    compression, IDs and IoUs by ``[hit]`` and boxes by repeating each box
+    by its hit count, as fresh arrays, so no block aliases the buffers.
     """
     cx = x + w / 2.0
     cy = y + h / 2.0
     gain = floor / (1.0 + floor) * _SLACK
     # A floor of 0 admits only positive IoUs: the least positive float.
     least = np.maximum(floor, np.nextafter(0.0, 1.0))
+    values, hits, anchors = (np.empty(_BLOCK_PAIRS, dtype=t) for t in (np.float64, bool, np.int64))
     for g in layout.groups:
         inter = gain * (g.box_w * g.box_h + w * h)
         span_x = np.minimum(w, g.box_w)
@@ -278,25 +289,39 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
         c0 = np.minimum(c0, g.cols - ncols)
         r0 = np.minimum(r0, g.rows - nrows)
         id0 = g.id_start + r0 * g.cols + c0  # each window's first anchor
+        # Each window anchor's ID less the window's first, by row and column.
+        offsets = np.arange(nrows.max())[:, None] * g.cols + np.arange(ncols.max())
         shape = nrows * (g.cols + 1) + ncols
-        for key in np.unique(shape):
-            run = np.flatnonzero(shape == key)
-            nr, nc = int(nrows[run[0]]), int(ncols[run[0]])
-            step = max(1, _BLOCK_PAIRS // (nr * nc))
+        # The boxes of each window shape, in ascending order: runs of a stable sort.
+        order = np.argsort(shape, kind="stable")
+        shape = shape[order]
+        ends = [*np.flatnonzero(shape[1:] != shape[:-1]) + 1, len(order)]
+        for start, end in zip([0, *ends], ends):
+            run = order[start:end]
+            nr, nc = divmod(int(shape[start]), g.cols + 1)
+            size = nr * nc
+            step = max(1, _BLOCK_PAIRS // size)
+            if size > len(values):  # one window over a block
+                values, hits, anchors = (np.empty(size, dtype=t) for t in (np.float64, bool, np.int64))
+            offset = offsets[:nr, :nc]
             for lo in range(0, len(run), step):
                 k = run[lo : lo + step]
                 f = live[k]
+                n = len(k) * size
+                ious, hit, ids = values[:n], hits[:n], anchors[:n]
                 cols = c0[k, None, None] + np.arange(nc)
                 rows = r0[k, None, None] + np.arange(nr)[:, None]
                 ax = (g.origin_x + cols * g.stride) - g.box_w / 2.0
                 ay = (g.origin_y + rows * g.stride) - g.box_h / 2.0
-                ious = iou_xywh(
+                iou_xywh(
                     ax, ay, g.box_w, g.box_h,
                     x[f, None, None], y[f, None, None], w[f, None, None], h[f, None, None],
+                    out=ious.reshape(len(k), nr, nc),
                 )
-                flat = np.flatnonzero(ious >= least[f, None, None])
-                b, rc = np.divmod(flat, nr * nc)
-                yield f[b], id0[k[b]] + rc // nc * g.cols + rc % nc, ious.ravel()[flat]
+                by_box = hit.reshape(len(k), size)
+                np.greater_equal(ious.reshape(len(k), size), least[f][:, None], out=by_box)
+                np.add(id0[k][:, None, None], offset, out=ids.reshape(len(k), nr, nc))
+                yield f.repeat(by_box.sum(axis=1)), ids[hit], ious[hit]
 
 
 def _keep_best(best, owner, keys, values, candidates) -> None:

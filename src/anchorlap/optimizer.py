@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import bounding_plane
+from .dataset import _check_plane, bounding_plane
 from .geometry import FaceTable
-from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _grid_shape,
-                     _integer, _real, build_layout)
+from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _integer, _real,
+                     build_layout)
 from .matching import max_overlap_values
 
 __all__ = ["SearchSpace", "ConfigScore", "enumerate_configs", "evaluate_config", "optimize"]
@@ -115,9 +115,9 @@ def _score(specs: list[AnchorSpec], faces: FaceTable | Sequence, tau: float) -> 
         raise ValueError("faces must be non-empty")
     tau = _real(tau, "tau", below=1.0)
     plane = bounding_plane(faces)
+    _check_plane(specs, plane)  # the anchor cap build_layout would apply
     used: dict[tuple[float, int], set[int]] = {}  # (scale, divisor) -> shift counts
     for spec in specs:
-        _grid_shape(spec, *plane)  # the anchor cap build_layout would apply
         for s in spec.scales:
             used.setdefault((s, spec.stride_divisor), set()).add(spec.shifts_per_scale.get(s, 0))
     vectors: dict[tuple[float, int, int], np.ndarray] = {}

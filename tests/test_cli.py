@@ -490,26 +490,37 @@ def test_area_underflowing_to_zero_is_refused_on_one_line(tmp_path, argv, doc, l
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
-@pytest.mark.parametrize("argv, spec, listing", [
-    (["stats", "--annotations", str(DATA / "golden_faces.txt")], {"scales": [16], "base_stride": 1e-310}, None),
-    (["grid", "--plane", "1e308x1e308"], {"scales": [16], "base_stride": 1e-300}, None),
-    (["match"], None, "img/a.jpg\n1\n1e300 1e300 16 16\n"),
-    (["grid", "--plane", "1e308x1e308"], None, None),
-], ids=["stats-subnormal-stride", "grid-huge-plane-tiny-stride", "match-far-face", "grid-huge-plane"])
-def test_extreme_plane_or_stride_exits_2_on_one_line(tmp_path, argv, spec, listing):
+@pytest.mark.parametrize("argv, spec", [
+    (["stats", "--annotations", str(DATA / "golden_faces.txt")], {"scales": [16], "base_stride": 1e-310}),
+    (["grid", "--plane", "1e308x1e308"], {"scales": [16], "base_stride": 1e-300}),
+    (["grid", "--plane", "1e308x1e308"], None),
+], ids=["stats-subnormal-stride", "grid-huge-plane-tiny-stride", "grid-huge-plane"])
+def test_extreme_plane_or_stride_exits_2_on_one_line(tmp_path, argv, spec):
     # Each quotient plane / stride is over the anchor cap or infinite.
     spec_path = DATA / "golden_spec.json"
     if spec is not None:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
-    if listing is not None:
-        ann = tmp_path / "far.txt"
-        ann.write_text(listing)
-        argv = [*argv, "--annotations", str(ann)]
     proc = run_console_script(*argv, "--spec", str(spec_path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stderr.endswith(f" plane needs a layout over the cap of {MAX_ANCHORS} anchors\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--spec", str(DATA / "golden_spec.json")],
+    ["stats", "--spec", str(DATA / "golden_spec.json")],
+    ["stats", "--jitter", "--spec", str(DATA / "golden_spec.json")],
+    ["optimize", "--space", str(DATA / "golden_space.json")],
+], ids=["match", "stats", "stats-jitter", "optimize"])
+def test_far_face_is_a_data_error_on_one_line(tmp_path, argv):
+    # The spec (each config of the space) fits the least 64 x 64 plane, so
+    # only the listing's plane is over the anchor cap.
+    ann = tmp_path / "far.txt"
+    ann.write_text("img/a.jpg\n1\n1e300 1e300 16 16\n")
+    proc = run_console_script(*argv, "--annotations", str(ann))
+    assert (proc.returncode, proc.stderr) == (1, "error: the annotation listing's 1e+300 x 1e+300 bounding plane "
+                                                 f"needs a layout over the cap of {MAX_ANCHORS} anchors\n")
 
 
 class TestReplay:

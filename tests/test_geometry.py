@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorlap.geometry import FaceTable, RectBox, intersect_area, iou, iou_xywh
+from anchorlap.geometry import FaceTable, RectBox, intersect_area, iou, iou_from_overlaps, iou_xywh
 
 from helpers import iou_offset_square
 
@@ -183,6 +183,79 @@ class TestIouXywh:
         assert float(iou_xywh(0.0, 0.0, 16.0, 16.0, 8.0, 8.0, 16.0, 16.0)) == pytest.approx(
             1.0 / 7.0, rel=1e-15
         )
+
+
+# Overlaps and area sums at the edges of the rule: nan, signed zeros,
+# subnormals, zero and negative overlaps, zero area sums.
+EDGE_OVERLAPS = np.array([math.nan, -3.0, -0.0, 0.0, 5e-324, 2e-310, 1e-200, 0.5, 3.0, 16.0])
+EDGE_AREAS = np.array([0.0, -0.0, 5e-324, 1e-300, 0.25, 1.0, 512.0])
+
+
+def where_rule(iw, ih, areas):
+    """The IoU rule written with a positive-intersection mask: where the
+    intersection is positive, ``inter / max(areas - inter, inter)``, else +0."""
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = np.maximum(areas - inter, inter)
+    return np.divide(inter, union, out=np.zeros(np.shape(union)), where=inter > 0.0)
+
+
+class TestOutBuffer:
+    """``iou_from_overlaps`` and ``iou_xywh`` into an ``out`` buffer give the
+    allocating form's bits, whatever the buffer held."""
+
+    SHAPES = [((10, 1), (1, 10), (10, 1)), ((10, 1), (1, 10), ()), ((1, 10), (10, 1), (1, 1)),
+              ((7, 1, 10), (7, 10, 1), (7, 1, 1)), ((10,), (10,), (10,))]
+
+    def edge_inputs(self, rng, shapes):
+        iw, ih, areas = (rng.choice(pool, size=shape) for pool, shape in
+                         zip((EDGE_OVERLAPS, EDGE_OVERLAPS, EDGE_AREAS), shapes))
+        return iw, ih, areas
+
+    @pytest.mark.parametrize("shapes", SHAPES, ids=["column-row", "scalar-areas", "row-column", "scan-block", "flat"])
+    def test_overlaps_out_is_the_allocating_form_bitwise(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]) * 10 + len(shapes[2]))
+        for _ in range(20):
+            iw, ih, areas = self.edge_inputs(rng, shapes)
+            want = iou_from_overlaps(iw, ih, areas)
+            assert want.tobytes() == where_rule(iw, ih, areas).tobytes()
+            for stale in (math.nan, 2.0, -0.0):
+                buf = np.full(want.shape, stale)
+                assert iou_from_overlaps(iw, ih, areas, out=buf) is buf
+                assert buf.tobytes() == want.tobytes()
+
+    def test_scalars_into_a_zero_dim_buffer(self):
+        for iw, ih, areas in [(math.nan, 1.0, 2.0), (-0.0, 1.0, 2.0), (5e-324, 5e-324, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]:
+            want = iou_from_overlaps(iw, ih, areas)
+            assert type(want) is float
+            buf = np.full((), math.nan)
+            assert iou_from_overlaps(iw, ih, areas, out=buf) is buf
+            assert buf.tobytes() == np.float64(want).tobytes() == where_rule(iw, ih, areas).tobytes()
+
+    def test_xywh_out_is_the_allocating_form_bitwise(self):
+        rng = np.random.default_rng(9)
+        # Anchors along a row, boxes down a column; zero, subnormal and
+        # negative-zero sizes and coordinates among them.
+        ax = rng.choice([-0.0, 0.0, 5e-324, 3.5, 8.0], size=(1, 40))
+        aw = rng.choice([0.0, 5e-324, 1.0, 16.0], size=(1, 40))
+        bx = rng.choice([-0.0, 0.0, 2.0, 7.5, 40.0], size=(30, 1))
+        bw = rng.choice([0.0, 2e-310, 4.0, 16.0], size=(30, 1))
+        args = (ax, ax.T.copy().reshape(1, 40), aw, aw, bx, bx[::-1].copy(), bw, bw[::-1].copy())
+        want = iou_xywh(*args)
+        assert want.shape == (30, 40)
+        for stale in (math.nan, 2.0):
+            buf = np.full(want.shape, stale)
+            assert iou_xywh(*args, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.empty((10, 11)), np.empty(100), np.empty((10, 10), np.float32),
+                                     np.empty((10, 20))[:, ::2], np.empty((10, 10), order="F").T[:, ::-1]],
+                             ids=["shape", "flat", "float32", "strided", "reversed"])
+    def test_a_wrong_buffer_raises(self, bad):
+        iw, ih, areas = np.ones((10, 1)), np.ones((1, 10)), 4.0
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array of shape"):
+            iou_from_overlaps(iw, ih, areas, out=bad)
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array of shape"):
+            iou_xywh(0.0, 0.0, 1.0, 1.0, iw, ih, 1.0, 1.0, out=bad)
 
 
 @pytest.mark.parametrize("call", [

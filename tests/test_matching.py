@@ -344,11 +344,32 @@ def scan_boxes(rng, layout, side, n=40):
     return x, y, w, h
 
 
+def assert_scan_is_dense(layout, x, y, w, h, floor, dense):
+    """The blocks of ``_scan``, kept alive together, hold what each block
+    held as it came (no block aliases the scan's buffers), their
+    concatenation is ``_pairs``, and the pairs are the dense pairs of
+    positive IoU at or above each box's floor, once each, bit for bit."""
+    blocks = list(matching._scan(layout, x, y, w, h, floor))
+    fresh = [tuple(part.copy() for part in block) for block in matching._scan(layout, x, y, w, h, floor)]
+    assert len(blocks) == len(fresh)
+    for block, copy in zip(blocks, fresh):
+        assert all(np.array_equal(a, b) for a, b in zip(block, copy))
+    boxes, ids, ious = matching._pairs(layout, x, y, w, h, floor)
+    for part, joined in zip((boxes, ids, ious), zip(*blocks)):
+        assert np.array_equal(part, np.concatenate(joined))
+    keys = boxes * layout.anchor_count + ids
+    assert np.unique(keys).size == keys.size
+    want = np.flatnonzero((dense > 0.0) & (dense >= floor[:, None]))
+    assert np.array_equal(np.sort(keys), want)
+    assert np.array_equal(ious, dense[boxes, ids])
+    return blocks, boxes, ids
+
+
 class TestScan:
     """``_scan`` streams exactly the pairs of positive IoU at or above each
     box's floor, each once, with the dense IoUs bit for bit."""
 
-    @pytest.mark.parametrize("block_pairs", [None, 64])
+    @pytest.mark.parametrize("block_pairs", [None, 1, 64])
     def test_pairs_are_the_dense_pairs_at_or_above_the_floor(self, monkeypatch, block_pairs):
         if block_pairs is not None:
             monkeypatch.setattr(matching, "_BLOCK_PAIRS", block_pairs)
@@ -364,17 +385,27 @@ class TestScan:
             for i in np.flatnonzero(kind == 2):
                 positive = dense[i][dense[i] > 0.0]
                 floor[i] = rng.choice(positive) if positive.size else 0.0
-            blocks = list(matching._scan(layout, x, y, w, h, floor))
+            blocks, _, _ = assert_scan_is_dense(layout, x, y, w, h, floor, dense)
             for boxes, ids, _ in blocks:
                 order = np.argsort(boxes, kind="stable")
                 same = boxes[order][1:] == boxes[order][:-1]
                 assert np.all(ids[order][1:][same] > ids[order][:-1][same])
-            boxes, ids, ious = matching._pairs(layout, x, y, w, h, floor)
-            keys = boxes * layout.anchor_count + ids
-            assert np.unique(keys).size == keys.size
-            want = np.flatnonzero((dense > 0.0) & (dense >= floor[:, None]))
-            assert np.array_equal(np.sort(keys), want)
-            assert np.array_equal(ious, dense[boxes, ids])
+
+    def test_a_window_larger_than_a_block(self):
+        # 200 px square anchors at stride 2: the first box overlaps over
+        # 200 x 200 of them, so its window alone outgrows the default block
+        # and the buffers; the second group, of 1:2 anchors, is scanned in
+        # the grown ones.
+        layout = build_layout(AnchorSpec(scales=(200.0,), ratios=(1.0, 2.0), base_stride=2.0), 512.0, 512.0)
+        x, y, w, h = (np.array(v) for v in ([150.0, 10.0, 300.5, 0.0], [150.0, 400.0, 3.0, 0.0],
+                                            [200.0, 16.0, 150.0, 40.0], [210.0, 16.0, 170.0, 24.0]))
+        dense = all_pair_ious(layout, [RectBox(*map(float, b)) for b in zip(x, y, w, h)])
+        floor = np.array([0.0, 0.0, 0.3, 0.0])
+        _, boxes, ids = assert_scan_is_dense(layout, x, y, w, h, floor, dense)
+        square = ids < layout.groups[1].id_start
+        assert layout.groups[0].ratio == 1.0
+        assert np.count_nonzero(square & (boxes == 0)) > matching._BLOCK_PAIRS
+        assert np.count_nonzero(~square) > 0
 
 
 class TestMatchFaces:
@@ -787,8 +818,8 @@ class TestMatchWork:
         pairs = []
         kernel = matching.iou_xywh
 
-        def counting(*args):
-            out = kernel(*args)
+        def counting(*args, **kwargs):
+            out = kernel(*args, **kwargs)
             pairs.append(np.size(out))
             return out
 
@@ -802,6 +833,10 @@ class TestMatchWork:
         )
         assert len(hard) > 0
         assert sum(pairs) < 0.25 * full
+        # Pinned, so that a scan evaluating its IoUs under another name
+        # counts nothing and fails here.  The windows and size classes fix
+        # the count; a change to either moves it on purpose.
+        assert sum(pairs) == 745_165
 
     def test_peak_traced_memory(self):
         faces = mixed_corpus()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorlap import optimizer
-from anchorlap.dataset import parse_annotations
+from anchorlap.dataset import ListingPlaneError, parse_annotations
 from anchorlap.geometry import FaceTable, RectBox
 from anchorlap.layout import ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, MAX_ANCHORS, AnchorSpec
 from anchorlap.optimizer import (
@@ -201,6 +201,14 @@ class TestAnchorCap:
         assert len(optimize(space, faces)) == 4
         with pytest.raises(ValueError, match=f"^4096 x 4096 plane needs a layout over the cap of {MAX_ANCHORS} anchors$"):
             optimize(replace(space, stride_divisors=(1, 4)), faces)
+
+    def test_a_plane_no_config_fits_is_the_listing_fault(self):
+        # Both configs fit the least 64 x 64 plane, so the far face is at
+        # fault; above, divisor 1 fits the plane and divisor 4 is at fault.
+        faces = [RectBox(1e300, 1e300, 16.0, 16.0)]
+        space = SearchSpace(stride_divisors=(1, 4), shift_choices=(0,), scale_sets=((16.0,),), budget=8)
+        with pytest.raises(ListingPlaneError, match="^the annotation listing's 1e[+]300 x 1e[+]300 bounding plane"):
+            optimize(space, faces)
 
 
 def mixed_faces(n, seed, plane=300.0):
