@@ -181,8 +181,9 @@ def iou_from_overlaps(iw, ih, areas, out=None):
 
     A C-contiguous float64 ``out`` of the broadcast shape is overwritten,
     whatever it held, and returned, with the bits of the allocating form.
-    It holds the intersection on the way, so the union is the one array of
-    that shape allocated per call.
+    It holds the intersection on the way; beside the clamped overlaps and
+    the bounded area sum, at their own shapes, the union is the one array
+    allocated per call.
     """
     shape = np.broadcast(iw, ih, areas).shape
     given = out is not None

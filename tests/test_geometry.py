@@ -224,7 +224,8 @@ class TestOutBuffer:
                 assert buf.tobytes() == want.tobytes()
 
     def test_scalars_into_a_zero_dim_buffer(self):
-        for iw, ih, areas in [(math.nan, 1.0, 2.0), (-0.0, 1.0, 2.0), (5e-324, 5e-324, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]:
+        cases = [(math.nan, 1.0, 2.0), (-0.0, 1.0, 2.0), (5e-324, 5e-324, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]
+        for iw, ih, areas in cases:
             want = iou_from_overlaps(iw, ih, areas)
             assert type(want) is float
             buf = np.full((), math.nan)
