@@ -166,7 +166,8 @@ def iou_from_overlaps(iw, ih, areas, out=None):
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
     The IoU rule of the package, called by ``iou_xywh`` (so by the matching
-    window scan, ``matching._best_faces`` and the test oracles),
+    window scan, the owner search ``matching._best_faces`` over the faces
+    whose x extent meets each anchor, and the test oracles),
     ``emo.emo_closed_form`` and ``matching._nth_corner_iou``: the
     intersection is ``iw * ih`` where both overlaps are positive, else 0,
     and the union is bounded below by the intersection.  Each overlap is

@@ -14,12 +14,15 @@ non-dyadic sides (see there); ``match_faces`` only takes its floor from
 it.  Its results come from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
 above the face's floor, once, evaluated per block in buffers allocated
-once per scan and emitted by mask compression.  ``match_faces`` streams
+once per scan and emitted by mask compression; the windows of one shape
+from all lattice groups on one grid share blocks.  ``match_faces`` streams
 every face down to ``t_low``, or to its kernel value where that is lower,
 for the maxima, labels, sources and assigned-anchor counts; one
 lowest-index-at-max fold picks each face's max and argmax anchor and each
 anchor's max and owner face.  An argmax anchor that no pair at or above
-``t_low`` reaches gets its source from all faces.
+``t_low`` reaches gets its source by the same rule over all faces, of
+which only those whose x extent meets the anchor's are evaluated: every
+other face has IoU 0 with it.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
 """
@@ -221,6 +224,12 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
 # IoU rule allocates one more float64 array, and the hits are copied out.
 _BLOCK_PAIRS = 1 << 15
 
+# Candidate pairs per chunk of the owner search (:func:`_best_faces`).  Its
+# temporaries, a dozen arrays of this size, are then small enough for the
+# allocator to reuse rather than map afresh: on the crowd-small bench
+# corpus 32,768-pair chunks took about twice as long.
+_OWNER_PAIRS = 1 << 13
+
 # Relative slack on the least intersection an anchor needs to reach an IoU
 # floor, so that rounding in the bound never drops an anchor whose computed
 # IoU sits exactly on the floor.
@@ -237,12 +246,46 @@ def _size_class(n: np.ndarray) -> np.ndarray:
     return -(-n // step) * step
 
 
+def _windows(g, index: int, cx, cy, w, h, gain):
+    """The windows in group ``g``, the layout's ``index``-th, of the boxes
+    that can reach their floor in it (see :func:`_scan`), as ``(shape,
+    items)`` in ascending order of shape, boxes of one shape in ascending
+    order.  ``shape`` codes a window's rows and columns as ``rows * (cols +
+    1) + columns``; the five rows of ``items`` hold each window's box, first
+    column, first row and first anchor ID, and ``index``."""
+    inter = gain * (g.box_w * g.box_h + w * h)
+    span_x = np.minimum(w, g.box_w)
+    span_y = np.minimum(h, g.box_h)
+    reach_x = (w + g.box_w) / 2.0 - inter / span_y
+    reach_y = (h + g.box_h) / 2.0 - inter / span_x
+    c0 = np.maximum(np.ceil((cx - reach_x - g.origin_x) / g.stride) - 1.0, 0.0)
+    c1 = np.minimum(np.floor((cx + reach_x - g.origin_x) / g.stride) + 1.0, g.cols - 1.0)
+    r0 = np.maximum(np.ceil((cy - reach_y - g.origin_y) / g.stride) - 1.0, 0.0)
+    r1 = np.minimum(np.floor((cy + reach_y - g.origin_y) / g.stride) + 1.0, g.rows - 1.0)
+    live = np.flatnonzero((inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1))
+    # Freed before the int columns are built, which lowers the scan's peak.
+    del inter, span_x, span_y, reach_x, reach_y
+    c0, c1, r0, r1 = (v[live].astype(np.int64) for v in (c0, c1, r0, r1))
+    ncols = np.minimum(_size_class(c1 - c0 + 1), g.cols)
+    nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
+    c0 = np.minimum(c0, g.cols - ncols)
+    r0 = np.minimum(r0, g.rows - nrows)
+    shape = nrows * (g.cols + 1) + ncols
+    order = np.argsort(shape, kind="stable")
+    items = np.empty((5, len(order)), dtype=np.int64)
+    for row, v in zip(items, (live, c0, r0, g.id_start + r0 * g.cols + c0)):
+        v.take(order, out=row)
+    items[4] = index
+    return shape[order], items
+
+
 def _scan(layout: AnchorLayout, x, y, w, h, floor):
     """Stream the (box, anchor) pairs of positive IoU at or above each box's
     ``floor[i]`` as flat ``(boxes, ids, ious)`` blocks: box ``boxes[k]`` has
     IoU ``ious[k]`` with anchor ``ids[k]``.  Each such pair comes exactly
-    once, and each box's IDs ascend within a block.  Per lattice group,
-    each box's window is cut to the anchors able to reach its floor.
+    once, and each box's IDs ascend within a block; blocks come in no
+    particular ID order.  Per lattice group, each box's window is cut to
+    the anchors able to reach its floor.
 
     The bound: an IoU of at least ``t`` needs an intersection of at least
     ``t * (A_anchor + A_box) / (1 + t)``.  The overlap along y is at most
@@ -256,11 +299,18 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
     windows share one broadcast IoU evaluation, ``iw`` per column times
     ``ih`` per row.
 
+    A block holds windows of one shape on one sliding grid (stride and
+    column count), from any groups: each window carries its group's
+    origin, anchor size and first ID.  The windows of a shape in one group
+    go out in whole blocks; the rest wait, in group order, for the same
+    shape on the same grid in a later group, and go out when a block fills
+    or the scan ends.  So the groups of a layout from ``build_layout``, which
+    share one grid, fill blocks together.
     A block's IoUs, its hit mask (IoU at or above the box's floor) and the
     anchor ID of each of its window cells, each window's first ID plus a
-    per-group ``row * cols + col`` offset table, are written into float,
-    bool and int64 buffers allocated once per call and grown only for a
-    window larger than ``_BLOCK_PAIRS``.  The hits are then emitted by mask
+    ``row * cols + col`` offset table, are written into float, bool and
+    int64 buffers allocated once per call and grown only for a window
+    larger than ``_BLOCK_PAIRS``.  The hits are then emitted by mask
     compression, IDs and IoUs by ``[hit]`` and boxes by repeating each box
     by its hit count, as fresh arrays, so no block aliases the buffers.
     """
@@ -270,58 +320,52 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
     # A floor of 0 admits only positive IoUs: the least positive float.
     least = np.maximum(floor, np.nextafter(0.0, 1.0))
     values, hits, anchors = (np.empty(_BLOCK_PAIRS, dtype=t) for t in (np.float64, bool, np.int64))
-    for g in layout.groups:
-        inter = gain * (g.box_w * g.box_h + w * h)
-        span_x = np.minimum(w, g.box_w)
-        span_y = np.minimum(h, g.box_h)
-        reach_x = (w + g.box_w) / 2.0 - inter / span_y
-        reach_y = (h + g.box_h) / 2.0 - inter / span_x
-        c0 = np.maximum(np.ceil((cx - reach_x - g.origin_x) / g.stride) - 1.0, 0.0)
-        c1 = np.minimum(np.floor((cx + reach_x - g.origin_x) / g.stride) + 1.0, g.cols - 1.0)
-        r0 = np.maximum(np.ceil((cy - reach_y - g.origin_y) / g.stride) - 1.0, 0.0)
-        r1 = np.minimum(np.floor((cy + reach_y - g.origin_y) / g.stride) + 1.0, g.rows - 1.0)
-        live = np.flatnonzero((inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1))
-        if not live.size:
-            continue
-        c0, c1, r0, r1 = (v[live].astype(np.int64) for v in (c0, c1, r0, r1))
-        ncols = np.minimum(_size_class(c1 - c0 + 1), g.cols)
-        nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
-        c0 = np.minimum(c0, g.cols - ncols)
-        r0 = np.minimum(r0, g.rows - nrows)
-        id0 = g.id_start + r0 * g.cols + c0  # each window's first anchor
-        # Each window anchor's ID less the window's first, by row and column.
-        offsets = np.arange(nrows.max())[:, None] * g.cols + np.arange(ncols.max())
-        shape = nrows * (g.cols + 1) + ncols
-        # The boxes of each window shape, in ascending order: runs of a stable sort.
-        order = np.argsort(shape, kind="stable")
-        shape = shape[order]
-        ends = [*np.flatnonzero(shape[1:] != shape[:-1]) + 1, len(order)]
-        for start, end in zip([0, *ends], ends):
-            run = order[start:end]
-            nr, nc = divmod(int(shape[start]), g.cols + 1)
-            size = nr * nc
-            step = max(1, _BLOCK_PAIRS // size)
-            if size > len(values):  # one window over a block
-                values, hits, anchors = (np.empty(size, dtype=t) for t in (np.float64, bool, np.int64))
-            offset = offsets[:nr, :nc]
-            for lo in range(0, len(run), step):
-                k = run[lo : lo + step]
-                f = live[k]
-                n = len(k) * size
-                ious, hit, ids = values[:n], hits[:n], anchors[:n]
-                cols = c0[k, None, None] + np.arange(nc)
-                rows = r0[k, None, None] + np.arange(nr)[:, None]
-                ax = (g.origin_x + cols * g.stride) - g.box_w / 2.0
-                ay = (g.origin_y + rows * g.stride) - g.box_h / 2.0
-                iou_xywh(
-                    ax, ay, g.box_w, g.box_h,
-                    x[f, None, None], y[f, None, None], w[f, None, None], h[f, None, None],
-                    out=ious.reshape(len(k), nr, nc),
-                )
-                by_box = hit.reshape(len(k), size)
-                np.greater_equal(ious.reshape(len(k), size), least[f][:, None], out=by_box)
-                np.add(id0[k][:, None, None], offset, out=ids.reshape(len(k), nr, nc))
-                yield f.repeat(by_box.sum(axis=1)), ids[hit], ious[hit]
+    # Per group: origin and anchor size, read per window by group index.
+    origin_x, origin_y, box_w, box_h = (np.array([getattr(g, name) for g in layout.groups], dtype=np.float64)
+                                        for name in ("origin_x", "origin_y", "box_w", "box_h"))
+
+    def block(key, windows):
+        """The hits of ``windows`` (rows as in :func:`_windows`), of the
+        shape and grid ``key``."""
+        nonlocal values, hits, anchors
+        stride, cols, nr, nc = key
+        f, c0, r0, id0, group = (v[:, None, None] for v in windows)
+        size = nr * nc
+        if size > len(values):  # one window over a block
+            values, hits, anchors = (np.empty(size, dtype=t) for t in (np.float64, bool, np.int64))
+        n = len(f) * size
+        ious, hit, ids = values[:n], hits[:n], anchors[:n]
+        ax = (origin_x[group] + (c0 + np.arange(nc)) * stride) - box_w[group] / 2.0
+        ay = (origin_y[group] + (r0 + np.arange(nr)[:, None]) * stride) - box_h[group] / 2.0
+        iou_xywh(ax, ay, box_w[group], box_h[group], x[f], y[f], w[f], h[f],
+                 out=ious.reshape(len(f), nr, nc))
+        by_box = hit.reshape(len(f), size)
+        np.greater_equal(ious.reshape(len(f), size), least[windows[0]][:, None], out=by_box)
+        np.add(id0, np.arange(nr)[:, None] * cols + np.arange(nc), out=ids.reshape(len(f), nr, nc))
+        return windows[0].repeat(by_box.sum(axis=1)), ids[hit], ious[hit]
+
+    # Per window shape and grid: the windows waiting for a block to fill.
+    waiting = {}
+    for i, g in enumerate(layout.groups):
+        shape, items = _windows(g, i, cx, cy, w, h, gain)
+        starts = np.flatnonzero(np.diff(shape, prepend=-1))
+        for start, end in zip(starts, [*starts[1:], len(shape)]):
+            key = (g.stride, g.cols, *divmod(int(shape[start]), g.cols + 1))
+            run = items[:, start:end]
+            step = max(1, _BLOCK_PAIRS // (key[2] * key[3]))
+            full = run.shape[1] - run.shape[1] % step
+            for lo in range(0, full, step):
+                yield block(key, run[:, lo : lo + step])
+            # The rest joins the windows waiting since earlier groups, as a copy
+            # that keeps none of this group's alive.
+            rest = np.concatenate((waiting.pop(key, items[:, :0]), run[:, full:]), axis=1)
+            if rest.shape[1] >= step:
+                yield block(key, rest[:, :step])
+                rest = rest[:, step:]
+            if rest.shape[1]:
+                waiting[key] = rest
+    for key, run in waiting.items():
+        yield block(key, run)
 
 
 def _keep_best(best, owner, keys, values, candidates) -> None:
@@ -338,17 +382,39 @@ def _keep_best(best, owner, keys, values, candidates) -> None:
 
 
 def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.ndarray:
-    """For each anchor in ``ids``: the lowest-index face of max IoU with it,
-    over every face."""
-    ax, ay, aw, ah = (v[:, None] for v in layout.boxes(ids))
-    out = np.empty(len(ids), dtype=np.int64)
-    step = max(1, _BLOCK_PAIRS // max(len(faces), 1))
-    for lo in range(0, len(ids), step):
-        part = slice(lo, lo + step)
-        ious = iou_xywh(ax[part], ay[part], aw[part], ah[part],
-                        faces.x[None, :], faces.y[None, :], faces.w[None, :], faces.h[None, :])
-        out[part] = ious.argmax(axis=1)
-    return out
+    """For each anchor in ``ids``, each of positive IoU with some face: the
+    lowest-index face of max IoU with it over every face, by
+    :func:`_keep_best`.
+
+    Only the faces whose x extent can meet the anchor's are evaluated.
+    With the faces sorted by left edge, those run from the first whose
+    running maximum of computed right edges ``x + w`` passes the anchor's
+    left edge to the last whose left edge falls short of the anchor's
+    computed right edge.  Every face outside that run has an x overlap of
+    at most 0, so IoU exactly 0, and each anchor's max is above 0, so the
+    owner is the one a dense pass over all faces finds.  Anchors go in
+    chunks of about ``_OWNER_PAIRS`` candidate pairs.
+    """
+    order = np.argsort(faces.x)  # any order of ties will do
+    ax, ay, aw, ah = layout.boxes(ids)
+    lo = np.searchsorted(np.maximum.accumulate((faces.x + faces.w)[order]), ax, side="right")
+    count = np.maximum(np.searchsorted(faces.x[order], ax + aw, side="left") - lo, 0)
+    # In one flat list of all pairs, anchor a's run from starts[a] to
+    # ends[a]: pair j's face is the sorted face j + skip[a].
+    ends = np.cumsum(count)
+    starts = ends - count
+    skip = lo - starts
+    best = np.zeros(len(ids))
+    owner = np.full(len(ids), _NONE, dtype=np.int64)
+    start = 0
+    while start < len(ids):
+        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _OWNER_PAIRS, side="right")))
+        k = np.repeat(np.arange(start, stop), count[start:stop])
+        face = order[np.arange(starts[start], ends[stop - 1]) + skip[k]]
+        ious = iou_xywh(ax[k], ay[k], aw[k], ah[k], faces.x[face], faces.y[face], faces.w[face], faces.h[face])
+        _keep_best(best, owner, k, ious, face)
+        start = stop
+    return owner
 
 
 def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
@@ -388,7 +454,9 @@ def _pairs(layout: AnchorLayout, x, y, w, h, floor):
 def overlapping_anchors(layout: AnchorLayout, box: RectBox):
     """All anchors with positive IoU against ``box``: (ids, ious), ID-sorted."""
     one = [np.array([v], dtype=np.float64) for v in (box.x, box.y, box.w, box.h, 0.0)]
-    return _pairs(layout, *one)[1:]
+    _, ids, ious = _pairs(layout, *one)
+    order = np.argsort(ids)
+    return ids[order], ious[order]
 
 
 def apply_jitter(

@@ -1,6 +1,7 @@
 """Matching pipeline: max-IoU assignment, thresholds, jitter, compensation."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from anchorlap import matching
 from anchorlap.cli import main
 from anchorlap.dataset import bounding_plane, parse_annotations
-from anchorlap.geometry import FaceTable, RectBox
+from anchorlap.geometry import FaceTable, RectBox, iou_xywh
 from anchorlap.layout import AnchorSpec, build_layout
 from anchorlap.matching import (
     LABEL_IGNORE,
@@ -157,6 +158,22 @@ class TestMaxOverlap:
         assert ids.tolist() == [0, 1, 4, 5]
         assert np.all(ious > 0.0)
         assert np.allclose(ious, 1.0 / 7.0)
+
+    def test_overlapping_anchors_sorts_blocks_that_mix_groups(self):
+        # On the half-stride lattice this box's windows are 3 x 3 in groups
+        # 0 and 2 and 3 x 2 in groups 1 and 3, so groups 0 and 2 share a
+        # block, emitted before the block of groups 1 and 3: the scan's
+        # pairs are not in ID order, and the query sorts them.
+        layout = stride_grid(16.0, shifts_per_scale={16.0: 3})
+        box = RectBox(0.0, 8.0, 16.0, 16.0)
+        one = [np.array([v]) for v in (box.x, box.y, box.w, box.h, 0.0)]
+        blocks = list(matching._scan(layout, *one))
+        assert [set(layout.locate(ids)[0].tolist()) for _, ids, _ in blocks] == [{0, 2}, {1, 3}]
+        assert np.any(np.diff(matching._pairs(layout, *one)[1]) < 0)
+        ids, ious = overlapping_anchors(layout, box)
+        dense = all_pair_ious(layout, [box])[0]
+        assert ids.tolist() == np.flatnonzero(dense > 0.0).tolist() == [0, 4, 16, 20, 32, 48]
+        assert ious.tobytes() == dense[ids].tobytes()
 
 
 def tie_spec(rng, ratios=(0.5, 1.0, 2.0)):
@@ -406,6 +423,95 @@ class TestScan:
         assert layout.groups[0].ratio == 1.0
         assert np.count_nonzero(square & (boxes == 0)) > matching._BLOCK_PAIRS
         assert np.count_nonzero(~square) > 0
+
+    def test_groups_on_different_grids_never_share_a_block(self):
+        # A hand-built layout whose groups differ in stride and column
+        # count: windows of one shape wait for a block only with windows on
+        # the same grid, or their IDs and positions would be read off the
+        # wrong grid.
+        parts = [build_layout(AnchorSpec(scales=(16.0,), base_stride=stride), side, side)
+                 for stride, side in ((16.0, 64.0), (8.0, 64.0), (16.0, 96.0), (16.0, 64.0))]
+        groups, start = [], 0
+        for part in parts:
+            for g in part.groups:
+                groups.append(dataclasses.replace(g, id_start=start))
+                start += g.count
+        layout = dataclasses.replace(parts[0], plane_w=96.0, plane_h=96.0, groups=tuple(groups), anchor_count=start)
+        rng = np.random.default_rng(7)
+        x, y, w, h = scan_boxes(rng, layout, 96.0, n=60)
+        dense = all_pair_ious(layout, [RectBox(*map(float, b)) for b in zip(x, y, w, h)])
+        blocks, _, _ = assert_scan_is_dense(layout, x, y, w, h, np.zeros(len(x)), dense)
+        # The first and last groups share a grid, and their windows blocks.
+        shared = [set(layout.locate(ids)[0].tolist()) for _, ids, _ in blocks]
+        assert any({0, 3} <= groups for groups in shared)
+        assert all(len(groups & {0, 3}) == 0 or groups <= {0, 3} for groups in shared)
+
+
+def dense_owners(layout, ids, faces):
+    """Each anchor's lowest-index face of max IoU over every face, from the
+    dense anchors-by-faces matrix."""
+    ax, ay, aw, ah = (v[:, None] for v in layout.boxes(ids))
+    return iou_xywh(ax, ay, aw, ah, faces.x, faces.y, faces.w, faces.h).argmax(axis=1)
+
+
+class TestBestFaces:
+    """The owner search, which evaluates only the faces whose x extent can
+    meet each anchor's, is the dense lowest-index-at-max over every face,
+    for anchors of positive IoU with some face."""
+
+    @staticmethod
+    def assert_owners(layout, ids, faces):
+        got = matching._best_faces(layout, ids, faces)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_owners(layout, ids, faces))
+        return got
+
+    @pytest.mark.parametrize("owner_pairs", [None, 1, 7])
+    def test_random_layouts(self, monkeypatch, owner_pairs):
+        if owner_pairs is not None:
+            monkeypatch.setattr(matching, "_OWNER_PAIRS", owner_pairs)
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            ratios = [(1.0,), (0.5, 1.0, 2.0), (0.7, 1.3)][int(rng.integers(3))]
+            spec = dataclasses.replace(random_spec(rng), ratios=ratios)
+            side = float(rng.integers(32, 160))
+            layout = build_layout(spec, side, side)
+            x, y, w, h = scan_boxes(rng, layout, side)
+            # Faces wider than the plane, exact copies (ties at the max) and
+            # signed zeros.
+            wide = rng.choice(len(x), size=3, replace=False)
+            x[wide], w[wide] = -side / 2.0, 2.0 * side
+            x[::9], y[::11] = -0.0, -0.0
+            copies = rng.integers(0, len(x), 8)
+            faces = FaceTable(*(np.concatenate((v, v[copies])) for v in (x, y, w, h)),
+                              np.zeros(len(x) + len(copies), dtype=np.int64), ("",))
+            reached = np.flatnonzero(all_pair_ious(layout, list(faces)).max(axis=0) > 0.0)
+            ids = rng.permutation(reached)[: int(rng.integers(1, 60))]
+            self.assert_owners(layout, ids, faces)
+
+    def test_edges_ties_and_signed_zeros(self):
+        # Scale-16 anchors at stride 16 on a 60 x 60 plane: anchor 0 spans
+        # [0, 16] x [0, 16] and the last column and row reach past the plane.
+        layout = grid16(plane=60.0)
+        faces = FaceTable.of([
+            RectBox(-16.0, 0.0, 16.0, 16.0),       # 0: right edge on anchor 0's left edge
+            RectBox(20.0, 0.0, 16.0, 16.0),        # 1: 12 px into anchor 1 from the right
+            RectBox(12.0, 0.0, 16.0, 16.0),        # 2: 12 px into anchor 1 from the left
+            RectBox(-0.0, -0.0, 4.0, 4.0),         # 3: signed-zero corner in anchor 0
+            RectBox(-100.0, -100.0, 300.0, 300.0),  # 4: wider than every anchor
+            RectBox(50.0, 52.0, 20.0, 20.0),       # 5: past the plane's far corner
+        ])
+        reached = np.flatnonzero(all_pair_ious(layout, list(faces)).max(axis=0) > 0.0)
+        assert reached.tolist() == list(range(layout.anchor_count))
+        owners = self.assert_owners(layout, reached, faces)
+        # Faces 1 and 2 tie on anchor 1; the lower index wins though face 2
+        # comes first by left edge.  Face 0 only touches anchor 0.
+        assert owners[:2].tolist() == [2, 1]
+        # Anchors only the wide face reaches, and the far corner.
+        assert owners[[8, 12]].tolist() == [4, 4]
+        assert owners[15] == 5
+        empty = matching._best_faces(layout, np.empty(0, dtype=np.int64), faces)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 class TestMatchFaces:
@@ -779,10 +885,11 @@ class TestBruteMatchSweep:
                 assert_same_match(compensate_hard_faces(got, boxes, layout, cfg), want_comp)
 
 
-def mixed_corpus(n=1000, seed=5):
-    """Faces 8-400 px log-uniform, h/w in [0.9, 1.3], whole pixels on 1024x768."""
+def mixed_corpus(n=1000, seed=5, sides=(8.0, 400.0)):
+    """Faces log-uniform over ``sides`` px (8-400), h/w in [0.9, 1.3], whole
+    pixels on 1024x768."""
     rng = np.random.default_rng(seed)
-    w = np.rint(np.exp(rng.uniform(math.log(8.0), math.log(400.0), n)))
+    w = np.rint(np.exp(rng.uniform(math.log(sides[0]), math.log(sides[1]), n)))
     h = np.rint(w * rng.uniform(0.9, 1.3, n))
     x = np.floor(rng.uniform(0.0, 1.0, n) * (1024 - w + 1))
     y = np.floor(rng.uniform(0.0, 1.0, n) * (768 - h + 1))
@@ -790,6 +897,7 @@ def mixed_corpus(n=1000, seed=5):
 
 
 def mixed_layout(faces):
+    """The bench spec's layout on the faces' bounding plane."""
     spec = AnchorSpec(scales=(16.0, 32.0, 64.0, 128.0, 256.0, 512.0), stride_divisor=2,
                       shifts_per_scale={16.0: 3})
     return build_layout(spec, *bounding_plane(faces))
@@ -835,8 +943,32 @@ class TestMatchWork:
         assert sum(pairs) < 0.25 * full
         # Pinned, so that a scan evaluating its IoUs under another name
         # counts nothing and fails here.  The windows and size classes fix
-        # the count; a change to either moves it on purpose.
-        assert sum(pairs) == 745_165
+        # the count, with the owner search's candidates; a change to any of
+        # them moves it on purpose.
+        assert sum(pairs) == 732_207
+
+    def test_scan_blocks_are_shared_across_groups(self, monkeypatch):
+        # The small-face regime of the crowd-small bench corpus: 2,000 faces
+        # of 6-48 px, whose windows in the four scale-16 groups of the bench
+        # spec fill blocks together.
+        faces = mixed_corpus(2000, sides=(6.0, 48.0))
+        layout = mixed_layout(faces)
+        calls = []
+        scan = matching._scan
+
+        def recording(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(matching, "_scan", recording)
+        match_faces(faces, layout, CFG)
+        (args,) = calls
+        blocks = sum(1 for _ in scan(*args))
+        # Each group scanned on its own gives the blocks of a scan that
+        # never shares one between groups.
+        per_group = sum(1 for g in layout.groups for _ in scan(dataclasses.replace(layout, groups=(g,)), *args[1:]))
+        assert per_group == 78
+        assert blocks == 30 < per_group
 
     def test_peak_traced_memory(self):
         faces = mixed_corpus()
