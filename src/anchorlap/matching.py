@@ -398,6 +398,7 @@ def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.n
     order = np.argsort(faces.x)  # any order of ties will do
     ax, ay, aw, ah = layout.boxes(ids)
     lo = np.searchsorted(np.maximum.accumulate((faces.x + faces.w)[order]), ax, side="right")
+    # Clamped at 0 for anchors and faces whose widths vanish in rounding.
     count = np.maximum(np.searchsorted(faces.x[order], ax + aw, side="left") - lo, 0)
     # In one flat list of all pairs, anchor a's run from starts[a] to
     # ends[a]: pair j's face is the sorted face j + skip[a].

@@ -443,8 +443,8 @@ class TestScan:
         blocks, _, _ = assert_scan_is_dense(layout, x, y, w, h, np.zeros(len(x)), dense)
         # The first and last groups share a grid, and their windows blocks.
         shared = [set(layout.locate(ids)[0].tolist()) for _, ids, _ in blocks]
-        assert any({0, 3} <= groups for groups in shared)
-        assert all(len(groups & {0, 3}) == 0 or groups <= {0, 3} for groups in shared)
+        assert any({0, 3} <= members for members in shared)
+        assert all(not members & {0, 3} or members <= {0, 3} for members in shared)
 
 
 def dense_owners(layout, ids, faces):
@@ -886,8 +886,8 @@ class TestBruteMatchSweep:
 
 
 def mixed_corpus(n=1000, seed=5, sides=(8.0, 400.0)):
-    """Faces log-uniform over ``sides`` px (8-400), h/w in [0.9, 1.3], whole
-    pixels on 1024x768."""
+    """Faces log-uniform over ``sides`` px (by default 8-400), h/w in [0.9,
+    1.3], whole pixels on 1024x768."""
     rng = np.random.default_rng(seed)
     w = np.rint(np.exp(rng.uniform(math.log(sides[0]), math.log(sides[1]), n)))
     h = np.rint(w * rng.uniform(0.9, 1.3, n))
