@@ -40,6 +40,7 @@ from .dataset import (
     parse_annotations,
 )
 from .emo import EmoQuery, emo_closed_form, emo_monte_carlo
+from .geometry import _SIDE_MAX
 from .layout import AnchorSpec, _real, build_layout
 from .matching import (LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig, apply_jitter,
                        compensate_hard_faces, match_faces)
@@ -286,8 +287,7 @@ def _run_emo(params: dict, inputs: dict, workers: int):
     if params["mode"] == "monte_carlo":
         cells = []
         for scale, stride in pairs:
-            # 2**500 keeps the 8-stride plane finite, as for face sizes.
-            spec = AnchorSpec(scales=(scale,), base_stride=_real(stride, "strides", 2.0**500), stride_divisor=1)
+            spec = AnchorSpec(scales=(scale,), base_stride=_real(stride, "strides", _SIDE_MAX), stride_divisor=1)
             cells.append((build_layout(spec, 8.0 * stride, 8.0 * stride), scale, scale))
         estimates = emo_monte_carlo(cells, params["samples"], params["seed"], workers)
     else:

@@ -32,8 +32,12 @@ __all__ = [
     "bucket_stats",
     "JitterReport",
     "jitter_experiment",
+    "MAX_TRIALS",
     "bounding_plane",
 ]
+
+# Cap on jitter trials, checked before any is drawn: each costs a draw and a list entry.
+MAX_TRIALS = 2**20
 
 # Powers of two spanning the usual face-scale range; buckets are
 # [0, 8), [8, 16), ..., [512, inf).
@@ -77,7 +81,7 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     works).  Groups are [path, count, count face lines]; a count of zero
     may be followed by a single all-zero placeholder line, which is
     consumed and counted as skipped.  Boxes that break the RectBox rule (w
-    or h <= 0, an area ``w * h`` that underflows to 0, or a non-finite
+    or h <= 0, an area ``w * h`` outside ``(2**-1000, 2**1000)``, or a non-finite
     coordinate or far edge) are dropped and counted as skipped.  Each path
     gets one entry in ``image_ids``, in order of first appearance.  The
     first structural problem in file order raises :class:`AnnotationError`
@@ -120,12 +124,12 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
             i += count
     except AnnotationError as exc:
         error = exc
-    heads = [ln.split(None, 4)[:4] for ln in chain.from_iterable([lines[s : s + c] for s, c, _ in groups])]
+    heads = (ln.split(None, 4)[:4] for ln in chain.from_iterable(lines[s : s + c] for s, c, _ in groups))
     try:  # one batch; a short line leaves the iterator short of 4 tokens a row
-        values = np.fromiter(map(float, chain.from_iterable(heads)), np.float64, 4 * len(heads))
+        values = np.fromiter(map(float, chain.from_iterable(heads)), np.float64, 4 * sum(c for _, c, _ in groups))
     except ValueError:
-        for i, head in zip((i for s, c, _ in groups for i in range(s, s + c)), heads):
-            text = lines[i].rstrip("\r\n")
+        for i in (i for s, c, _ in groups for i in range(s, s + c)):
+            head, text = lines[i].split(None, 4)[:4], lines[i].rstrip("\r\n")
             if len(head) < 4:
                 raise AnnotationError(i + 1, f"face line needs at least 4 numbers, got {text!r}") from None
             try:
@@ -138,7 +142,7 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     image = np.repeat(np.array([g[2] for g in groups], np.int64), [g[1] for g in groups])
     keep = valid_boxes(*cols)
     records = FaceTable(*cols[:, keep], image[keep], tuple(image_index))
-    return ParsedAnnotations(records=records, skipped=skipped + len(heads) - len(records))
+    return ParsedAnnotations(records=records, skipped=skipped + len(values) // 4 - len(records))
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,8 @@ def jitter_experiment(
     offset, not once per trial; the trials are then reduced in trial order.
     """
     trials = _integer(trials, "trials", 1)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials are over the cap of {MAX_TRIALS}")
     faces = FaceTable.of(faces)
     by_offset: dict[tuple[int, int], ScaleBucketReport] = {}
     per_trial: list[ScaleBucketReport] = []

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import iou_from_overlaps
+from .geometry import _SIDE_MAX, _SIDE_MIN, iou_from_overlaps
 from .layout import AnchorLayout, _integer, _real
 from .matching import max_overlap_values
 from .rng import stream
@@ -64,8 +64,7 @@ class EmoQuery:
     quadrature_cells: int = 512
 
     def __post_init__(self) -> None:
-        # 2**500 keeps the summed area 2 * side * side finite, 2**-500 above 0.
-        object.__setattr__(self, "face_side", _real(self.face_side, "face_side", 2.0**500, 2.0**-500))
+        object.__setattr__(self, "face_side", _real(self.face_side, "face_side", _SIDE_MAX, _SIDE_MIN))
         object.__setattr__(self, "anchor_stride", _real(self.anchor_stride, "anchor_stride"))
         cells = _integer(self.quadrature_cells, "quadrature_cells", 16)
         object.__setattr__(self, "quadrature_cells", cells)
@@ -177,9 +176,8 @@ def emo_monte_carlo(
     workers, seed = _integer(workers, "workers", 1), _integer(seed, "seed", 0)
     if samples > MAX_MC_SAMPLES:
         raise ValueError(f"{samples} samples are over the cap of {MAX_MC_SAMPLES}")
-    # 2**500 keeps a face's area, and its sum with an anchor's, finite; 2**-500 above 0.
-    cells = [(layout, _real(face_w, "face size w", 2.0**500, 2.0**-500),
-              _real(face_h, "face size h", 2.0**500, 2.0**-500)) for layout, face_w, face_h in cells]
+    cells = [(layout, _real(face_w, "face size w", _SIDE_MAX, _SIDE_MIN),
+              _real(face_h, "face size h", _SIDE_MAX, _SIDE_MIN)) for layout, face_w, face_h in cells]
     regions = [_central_period_cell(layout) for layout, _, _ in cells]
     classes: dict = {}  # scale class key -> index of the class's first cell
     firsts = [classes.setdefault(_scale_class(k, *cell, region), k)

@@ -26,9 +26,9 @@ __all__ = [
 class RectBox:
     """An axis-aligned rectangle: top-left corner ``(x, y)``, size ``w x h``.
 
-    Degenerate sizes (a side ``<= 0`` or an area that underflows to 0),
-    non-finite coordinates and far edges ``x + w``, ``y + h`` that overflow are
-    rejected at construction so corrupt annotations fail fast.
+    Degenerate sizes (a side ``<= 0`` or a scale outside the range of
+    ``valid_boxes``), non-finite coordinates and far edges ``x + w``, ``y + h``
+    that overflow are rejected at construction so corrupt annotations fail fast.
     """
 
     x: float
@@ -44,7 +44,7 @@ class RectBox:
                 raise ValueError(f"RectBox.{name} must be a finite real, got {value!r}")
         if not valid_boxes(*(float(v) for v in (self.x, self.y, self.w, self.h))):
             raise ValueError(
-                f"RectBox requires positive size and finite extents, got {self!r}"
+                f"RectBox requires positive sides, a scale in range and finite extents, got {self!r}"
             )
 
     @property
@@ -61,10 +61,10 @@ class RectBox:
 
 
 def valid_boxes(x, y, w, h):
-    """Elementwise :class:`RectBox` rule: positive sides with a nonzero product,
-    and finite far edges ``x + w`` and ``y + h`` (so all four values finite)."""
+    """Elementwise :class:`RectBox` rule: ``w > 0``, ``_SIDE_MIN**2 < w * h < _SIDE_MAX**2``, finite far edges."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (w * h > 0)
+        area = w * h
+        return np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (_SIDE_MIN**2 < area) & (area < _SIDE_MAX**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ class FaceTable:
         if image.ndim != 1 or any(c.shape != image.shape for c in cols.values()):
             raise ValueError("FaceTable columns must be 1-D and of equal length")
         if not valid_boxes(cols["x"], cols["y"], cols["w"], cols["h"]).all():
-            raise ValueError("FaceTable requires positive sizes and finite extents")
+            raise ValueError("FaceTable requires positive sides, scales in range and finite extents")
         if len(image) and not (image.min() >= 0 and image.max() < len(self.image_ids)):
             raise ValueError(f"image index out of range for {len(self.image_ids)} image ids")
         for name, col in cols.items():
@@ -145,6 +145,10 @@ def iou(a: RectBox, b: RectBox) -> float:
 
 # The least positive float: the area sum's floor, so 0 / 0 never arises.
 _LEAST = np.nextafter(0.0, 1.0)
+
+# Each box's scale, the side of its equal-area square, lies in (_SIDE_MIN, _SIDE_MAX), so that
+# every area is a normal float below 2**1000 and no sum of two areas or intersection overflows.
+_SIDE_MIN, _SIDE_MAX = 2.0**-500, 2.0**500
 
 
 def iou_xywh(ax, ay, aw, ah, bx, by, bw, bh, out=None):

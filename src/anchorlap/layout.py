@@ -20,6 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .geometry import _SIDE_MAX, _SIDE_MIN
+
 __all__ = [
     "AnchorSpec",
     "AnchorLayout",
@@ -100,8 +102,7 @@ class AnchorSpec:
     shifts_per_scale: Mapping[float, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # 2**-500 keeps an anchor's area from underflowing to 0 (IoU 0/0).
-        scales = tuple(_real(s, "each scales entry", above=2.0**-500) for s in self.scales)
+        scales = tuple(_real(s, "each scales entry", _SIDE_MAX, _SIDE_MIN) for s in self.scales)
         ratios = tuple(_real(r, "each ratios entry") for r in self.ratios)
         shifts, keys = {}, {}
         for key, count in dict(self.shifts_per_scale).items():

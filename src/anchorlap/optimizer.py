@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import _check_plane, bounding_plane
-from .geometry import FaceTable
+from .geometry import _SIDE_MAX, _SIDE_MIN, FaceTable
 from .layout import (_SHIFT_PATTERNS, ALLOWED_DIVISORS, ALLOWED_SHIFT_COUNTS, AnchorSpec, _integer, _real,
                      build_layout)
 from .matching import max_overlap_values
@@ -45,7 +45,7 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget", _integer(self.budget, "budget", 1))
-        object.__setattr__(self, "scale_sets", tuple(tuple(_real(s, "each scale_sets entry", above=2.0**-500)
+        object.__setattr__(self, "scale_sets", tuple(tuple(_real(s, "each scale_sets entry", _SIDE_MAX, _SIDE_MIN)
                                                            for s in ss) for ss in self.scale_sets))
         object.__setattr__(self, "ratios", tuple(_real(r, "each ratios entry") for r in self.ratios))
         object.__setattr__(self, "base_stride", _real(self.base_stride, "base_stride"))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import anchorlap
 from anchorlap import cli
 from anchorlap.cli import main
-from anchorlap.dataset import parse_annotations
+from anchorlap.dataset import MAX_TRIALS, parse_annotations
 from anchorlap.emo import MAX_MC_SAMPLES, MAX_QUADRATURE_CELLS, EmoQuery
 from anchorlap.layout import MAX_ANCHORS
 from anchorlap.matching import LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig
@@ -118,7 +118,7 @@ class TestEmo:
         assert proc.stderr.startswith("error: ") and f"cap of {cap}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("mode, named", [([], "face_side"), (["--mc"], "face size w")],
+    @pytest.mark.parametrize("mode, named", [([], "face_side"), (["--mc"], "each scales entry")],
                              ids=["closed-form", "mc"])
     def test_face_side_from_2_to_500_exits_2_naming_it(self, mode, named):
         proc = run_console_script("emo", "--scales", "1e300", "--strides", "16", *mode)
@@ -262,6 +262,12 @@ class TestStats:
             )
             values.append(float(rows_of(out)[0]["recall_at_tau"]))
         assert values[0] >= values[1] >= values[2]
+
+    def test_jitter_trials_over_the_cap_exit_2_naming_it(self, files):
+        proc = run_console_script("stats", "--annotations", files["ann"], "--spec", files["spec"],
+                                  "--jitter", "--trials", str(MAX_TRIALS + 1))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {MAX_TRIALS + 1} trials are over the cap of {MAX_TRIALS}\n"
 
     def test_jitter_schema_and_determinism(self, files):
         base = ["stats", "--annotations", files["ann"], "--spec", files["spec"],
@@ -464,7 +470,8 @@ def test_number_too_large_for_a_float_exits_2_naming_it(files, capsys, argv, doc
 
 TINY_FACE = "a.jpg\n1\n8 8 1e-300 1e-300\n"  # its area underflows to 0
 NO_FACES = "error: annotation listing contains no usable faces\n"
-TINY_SCALE = "error: each {} entry must be in (3.05494e-151, inf), got 1e-300\n"
+OUT_OF_RANGE = "error: each {} entry must be in (3.05494e-151, 3.27339e+150), got {}\n"
+TINY_SCALE = OUT_OF_RANGE.format("{}", "1e-300")
 
 
 @pytest.mark.parametrize("argv, doc, listing, code, err", [
@@ -474,20 +481,63 @@ TINY_SCALE = "error: each {} entry must be in (3.05494e-151, inf), got 1e-300\n"
     (["optimize", "--space"], {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[1e-300]],
                                "budget": 1}, ANNOTATIONS, 2, TINY_SCALE.format("scale_sets")),
     (["emo", "--mc", "--scales", "1e-310", "--strides", "16"], None, None, 2,
-     "error: each scales entry must be in (3.05494e-151, inf), got 1e-310\n"),
+     OUT_OF_RANGE.format("scales", "1e-310")),
     (["emo", "--scales", "1e-310", "--strides", "16"], None, None, 2,
      "error: face_side must be in (3.05494e-151, 3.27339e+150), got 1e-310\n"),
 ], ids=["stats-tiny-face", "match-tiny-face", "stats-tiny-scale", "optimize-tiny-scale", "emo-mc", "emo"])
 def test_area_underflowing_to_zero_is_refused_on_one_line(tmp_path, argv, doc, listing, code, err):
     # Each used to reach a 0/0 IoU: a nan row or a numpy warning on stderr.
+    proc = run_with_files(tmp_path, argv, doc, listing)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def run_with_files(tmp_path, argv, doc, listing):
+    """The console script on ``argv``, then ``doc`` as a JSON file and ``listing``
+    as ``--annotations`` where given, with every warning an error."""
     if doc is not None:
         (tmp_path / "doc.json").write_text(json.dumps(doc))
         argv = [*argv, str(tmp_path / "doc.json")]
     if listing is not None:
         (tmp_path / "faces.txt").write_text(listing)
         argv = [*argv, "--annotations", str(tmp_path / "faces.txt")]
-    proc = run_console_script(*argv)
+    with mock.patch.dict(os.environ, {"PYTHONWARNINGS": "error"}):
+        return run_console_script(*argv)
+
+
+def huge_spec(side):
+    return {"scales": [side], "base_stride": side}
+
+
+def huge_space(side):
+    return {"stride_divisors": [1], "shift_choices": [0], "scale_sets": [[side]], "budget": 1, "base_stride": side}
+
+
+HUGE_FACE = "a.jpg\n1\n0 0 1e200 1e200\n"  # its area overflows to inf
+FACE_16 = "a.jpg\n1\n0 0 16 16\n"
+
+
+@pytest.mark.parametrize("argv, doc, listing, code, err", [
+    (["stats", "--spec"], huge_spec(1e200), HUGE_FACE, 1, NO_FACES),
+    (["match", "--spec"], huge_spec(1e200), HUGE_FACE, 1, NO_FACES),
+    (["optimize", "--space"], huge_space(1e200), HUGE_FACE, 1, NO_FACES),
+    (["stats", "--spec"], huge_spec(1e200), FACE_16, 2, OUT_OF_RANGE.format("scales", "1e+200")),
+    (["match", "--spec"], huge_spec(1e160), FACE_16, 2, OUT_OF_RANGE.format("scales", "1e+160")),
+    (["optimize", "--space"], huge_space(1e200), FACE_16, 2, OUT_OF_RANGE.format("scale_sets", "1e+200")),
+    (["optimize", "--space"], huge_space(1e160), FACE_16, 2, OUT_OF_RANGE.format("scale_sets", "1e+160")),
+], ids=["stats-huge-face", "match-huge-face", "optimize-huge-face", "stats-huge-scale", "match-1e160-scale",
+        "optimize-huge-scale", "optimize-1e160-scale"])
+def test_scale_from_2_to_500_is_refused_on_one_line(tmp_path, argv, doc, listing, code, err):
+    # Each used to end in numpy warnings and a wrong result: a nan bucket
+    # mean, a negative anchor for its own face, or an objective of nan.
+    proc = run_with_files(tmp_path, argv, doc, listing)
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_scale_just_below_2_to_500_still_matches_its_own_anchor(tmp_path):
+    proc = run_with_files(tmp_path, ["match", "--spec"], huge_spec(1e150), "a.jpg\n1\n0 0 1e150 1e150\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("face,image_id,scale,max_iou,argmax_anchor,assigned_count\n0,a.jpg,1e+150,1,0,1\n"
+                           "anchor,label,source_face\n0,positive,0\n")
 
 
 @pytest.mark.parametrize("argv, spec", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from anchorlap import dataset, matching
 from anchorlap.dataset import (
+    MAX_TRIALS,
     AnnotationError,
     JitterReport,
     ParsedAnnotations,
@@ -102,6 +104,40 @@ class TestParsing:
         parsed = parse_annotations("d.jpg\n3\n8 8 1e-300 1e-300\n8 8 1e-150 1e-150\n8 8 1e-300 1e300\n")
         assert parsed.records.w.tolist() == [1e-150, 1e-300]
         assert parsed.skipped == 1
+
+    # (w, h, kept): the area w * h must lie in (2**-1000, 2**1000).
+    AREA_RANGE = [(1e-150, 1e-150, True), (1e-300, 1e300, True), (2.0**-500, 2.0**-499, True),
+                  (2.0**499, 2.0**500, True), (1e150, 1e150, True), (1e-300, 1e-300, False),
+                  (2.0**-500, 2.0**-500, False), (2.0**500, 2.0**500, False), (1e200, 1e200, False)]
+
+    @pytest.mark.parametrize("w, h, kept", AREA_RANGE)
+    def test_area_range_is_one_rule_for_listings_tables_and_boxes(self, w, h, kept):
+        parsed = parse_annotations(f"a.jpg\n2\n0 0 {w!r} {h!r}\n1 1 4 4\n")
+        assert (len(parsed.records), parsed.skipped) == (1 + kept, 1 - kept)
+        columns = ([0.0], [0.0], [w], [h], [0], ("a.jpg",))
+        if kept:
+            assert RectBox(0.0, 0.0, w, h).w == FaceTable(*columns).w[0] == w
+        else:
+            with pytest.raises(ValueError, match="a scale in range"):
+                RectBox(0.0, 0.0, w, h)
+            with pytest.raises(ValueError, match="scales in range"):
+                FaceTable(*columns)
+
+    def test_parse_peak_stays_within_a_few_times_the_kept_columns(self):
+        lines = []
+        for i in range(200):
+            lines += [f"img/{i}.jpg\n", "100\n"]
+            lines += [f"{j % 97 * 7.5} {i * 3.25} {8 + j % 40} {9 + j % 33} 0 1 0 0 0 0\n" for j in range(100)]
+        tracemalloc.start()
+        try:
+            table = parse_annotations(lines).records
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(table, name).nbytes for name in ("x", "y", "w", "h", "image"))
+        assert len(table) == 20_000
+        # About 3.7x at 20,000 faces; a list of each line's tokens made it 11x.
+        assert peak < 5 * columns
 
     def test_negative_width_skipped(self):
         parsed = parse_annotations("c.jpg\n2\n5 5 -3 10\n5 5 3 10\n")
@@ -363,6 +399,11 @@ class TestJitterExperiment:
         layout = l16_layout(64.0)
         with pytest.raises(ValueError):
             jitter_experiment([RectBox(0, 0, 4, 4)], layout, trials=0, seed=0)
+
+    def test_trials_over_the_cap_raise_before_any_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_jitter_offsets", None)  # a draw would fail on calling it
+        with pytest.raises(ValueError, match=f"^{MAX_TRIALS + 1} trials are over the cap of {MAX_TRIALS}$"):
+            jitter_experiment([RectBox(0, 0, 4, 4)], l16_layout(64.0), trials=MAX_TRIALS + 1, seed=0)
 
     @pytest.mark.parametrize("trials", [2.5, True, "3"])
     def test_trials_must_be_an_integer(self, trials):
