@@ -86,21 +86,38 @@ def test_one_is_outside_the_unit_interval(call, name, accepted):
         call(1)
 
 
-# Anchor scales, search-space scales and EMO face sides stay inside
-# (2**-500, 2**500), so that no area underflows to 0 or overflows to inf.
-SIDES = {key: REAL_PARAMETERS[key] for key in ("AnchorSpec.scales", "SearchSpace.scale_sets",
-                                               "EmoQuery.face_side", "emo_monte_carlo.face_size")}
+# Face sides enter the EMO estimators squared, so each stays below 2**500.
+FACE_SIDES = {key: REAL_PARAMETERS[key] for key in ("EmoQuery.face_side", "emo_monte_carlo.face_size")}
+# Anchor scales and search-space scales bound box sides the same way.
+SCALES = {key: REAL_PARAMETERS[key] for key in ("AnchorSpec.scales", "SearchSpace.scale_sets")}
+SIDES = {**SCALES, **FACE_SIDES}
+SIDE_RANGE = r"must be in \(3.05494e-151, 3.27339e\+150\), got "
 
 
-@pytest.mark.parametrize("call, name, accepted", SIDES.values(), ids=SIDES)
-def test_sides_stay_between_2_to_minus_500_and_2_to_500(call, name, accepted):
+def _check_sides(call, name, good, bads):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        call(2.0**-499)
-        call(2.0**499)
-        for bad in (2.0**-500, 1e-300, 5e-324, 2.0**500, 1e300):
-            with pytest.raises(ValueError, match=rf"{name}.* must be in \(3.05494e-151, 3.27339e\+150\), got "):
+        call(good)
+        for bad in bads:
+            with pytest.raises(ValueError, match=rf"{name}.* {SIDE_RANGE}"):
                 call(bad)
+
+
+@pytest.mark.parametrize("call, name, accepted", FACE_SIDES.values(), ids=FACE_SIDES)
+def test_face_sides_stay_below_2_to_500(call, name, accepted):
+    _check_sides(call, name, 2.0**499, (2.0**500, 1e300))
+
+
+@pytest.mark.parametrize("call, name, accepted", SCALES.values(), ids=SCALES)
+def test_scales_stay_below_2_to_500(call, name, accepted):
+    _check_sides(call, name, 2.0**499, (2.0**500, 1e300))
+
+
+# Anchor scales and EMO face sides stay above 2**-500, so that no area
+# underflows to 0 and no IoU becomes 0/0.
+@pytest.mark.parametrize("call, name, accepted", SIDES.values(), ids=SIDES)
+def test_sides_stay_above_2_to_minus_500(call, name, accepted):
+    _check_sides(call, name, 2.0**-499, (2.0**-500, 1e-300, 5e-324))
 
 
 @pytest.mark.parametrize("key, error", [(10**400, ValueError), (True, TypeError)], ids=["10**400", "True"])
