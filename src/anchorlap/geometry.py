@@ -170,9 +170,8 @@ def iou_from_overlaps(iw, ih, areas, out=None):
     of their areas, ``areas = aw*ah + bw*bh`` (in that order).
 
     The IoU rule of the package, called by ``iou_xywh`` (so by the matching
-    window scan, the owner search ``matching._best_faces`` over the faces
-    whose x extent meets each anchor, and the test oracles),
-    ``emo.emo_closed_form`` and ``matching._nth_corner_iou``: the
+    scans and run checks, the owner search and the test oracles),
+    ``emo.emo_closed_form`` and the corner and row tests of ``matching``: the
     intersection is ``iw * ih`` where both overlaps are positive, else 0,
     and the union is bounded below by the intersection.  Each overlap is
     clamped at 0 before the product, and the area sum is bounded below by

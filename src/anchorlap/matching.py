@@ -11,18 +11,17 @@ identical to an exhaustive faces-by-anchors scan, and the test suite holds
 them to that.  The per-axis cell-corner kernel (:func:`max_overlap_values`)
 can fall a few ulps short of the exhaustive maximum for anchors of
 non-dyadic sides (see there); ``match_faces`` only takes its floor from
-it.  Its results come from one stream of flat ``(boxes, ids, ious)``
+it.  Its pairs come from one stream of flat ``(boxes, ids, ious)``
 pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
 above the face's floor, once, evaluated per block in buffers allocated
 once per scan and emitted by mask compression; the windows of one shape
 from all lattice groups on one grid share blocks.  ``match_faces`` streams
-every face down to ``t_low``, or to its kernel value where that is lower,
-for the maxima, labels, sources and assigned-anchor counts; one
-lowest-index-at-max fold picks each face's max and argmax anchor and each
-anchor's max and owner face.  An argmax anchor that no pair at or above
-``t_low`` reaches gets its source by the same rule over all faces, of
-which only those whose x extent meets the anchor's are evaluated: every
-other face has IoU 0 with it.
+each face down to ``t_high``, or its kernel value where lower, for the
+maxima, argmaxes, counts, positives and sources, through one
+lowest-index-at-max fold, and marks the ignore band by runs of anchor IDs
+(:func:`_ignore_band`).  An argmax anchor below ``t_high`` takes its owner
+by the same rule from the faces reaching it at ``t_low``, else from all
+faces whose x extent meets its own: every other has IoU 0 with it.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
 bound on their N-th best IoU.
 """
@@ -238,6 +237,10 @@ _SLACK = 1.0 - 1e-6
 # Start value of a lowest-index fold: above every index.
 _NONE = np.iinfo(np.int64).max
 
+# Sliding strides of face width up to which a face's band pairs are streamed,
+# not marked by runs: its windows span few columns, cheaper than run checks.
+_RUN_STRIDES = 8
+
 
 def _size_class(n: np.ndarray) -> np.ndarray:
     """``n`` rounded up to one of four window extents per octave, so that
@@ -246,13 +249,9 @@ def _size_class(n: np.ndarray) -> np.ndarray:
     return -(-n // step) * step
 
 
-def _windows(g, index: int, cx, cy, w, h, gain):
-    """The windows in group ``g``, the layout's ``index``-th, of the boxes
-    that can reach their floor in it (see :func:`_scan`), as ``(shape,
-    items)`` in ascending order of shape, boxes of one shape in ascending
-    order.  ``shape`` codes a window's rows and columns as ``rows * (cols +
-    1) + columns``; the five rows of ``items`` hold each window's box, first
-    column, first row and first anchor ID, and ``index``."""
+def _reach(g, cx, cy, w, h, gain):
+    """The boxes that can reach their floor in group ``g`` (see :func:`_scan`),
+    and the first and last column and row of each one's window there."""
     inter = gain * (g.box_w * g.box_h + w * h)
     span_x = np.minimum(w, g.box_w)
     span_y = np.minimum(h, g.box_h)
@@ -263,9 +262,17 @@ def _windows(g, index: int, cx, cy, w, h, gain):
     r0 = np.maximum(np.ceil((cy - reach_y - g.origin_y) / g.stride) - 1.0, 0.0)
     r1 = np.minimum(np.floor((cy + reach_y - g.origin_y) / g.stride) + 1.0, g.rows - 1.0)
     live = np.flatnonzero((inter <= span_x * span_y) & (c0 <= c1) & (r0 <= r1))
-    # Freed before the int columns are built, which lowers the scan's peak.
-    del inter, span_x, span_y, reach_x, reach_y
-    c0, c1, r0, r1 = (v[live].astype(np.int64) for v in (c0, c1, r0, r1))
+    return (live, *(v[live].astype(np.int64) for v in (c0, c1, r0, r1)))
+
+
+def _windows(g, index: int, cx, cy, w, h, gain):
+    """The windows in group ``g``, the layout's ``index``-th, of the boxes
+    that can reach their floor in it (see :func:`_scan`), as ``(shape,
+    items)`` in ascending order of shape, boxes of one shape in ascending
+    order.  ``shape`` codes a window's rows and columns as ``rows * (cols +
+    1) + columns``; the five rows of ``items`` hold each window's box, first
+    column, first row and first anchor ID, and ``index``."""
+    live, c0, c1, r0, r1 = _reach(g, cx, cy, w, h, gain)
     ncols = np.minimum(_size_class(c1 - c0 + 1), g.cols)
     nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
     c0 = np.minimum(c0, g.cols - ncols)
@@ -366,6 +373,82 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
                 waiting[key] = rest
     for key, run in waiting.items():
         yield block(key, run)
+
+
+def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, best, owner):
+    """The anchors the faces ``which`` reach at IoU ``t`` or above, as a mask,
+    and the owner of each anchor in ``lost`` (ascending) by the rule of
+    :func:`_best_faces`, given ``best`` and ``owner`` over the other faces.
+
+    Along a window row (:func:`_reach`) the IoU grows with the x overlap,
+    which never falls over the ``before`` columns left of the face, never
+    rises from ``after``, the first right of it, and between is the plateau
+    ``(ax + aw) - ax``, a value of the column alone bounding every column's
+    overlap.  So a row holds no column reaching ``t`` if the largest plateau
+    value falls short, and one run if the least reaches it, whose estimated
+    ends are checked with their neighbours; other rows whose face holds
+    plateau columns, and rows failing a check, go pair by pair.  Runs are
+    merged by counting; those covering a lost anchor hold its owner.
+    """
+    cover = np.zeros(layout.anchor_count + 1, dtype=np.int64)  # runs begun less runs ended, per anchor
+    x, y, w, h = (col[which] for col in (faces.x, faces.y, faces.w, faces.h))
+    for g in layout.groups if len(which) else ():
+        aw, ah, stride = g.box_w, g.box_h, g.stride
+        left = (g.origin_x + np.arange(g.cols) * stride) - aw / 2.0
+        plateau = (left + aw) - left
+        window = _reach(g, x + w / 2.0, y + h / 2.0, w, h, t / (1.0 + t) * _SLACK)
+        # The faces in parts of about a quarter scan block of window rows.
+        parts = np.flatnonzero(np.diff(np.cumsum(window[4] - window[3] + 1) // (_BLOCK_PAIRS // 4))) + 1
+        for live, c0, c1, r0, r1 in zip(*(np.split(v, parts) for v in window)) if len(window[0]) else ():
+            # Per window row: its face (into ``live``) and y overlap.  The rows of a
+            # face and y overlap share their columns, found on the first: ``same``.
+            n = r1 - r0 + 1
+            face = np.repeat(np.arange(len(live)), n)
+            row = np.arange(len(face)) + np.repeat(r0 - (np.cumsum(n) - n), n)
+            ay = (g.origin_y + row * stride) - ah / 2.0
+            ih = np.minimum(ay + ah, np.repeat((y + h)[live], n)) - np.maximum(ay, np.repeat(y[live], n))
+            fresh = (np.diff(face, prepend=-1) != 0) | (np.diff(ih, prepend=np.nan) != 0)
+            same = np.cumsum(fresh) - 1
+            f, ay, ih = face[fresh], ay[fresh], ih[fresh]
+            bx, by, bw, bh = x[live][f], y[live][f], w[live][f], h[live][f]
+            before = np.searchsorted(left, x[live])[f]
+            after = np.searchsorted(left + aw, (x + w)[live], side="right")[f]
+            areas = aw * ah + bw * bh
+            rows = iou_from_overlaps(plateau.max(), ih, areas) >= t
+            split = rows & (before < after) & (iou_from_overlaps(plateau.min(), ih, areas) < t)
+            # Run ends from the x overlap t needs (finite in rows); none if wider than the face.
+            need = t * areas / ((1.0 + t) * np.where(rows, ih, 1.0))
+            short, at = ~rows | (need > bw), (bx - aw / 2.0 - g.origin_x) / stride
+            first = np.where(short, before, np.clip(np.ceil(at + need / stride), 0, before))
+            stop = np.where(short, after, np.clip(np.floor(at + (bw + aw - need) / stride) + 1, after, g.cols))
+            first, stop = first.astype(np.int64), stop.astype(np.int64)
+
+            def reach(c, j=slice(None)):
+                return iou_xywh(left.take(c, mode="clip"), ay[j], aw, ah, bx[j], by[j], bw[j], bh[j]) >= t
+            ok = reach(np.stack((first - 1, first, stop - 1, stop)))
+            split |= rows & ((ok[0] & (first > 0)) | (~ok[1] & (first < before))
+                             | (~ok[2] & (stop > after)) | (ok[3] & (stop < g.cols)))
+            k = np.flatnonzero(split[same])
+            span = (c1 - c0 + 1)[face[k]]
+            col = np.arange(span.sum()) + np.repeat(c0[face[k]] - (np.cumsum(span) - span), span)
+            k = np.repeat(k, span)
+            hit = reach(col, same[k])
+            runs = np.flatnonzero((rows & ~split & (first < stop))[same])
+            base = g.id_start + row * g.cols
+            k = np.concatenate((k[hit], runs))
+            first = np.concatenate((base[k[: hit.sum()]] + col[hit], base[runs] + first[same[runs]]))
+            last = np.concatenate((first[: hit.sum()], base[runs] + stop[same[runs]] - 1))
+            np.add.at(cover, first, 1)
+            np.add.at(cover, last + 1, -1)
+            lo = np.searchsorted(lost, first)
+            n = np.searchsorted(lost, last, side="right") - lo
+            j = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+            fk = np.repeat(which[live[face[k]]], n)
+            ious = iou_xywh(*(v[j] for v in layout.boxes(lost)), faces.x[fk], faces.y[fk], faces.w[fk], faces.h[fk])
+            _keep_best(best, owner, j, ious, fk)
+    if len(rest := np.flatnonzero(owner == _NONE)):
+        owner[rest] = _best_faces(layout, lost[rest], faces)
+    return np.cumsum(cover[:-1]) > 0, owner
 
 
 def _keep_best(best, owner, keys, values, candidates) -> None:
@@ -495,49 +578,47 @@ def match_faces(
 ) -> MatchResult:
     """Assign faces to anchors and label every anchor.
 
-    Per-face max IoU and argmax, labels, sources and assigned counts come
-    from one window scan of the anchors each face can lift to ``t_low``
-    or, where lower, to its cell-corner kernel value (see the module
-    docstring).  All equal an exhaustive scan exactly.  An empty face
-    list labels all anchors negative.  Faces are matched where they are;
-    to match shifted faces, pass the output of :func:`apply_jitter`.
+    Per-face max IoU and argmax, assigned counts, positives and sources
+    come from one window scan of the anchors each face can lift to
+    ``t_high`` or, where lower, to its cell-corner kernel value; the ignore
+    band from runs, or from that scan taken down to ``t_low`` for faces at
+    most ``_RUN_STRIDES`` sliding strides wide, and for all when ``t_low ==
+    t_high``.  All equal an exhaustive scan exactly.  An empty face list
+    labels all anchors negative.  Faces are matched where they are; to
+    match shifted faces, pass the output of :func:`apply_jitter`.
     """
     if layout.anchor_count == 0:
         raise ValueError("layout holds no anchors")
     faces = FaceTable.of(faces)
     n_faces = len(faces)
-    labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
     # The IoU of a real anchor, so a lower bound on each face's max.
     kernel = max_overlap_values(layout, faces.x, faces.y, faces.w, faces.h)
-    face_max = np.zeros(n_faces, dtype=np.float64)
-    face_argmax = np.full(n_faces, _NONE, dtype=np.int64)
-    anchor_best = np.zeros(layout.anchor_count, dtype=np.float64)
-    anchor_best_face = np.full(layout.anchor_count, -1, dtype=np.int64)
-    # The faces of the pairs at or above t_high, one entry per pair.
-    high_faces = [np.empty(0, dtype=np.int64)]
-    floor = np.where(kernel > 0.0, np.minimum(kernel, cfg.t_low), cfg.t_low)
+    face_max, anchor_best, count = np.zeros(n_faces), np.zeros(layout.anchor_count), np.zeros(n_faces, np.int64)
+    face_argmax, anchor_best_face = (np.full(n, _NONE, dtype=np.int64) for n in (n_faces, layout.anchor_count))
+    wide = (faces.w > _RUN_STRIDES * min(g.stride for g in layout.groups)) & (cfg.t_low < cfg.t_high)
+    floor = np.minimum(np.where(kernel > 0.0, kernel, 1.0), np.where(wide, cfg.t_high, cfg.t_low))
     for boxes, ids, ious in _scan(layout, faces.x, faces.y, faces.w, faces.h, floor):
         top = ious >= kernel[boxes]
         _keep_best(face_max, face_argmax, boxes[top], ious[top], ids[top])
         near = ious >= cfg.t_low
         boxes, ids, ious = boxes[near], ids[near], ious[near]
         _keep_best(anchor_best, anchor_best_face, ids, ious, boxes)
-        high_faces.append(boxes[ious >= cfg.t_high])
+        c = np.bincount(boxes[ious >= cfg.t_high])
+        count[: len(c)] += c
     face_argmax[face_argmax == _NONE] = -1
 
-    labels[anchor_best >= cfg.t_low] = LABEL_IGNORE
-    labels[anchor_best >= cfg.t_high] = LABEL_POSITIVE
     owned = np.flatnonzero(face_argmax >= 0)
+    lost = np.unique(face_argmax[owned])  # argmax anchors, less those a pair at or above t_high owns
+    lost = lost[anchor_best[lost] < cfg.t_high]
+    band, anchor_best_face[lost] = _ignore_band(layout, faces, cfg.t_low, np.flatnonzero(wide), lost,
+                                                anchor_best[lost], anchor_best_face[lost])
+    labels = np.full(layout.anchor_count, LABEL_NEGATIVE, dtype=np.int8)
+    labels[band | (anchor_best >= cfg.t_low)] = LABEL_IGNORE
+    labels[anchor_best >= cfg.t_high] = LABEL_POSITIVE
     labels[face_argmax[owned]] = LABEL_POSITIVE
     # A face's argmax is one of its pairs at or above t_high when its max
     # reaches t_high, and otherwise its one assigned anchor.
-    count = np.bincount(np.concatenate(high_faces), minlength=n_faces)
     count[(face_max > 0.0) & (face_max < cfg.t_high)] += 1
-    # An argmax anchor no pair at or above t_low reached: its owner may be
-    # any face, so it is found over all of them.
-    lost = face_argmax[owned]
-    lost = np.unique(lost[anchor_best_face[lost] < 0])
-    anchor_best_face[lost] = _best_faces(layout, lost, faces)
     source = np.where(labels == LABEL_POSITIVE, anchor_best_face, -1)
     return MatchResult(face_max_iou=face_max, face_argmax=face_argmax, assigned_count=count,
                        anchor_labels=labels, anchor_source=source)
