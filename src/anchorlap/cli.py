@@ -12,8 +12,10 @@ Subcommands::
 Every file artifact gets a ``<out>.manifest.json`` sidecar recording the
 resolved parameters, seed, and sha256 digests of inputs and outputs; the
 ``replay`` subcommand re-executes a manifest and fails unless the result
-is byte-identical.  Exit codes: 0 success, 1 I/O or input-data error,
-2 invalid parameters.
+is byte-identical.  ``_COMMANDS`` declares each run subcommand, and the
+parser builds the flags they share from it.  Every failure is raised to
+``main``, which reports it as one ``error:`` line on stderr.
+Exit codes: 0 success, 1 I/O or input-data error, 2 invalid parameters.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .dataset import (
 )
 from .emo import EmoQuery, emo_closed_form, emo_monte_carlo
 from .geometry import _SIDE_MAX
-from .layout import AnchorSpec, _real, build_layout
+from .layout import AnchorSpec, _integer, _real, build_layout
 from .matching import (LABEL_IGNORE, LABEL_NEGATIVE, LABEL_POSITIVE, MatchConfig, apply_jitter,
                        compensate_hard_faces, match_faces)
 from .optimizer import optimize
@@ -280,6 +282,8 @@ def _faces_and_layout(inputs: dict):
 
 
 def _run_emo(params: dict, inputs: dict, workers: int):
+    if params["mode"] not in ("closed_form", "monte_carlo"):
+        raise ValueError(f"mode must be 'closed_form' or 'monte_carlo', got {params['mode']!r}")
     for name in ("scales", "strides"):
         if not params[name]:
             raise ValueError(f"--{name} lists no values; the table would have no rows")
@@ -366,7 +370,8 @@ def _run_optimize(params: dict, inputs: dict, workers: int):
 
 
 # Each subcommand's runner, the parameters it reads off the parsed arguments
-# (manifests record them, with ``format`` and any ``seed``) and its input files.
+# (manifests record them, with ``format`` and any ``seed``) and its input files;
+# ``_add_common`` builds each one's shared flags from it.
 _COMMANDS = {
     "emo": (_run_emo, ("mode", "scales", "strides", "cells", "samples"), ()),
     "grid": (_run_grid, ("plane_w", "plane_h"), ("spec",)),
@@ -384,82 +389,69 @@ def cmd_run(args) -> int:
     """Run one subcommand of ``_COMMANDS``: stream its artifacts to stdout,
     or write them beside --out with a manifest."""
     runner, names, input_names = _COMMANDS[args.command]
+    workers = _integer(getattr(args, "workers", 1), "--workers", 1)
+    seed = _integer(getattr(args, "seed", 0), "--seed", 0)
     params = {name: getattr(args, name) for name in names}
     params["format"] = args.format
     if params.get("mode") == "monte_carlo" or params.get("jitter"):
-        params["seed"] = args.seed
+        params["seed"] = seed
     paths = {name: getattr(args, name) for name in input_names}
-    inputs = _input_meta(**paths)
-    artifacts = runner(params, paths, getattr(args, "workers", 1))
+    artifacts = runner(params, paths, workers)
     if args.out is None:
         for _, chunks in artifacts:
             sys.stdout.writelines(chunks)
         return 0
-    _write_manifest(args.out, args.command, params, inputs, _write_artifacts(args.out, artifacts))
+    # The runner has read the inputs; they are hashed before any output is written.
+    _write_manifest(args.out, args.command, params, _input_meta(**paths), _write_artifacts(args.out, artifacts))
     return 0
 
 
-def _manifest_problem(manifest) -> str | None:
-    """Why ``manifest`` cannot be replayed, or None when its shape is sound."""
+def _check_manifest(manifest) -> None:
+    """Raise ``OSError`` (exit 1) unless ``manifest`` has a shape replay can run."""
     if not isinstance(manifest, dict):
-        return f"manifest must be a JSON object, got {type(manifest).__name__}"
+        raise OSError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     for key, kind in (("subcommand", str), ("parameters", dict), ("inputs", dict), ("outputs", list)):
         if not isinstance(manifest.get(key), kind):
-            return f"manifest needs a {key!r} entry of type {kind.__name__}"
+            raise OSError(f"manifest needs a {key!r} entry of type {kind.__name__}")
     if manifest["subcommand"] not in _COMMANDS:
-        return f"manifest names unknown subcommand {manifest['subcommand']!r}"
+        raise OSError(f"manifest names unknown subcommand {manifest['subcommand']!r}")
     fmt = manifest["parameters"].get("format")
     if fmt not in ("csv", "json"):
-        return f"manifest parameter 'format' must be 'csv' or 'json', got {fmt!r}"
+        raise OSError(f"manifest parameter 'format' must be 'csv' or 'json', got {fmt!r}")
     for entry in [*manifest["inputs"].values(), *manifest["outputs"]]:
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
                 and isinstance(entry.get("sha256"), str)):
-            return f"manifest entry {entry!r} needs a 'path' and a 'sha256' string"
-    return None
+            raise OSError(f"manifest entry {entry!r} needs a 'path' and a 'sha256' string")
 
 
 def cmd_replay(args) -> int:
+    """Re-run a manifest; each failure raises the ``OSError`` that ``main`` reports (exit 1)."""
+    workers = _integer(args.workers, "--workers", 1)
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    problem = _manifest_problem(manifest)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
+        raise OSError(f"manifest is not valid JSON: {exc}") from None
+    _check_manifest(manifest)
     inputs = manifest["inputs"]
     for name, entry in sorted(inputs.items()):
-        digest = _sha256_file(entry["path"])
-        if digest != entry["sha256"]:
-            print(
-                f"error: input '{name}' at {entry['path']} changed since the manifest was written",
-                file=sys.stderr,
-            )
-            return 1
+        if _sha256_file(entry["path"]) != entry["sha256"]:
+            raise OSError(f"input '{name}' at {entry['path']} changed since the manifest was written")
     runner = _COMMANDS[manifest["subcommand"]][0]
     try:
-        artifacts = runner(manifest["parameters"], {k: v["path"] for k, v in inputs.items()}, args.workers)
+        artifacts = runner(manifest["parameters"], {k: v["path"] for k, v in inputs.items()}, workers)
     except KeyError as exc:
-        print(f"error: manifest lacks parameter or input {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"manifest lacks parameter or input {exc}") from None
     except TypeError as exc:
-        print(f"error: manifest parameter has the wrong type: {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"manifest parameter has the wrong type: {exc}") from None
     recorded = manifest["outputs"]
     if len(recorded) != len(artifacts):
-        print(
-            f"error: manifest records {len(recorded)} outputs but the run produced {len(artifacts)}",
-            file=sys.stderr,
-        )
-        return 1
+        raise OSError(f"manifest records {len(recorded)} outputs but the run produced {len(artifacts)}")
     outputs = _write_artifacts(args.out, artifacts)
-    diverged = [(out, rec) for out, rec in zip(outputs, recorded) if out["sha256"] != rec["sha256"]]
-    for out, rec in diverged:
-        print(f"error: replay diverged: {out['path']} does not match recorded {rec['path']}", file=sys.stderr)
+    diverged = [f"{out['path']} does not match recorded {rec['path']}"
+                for out, rec in zip(outputs, recorded) if out["sha256"] != rec["sha256"]]
     if diverged:
-        return 1
+        raise OSError("replay diverged: " + "; ".join(diverged))
     _write_manifest(args.out, manifest["subcommand"], manifest["parameters"], inputs, outputs)
     return 0
 
@@ -490,11 +482,22 @@ class _PlaneAction(argparse.Action):
         namespace.plane_w, namespace.plane_h = values
 
 
-def _add_common(p, seeded: bool) -> None:
+_INPUT_HELP = {"annotations": "face annotation listing", "spec": "anchor spec JSON file",
+               "space": "search space JSON file"}
+
+
+def _add_common(p, command: str) -> None:
+    """The flags of run subcommand ``command`` that its ``_COMMANDS`` entry
+    declares: its input files, --out, --format and, for a random mode or
+    jitter, --seed."""
+    names, input_names = _COMMANDS[command][1:]
+    for name in input_names:
+        p.add_argument(f"--{name}", required=True, help=_INPUT_HELP[name])
     p.add_argument("--out", help="write the artifact here plus a .manifest.json sidecar (default: stdout, no manifest)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if seeded:
+    if "mode" in names or "jitter" in names:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.set_defaults(func=cmd_run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("emo", help="expected max overlap for (scale, stride) pairs")
+    _add_common(p, "emo")
     p.add_argument("--scales", "--scale", dest="scales", type=_sorted_float_list, required=True,
                    metavar="LIST", help="comma-separated face side lengths")
     p.add_argument("--strides", "--stride", dest="strides", type=_sorted_float_list, required=True,
@@ -516,29 +520,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     p.add_argument("--workers", type=int, default=1,
                    help="Monte Carlo worker threads (result is identical for any count)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="dump every anchor of a layout")
-    p.add_argument("--spec", required=True, help="anchor spec JSON file")
+    _add_common(p, "grid")
     p.add_argument("--plane", type=_plane, action=_PlaneAction, required=True, metavar="WxH", help="plane size, e.g. 640x480")
-    _add_common(p, seeded=False)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("stats", help="scale-bucketed mean max IoU and recall")
-    p.add_argument("--annotations", required=True, help="face annotation listing")
-    p.add_argument("--spec", required=True, help="anchor spec JSON file")
+    _add_common(p, "stats")
     p.add_argument("--buckets", type=_float_list, default=DEFAULT_BUCKET_EDGES,
                    metavar="LIST", help="bucket edges (empty string for a single bucket)")
     p.add_argument("--tau", type=float, default=0.5, help="recall IoU threshold")
     p.add_argument("--jitter", action="store_true", help="average over random face shifts")
     p.add_argument("--trials", type=int, default=16, help="jitter trials")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("match", help="per-face and per-anchor assignment dump")
-    p.add_argument("--annotations", required=True, help="face annotation listing")
-    p.add_argument("--spec", required=True, help="anchor spec JSON file")
+    _add_common(p, "match")
     p.add_argument("--th", dest="t_high", metavar="TH", type=float, default=MatchConfig.t_high,
                    help="positive IoU threshold")
     p.add_argument("--tl", dest="t_low", metavar="TL", type=float, default=MatchConfig.t_low,
@@ -546,15 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hc", dest="hc_n", metavar="HC", type=int, default=MatchConfig.hc_n,
                    help="hard-face compensation count (0 disables)")
     p.add_argument("--jitter", action="store_true", help="apply a random face shift before matching")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("optimize", help="rank anchor designs from a search space")
-    p.add_argument("--annotations", required=True, help="face annotation listing")
-    p.add_argument("--space", required=True, help="search space JSON file")
+    _add_common(p, "optimize")
     p.add_argument("--tau", type=float, default=0.5, help="recall IoU threshold")
-    _add_common(p, seeded=False)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify byte-exact outputs")
     p.add_argument("--manifest", required=True, help="manifest JSON written by a previous run")
@@ -573,12 +564,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AnnotationError, ListingPlaneError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # the one place a failure is reported
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (AnnotationError, ListingPlaneError, OSError)) else 2
 
 
 if __name__ == "__main__":

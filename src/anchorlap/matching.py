@@ -637,16 +637,18 @@ def compensate_hard_faces(
     are ranked by IoU (ties to the lower ID) and the best ``cfg.hc_n`` with
     positive IoU become positive for it.  Existing positives are never
     demoted or re-sourced, and non-hard faces are untouched.  ``faces``
-    must be the same faces, at the same positions, that produced
-    ``result``.  Only the hard faces are scanned, each over the anchors
-    that can reach the N-th best IoU of its cell corners, a set that holds
-    its exact top N.
+    and ``layout`` must be those that produced ``result``, faces at the
+    same positions.  Only the hard faces are scanned, each over the
+    anchors that can reach the N-th best IoU of its cell corners, a set
+    that holds its exact top N.
     """
     if cfg.hc_n == 0:
         return result
     faces = FaceTable.of(faces)
     if result.num_faces != len(faces):
         raise ValueError(f"result covers {result.num_faces} faces but {len(faces)} were given")
+    if len(result.anchor_labels) != layout.anchor_count:
+        raise ValueError(f"result covers {len(result.anchor_labels)} anchors but layout has {layout.anchor_count}")
     hard = np.flatnonzero(result.face_max_iou < cfg.t_high)
     x, y, w, h = (col[hard] for col in (faces.x, faces.y, faces.w, faces.h))
     # Every anchor of a face's top N reaches its N-th best IoU, which is at

@@ -708,6 +708,34 @@ class TestReplay:
         assert capsys.readouterr().err == (
             f"error: manifest parameter has the wrong type: {named} must be a real number, got True\n")
 
+    def test_every_diverged_output_is_named_on_one_line(self, files, capsys):
+        out = files["dir"] / "m.csv"
+        assert main(["match", "--annotations", files["ann"], "--spec", files["spec"], "--out", str(out)]) == 0
+        mpath = files["dir"] / "m.csv.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        for entry in manifest["outputs"]:
+            entry["sha256"] = "0" * 64
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        replayed = str(files["dir"] / "r.csv")
+        assert main(["replay", "--manifest", str(mpath), "--out", replayed]) == 1
+        assert capsys.readouterr().err == (
+            f"error: replay diverged: {replayed} does not match recorded {out}; "
+            f"{replayed}.anchors.csv does not match recorded {out}.anchors.csv\n")
+
+    def test_unknown_emo_mode_in_manifest_exits_2_naming_it(self, files, capsys):
+        out = files["dir"] / "emo.csv"
+        assert main(["emo", "--scales", "16", "--strides", "16", "--out", str(out)]) == 0
+        mpath = files["dir"] / "emo.csv.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["parameters"]["mode"] = "other"
+        mpath.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(mpath), "--out", str(files["dir"] / "r.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: mode must be 'closed_form' or 'monte_carlo', got 'other'\n")
+        assert not (files["dir"] / "r.csv").exists()
+
     def test_unreadable_manifest_fails(self, files, capsys):
         bad = files["dir"] / "broken.manifest.json"
         bad.write_text("{")
@@ -758,6 +786,25 @@ class TestReplay:
         assert capsys.readouterr().err.startswith("error: manifest")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["emo", "--scales", "16", "--strides", "8", "--workers", "-3"], "--workers"),
+    (["emo", "--scales", "16", "--strides", "8", "--mc", "--workers", "0"], "--workers"),
+    (["replay", "--manifest", "{manifest}", "--out", "{dir}/r.csv", "--workers", "0"], "--workers"),
+    (["stats", "--annotations", "{ann}", "--spec", "{spec}", "--seed", "-1"], "--seed"),
+    (["match", "--annotations", "{ann}", "--spec", "{spec}", "--seed", "-1"], "--seed"),
+    (["emo", "--scales", "16", "--strides", "8", "--seed", "-1"], "--seed"),
+], ids=["emo-workers", "emo-mc-workers", "replay-workers", "stats-seed", "match-seed", "emo-seed"])
+def test_workers_and_seed_are_checked_where_they_enter(files, capsys, argv, flag):
+    # Checked whether or not a random mode reads them.
+    stats = files["dir"] / "stats.csv"
+    assert main(["stats", "--annotations", files["ann"], "--spec", files["spec"], "--out", str(stats)]) == 0
+    capsys.readouterr()
+    assert main([a.format(manifest=f"{stats}.manifest.json", **files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+    assert not (files["dir"] / "r.csv").exists()
+
+
 class TestManifest:
     def test_structure(self, files):
         out = files["dir"] / "g.csv"
@@ -780,6 +827,42 @@ class TestManifest:
         code, out = run_stdout(capsys, ["grid", "--spec", files["spec"], "--plane", "64x64"])
         assert code == 0 and out
         assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--annotations", "{ann}", "--spec", "{spec}", "--jitter", "--trials", "2"],
+        ["match", "--annotations", "{ann}", "--spec", "{spec}"],
+        ["grid", "--spec", "{spec}", "--plane", "64x64"],
+        ["optimize", "--annotations", "{ann}", "--space", "{space}"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_run_hashes_no_input(self, capsys, files, monkeypatch, argv):
+        argv = [a.format(**files) for a in argv]
+        code, streamed = run_stdout(capsys, argv)
+        assert code == 0
+
+        def refuse(path):
+            raise OSError(f"hashed {path}")
+
+        monkeypatch.setattr(cli, "_sha256_file", refuse)
+        assert run_stdout(capsys, argv) == (0, streamed)
+
+    def test_inputs_are_hashed_before_the_artifact_is_written(self, files, monkeypatch):
+        out = files["dir"] / "m.csv"
+        hashed = []
+        sha256_file = cli._sha256_file
+        monkeypatch.setattr(cli, "_sha256_file", lambda path: hashed.append(out.exists()) or sha256_file(path))
+        assert main(["match", "--annotations", files["ann"], "--spec", files["spec"], "--out", str(out)]) == 0
+        assert hashed == [False, False]
+
+    @pytest.mark.parametrize("out", [[], ["--out", "{dir}/r.csv"]], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv, missing", [
+        (["stats", "--annotations", "{dir}/nope.txt", "--spec", "{spec}"], "nope.txt"),
+        (["match", "--annotations", "{ann}", "--spec", "{dir}/nope.json"], "nope.json"),
+        (["optimize", "--annotations", "{ann}", "--space", "{dir}/nope.json"], "nope.json"),
+    ], ids=["annotations", "spec", "space"])
+    def test_missing_input_exits_1_naming_it(self, files, capsys, argv, missing, out):
+        assert main([a.format(**files) for a in argv + out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{files['dir'] / missing}'\n")
 
 
 class TestJsonFormat:
@@ -1037,11 +1120,25 @@ def test_parser_defaults_are_the_library_defaults():
     assert args.cells == EmoQuery(16.0, 16.0).quadrature_cells
 
 
-@pytest.mark.parametrize("argv", [
+# One minimal argv per run subcommand.
+RUN_ARGVS = [
     ["emo", "--scales", "16", "--strides", "16"], ["grid", "--spec", "s", "--plane", "8x8"],
     ["stats", "--annotations", "a", "--spec", "s"], ["match", "--annotations", "a", "--spec", "s"],
-    ["optimize", "--annotations", "a", "--space", "s"], ["replay", "--manifest", "m", "--out", "o"],
-], ids=lambda argv: argv[0])
+    ["optimize", "--annotations", "a", "--space", "s"],
+]
+
+
+@pytest.mark.parametrize("argv", RUN_ARGVS, ids=lambda argv: argv[0])
+def test_the_parser_holds_what_the_command_table_declares(argv):
+    _, names, input_names = cli._COMMANDS[argv[0]]
+    args = vars(cli.build_parser().parse_args(argv))
+    assert set(names) | set(input_names) | {"out", "format"} <= set(args)
+    assert ("seed" in args) == (argv[0] in ("emo", "stats", "match"))
+    assert args["func"] is cli.cmd_run
+
+
+@pytest.mark.parametrize("argv", [*RUN_ARGVS, ["replay", "--manifest", "m", "--out", "o"]],
+                         ids=lambda argv: argv[0])
 def test_the_one_parser_has_only_immutable_defaults(argv):
     # ``main`` reuses one parser, so a run that mutated a default would leak
     # into every later run of the process.

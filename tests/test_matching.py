@@ -673,6 +673,18 @@ class TestCompensation:
         with pytest.raises(ValueError):
             compensate_hard_faces(base, [face, face], layout, CFG)
 
+    @pytest.mark.parametrize("matched, given", [(0, 1), (1, 0)], ids=["16-on-128", "128-on-16"])
+    def test_result_of_another_layout_is_refused_naming_both_counts(self, matched, given):
+        layouts = [build_layout(AnchorSpec(scales=(16.0,)), 64.0, 64.0),
+                   build_layout(AnchorSpec(scales=(16.0, 32.0)), 128.0, 128.0)]
+        counts = [layout.anchor_count for layout in layouts]
+        assert counts == [16, 128]
+        face = RectBox(8.0, 8.0, 12.0, 12.0)
+        base = match_faces([face], layouts[matched], CFG)
+        assert base.face_max_iou[0] < CFG.t_high  # hard, so compensation would index the anchors
+        with pytest.raises(ValueError, match=f"^result covers {counts[matched]} anchors but layout has {counts[given]}$"):
+            compensate_hard_faces(base, [face], layouts[given], CFG)
+
 
 class TestJitter:
     def test_offsets_stay_in_half_stride_range(self):
