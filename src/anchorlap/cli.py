@@ -120,8 +120,11 @@ def _int_cells(part: np.ndarray) -> np.ndarray:
 
 
 class _Coded:
-    """A column whose row ``i`` is ``names[codes[i]]``, such as ``match``'s
-    labels: its chunks format each name once and index the texts by code."""
+    """A column whose row ``i`` is ``names[codes[i]]``: every text column,
+    such as ``match``'s labels and image IDs, and every per-group value,
+    such as ``grid``'s scales.  Its chunks format each name once and index
+    the texts by code.  A name keeps its type and characters, where a float
+    array would print an int as a float and a ``<U`` array drop trailing NULs."""
 
     def __init__(self, codes: np.ndarray, names):
         self.codes, self.names = codes, names
@@ -136,30 +139,16 @@ class _Coded:
 def _cells(part, text) -> np.ndarray:
     """The cells of one chunk of a column as padded rows of UTF-8 bytes.
 
-    Ints are written four digits at a time, never through ``str``; a
-    :class:`_Coded` column formats each of its names once.  Every other
-    column passes each distinct value through ``text`` once and indexes the
-    texts: floats and bools keyed by bit pattern, so ``-0.0``, ``0.0`` and
-    nan payloads keep their texts; Python objects, from object or string
-    arrays or sequences, by identity, since equal objects may print
-    differently (``1``, ``True`` and ``1.0``; ``-0.0`` and ``0.0``).  That
-    still finds the repeats of a column like ``match``'s ``image_id``,
-    whose cells of one image are one ``str``.
+    A :class:`_Coded` column formats each of its names once.  Ints are
+    written four digits at a time, never through ``str``.  Floats and bools
+    pass each distinct bit pattern through ``text`` once and index the
+    texts, so ``-0.0``, ``0.0`` and nan payloads keep their own.
     """
     if isinstance(part, _Coded):
         return _text_rows(map(text, part.names))[part.codes]
-    kind = part.dtype.kind if isinstance(part, np.ndarray) else "O"
-    if kind in "iu":
+    if part.dtype.kind in "iu":
         return _int_cells(part)
-    if kind in "fb" and part.itemsize <= 8:
-        keys = part.view(f"u{part.itemsize}")
-    else:
-        values = part.tolist() if isinstance(part, np.ndarray) else list(part)  # alive while keyed
-        ids = list(map(id, values))
-        reps = dict(zip(ids, values))
-        slots = dict(zip(reps, range(len(reps))))
-        return _text_rows(map(text, reps.values()))[list(map(slots.__getitem__, ids))]
-    distinct, index = np.unique(keys, return_inverse=True)
+    distinct, index = np.unique(part.view(f"u{part.itemsize}"), return_inverse=True)
     first = np.empty(len(distinct), np.intp)
     first[index] = np.arange(len(part))
     return _text_rows(map(text, part[first].tolist()))[index]
@@ -169,12 +158,14 @@ def _render(columns: dict, fmt: str):
     """Yield the CSV or JSON text of a table given as ``{name: values}`` in
     column order: the header, one text per ``_RENDER_ROWS`` rows, the close.
 
-    Values are numpy arrays or Python sequences of equal length.  A CSV row
+    Columns have one length; each is a :class:`_Coded` or numbers, as a
+    numeric or bool array or a sequence ``np.asarray`` makes one.  A CSV row
     is its cells joined by ``,`` and ended by ``\\n``, quoted as
     ``csv.writer`` quotes rows of two or more cells.  JSON is the text of
     ``json.dumps(rows, indent=2, sort_keys=True)`` plus ``\\n`` for a list
     of one object per row, each row one template filled with its cells.
     """
+    columns = {name: col if isinstance(col, _Coded) else np.asarray(col) for name, col in columns.items()}
     names = list(columns)
     n_rows = len(columns[names[0]])
     if fmt == "csv":
@@ -300,7 +291,7 @@ def _run_emo(params: dict, inputs: dict, workers: int):
                "stride": [float(stride) for _, stride in pairs],
                "emo": [est.value for est in estimates],
                "std_error": [est.std_error for est in estimates],
-               "method": [est.method for est in estimates]}
+               "method": _Coded(np.arange(len(pairs)), [est.method for est in estimates])}
     return [("", _render(columns, params["format"]))]
 
 
@@ -309,7 +300,7 @@ def _run_grid(params: dict, inputs: dict, workers: int):
     layout = build_layout(spec, params["plane_w"], params["plane_h"])
     ids = np.arange(layout.anchor_count)
     group, cx, cy = layout.locate(ids)
-    scale, ratio, sublattice, w, h = (np.array([getattr(g, name) for g in layout.groups])[group]
+    scale, ratio, sublattice, w, h = (_Coded(group, [getattr(g, name) for g in layout.groups])
                                       for name in ("scale", "ratio", "sublattice", "box_w", "box_h"))
     columns = {"id": ids, "scale": scale, "ratio": ratio, "sublattice": sublattice,
                "cx": cx, "cy": cy, "w": w, "h": h}
@@ -340,7 +331,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
 
     face_cols = {
         "face": np.arange(len(faces)),
-        "image_id": np.array(faces.image_ids, dtype=object)[faces.image],
+        "image_id": _Coded(faces.image, faces.image_ids),
         "scale": faces.scale,
         "max_iou": result.face_max_iou,
         "argmax_anchor": result.face_argmax,
@@ -365,7 +356,7 @@ def _run_optimize(params: dict, inputs: dict, workers: int):
                "objective": [sc.objective for sc in scores],
                "recall": [sc.recall for sc in scores],
                "anchors_per_location": [sc.spec.anchors_per_location for sc in scores],
-               "spec_json": [spec_json(sc.spec) for sc in scores]}
+               "spec_json": _Coded(np.arange(len(scores)), [spec_json(sc.spec) for sc in scores])}
     return [("", _render(columns, params["format"]))]
 
 

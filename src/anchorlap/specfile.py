@@ -94,12 +94,15 @@ def spec_json(spec: AnchorSpec) -> str:
 
 def _load_json(path: str, what: str):
     """The JSON document in ``path``; a file that is not UTF-8 raises
-    ``OSError`` naming it, as unreadable input does."""
+    ``OSError`` naming it, as unreadable input does, and one that is not
+    JSON raises ``ValueError`` naming it, as an invalid document does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise OSError(f"{what} {path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_spec(path: str) -> AnchorSpec:

@@ -313,10 +313,13 @@ class TestStats:
             parsed = parse_annotations(fh)
         assert (len(parsed.records), parsed.skipped) == (1, 1)
 
-    def test_bad_spec_json_exits_2(self, files):
+    def test_bad_spec_json_exits_2(self, files, capsys):
         bad = files["dir"] / "bad.json"
         bad.write_text("{not json")
         assert main(["stats", "--annotations", files["ann"], "--spec", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: anchor spec {bad} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 class TestMatch:
@@ -369,6 +372,19 @@ class TestMatch:
                      "--jitter", "--seed", "-1"])
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_image_id_keeps_a_trailing_nul(self, files, fmt):
+        ann = files["dir"] / "nul.txt"
+        ann.write_text("a.jpg\x00\n1\n0 0 16 16\n")
+        out = files["dir"] / f"nul.{fmt}"
+        argv = ["match", "--annotations", str(ann), "--spec", files["spec"], "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text.splitlines()[1].split(",")[1] == "a.jpg\x00"
+        else:
+            assert json.loads(text)[0]["image_id"] == "a.jpg\x00"
 
 
 class TestOptimize:
@@ -425,6 +441,12 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "stride_divisors" in err
         assert "Traceback" not in err
+
+    def test_bad_space_json_exits_2_naming_it(self, files, capsys):
+        # An annotation listing given as the space, as a swapped flag would.
+        assert main(["optimize", "--annotations", files["ann"], "--space", files["ann"]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: search space {files['ann']} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
 
     def test_undecodable_space_exits_1_naming_it(self, files, capsys):
         bad = files["dir"] / "bad_space.json"
@@ -901,16 +923,26 @@ def digit_boundaries(dtype):
     return np.array(sorted(v for v in near if info.min <= v <= info.max), dtype=dtype)
 
 
+def coded(names):
+    """A ``_Coded`` column holding each of ``names`` once, in order."""
+    return cli._Coded(np.arange(len(names)), names)
+
+
+def materialized(columns):
+    """``columns`` with each ``_Coded`` column written out as the list of its rows' names."""
+    return {name: [col.names[i] for i in col.codes.tolist()] if isinstance(col, cli._Coded) else col
+            for name, col in columns.items()}
+
+
 class TestRender:
     """``_render`` writes columns exactly as ``csv.writer`` and one ``json.dumps``
     of row dicts would, however the rows are chunked."""
 
     COLUMNS = {
         "id": np.arange(10),
-        "name": ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x", "cr\rlf",
-                 "é 日本", "back\\slash\ttab\x01"],
+        "name": coded(["plain", "a,b", 'say "hi"', "two\nlines", "", " pad", "x", "cr\rlf",
+                       "é 日本", "back\\slash\ttab\x01"]),
         "value": np.array([0.1, 1.0 / 3.0, 2.0, math.nan, math.inf, -0.0, 1e-12, 7.5, 1e16, -1e-300]),
-        "mixed": [1, 2.5, "s", None, 3, 4.0, "t", '"\r"', 1e16, True],
         "byte": np.array([0, 1, 7, 127, 128, 200, 254, 255, 3, 9], dtype=np.uint8),
         "single": np.array([math.nan, math.inf, -math.inf, 0.1, 1e16, -1e-30, 0.0, 2.5, 1e-7, 3.0],
                            dtype=np.float32),
@@ -920,11 +952,11 @@ class TestRender:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     def test_chunked_columns_match_row_rendering(self, monkeypatch, fmt, chunk):
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
-        assert "".join(cli._render(self.COLUMNS, fmt)) == render_reference(self.COLUMNS, fmt)
+        assert "".join(cli._render(self.COLUMNS, fmt)) == render_reference(materialized(self.COLUMNS), fmt)
 
     # Few values each, so that chunks repeat them: 0.0 beside -0.0, nans of
-    # both signs, ints at the ends of int64 and uint64, quoted strings, and
-    # a list whose 1, True and 1.0 compare equal but print differently.
+    # both signs, ints at the ends of int64 and uint64, and text, which is
+    # always coded, as are grid's per-group floats and ints.
     POOLS = [
         np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 1e16, 5e-324]),
         np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1e16, 2.5], dtype=np.float32),
@@ -933,18 +965,19 @@ class TestRender:
         np.array([2**64 - 1, 2**64 - 2, 2**64 - 4], dtype=np.uint64),
         np.array([0, 1, 255], dtype=np.uint8),
         *map(digit_boundaries, [np.int8, np.int16, np.int32, np.uint32, np.int64, np.uint64]),
-        np.array(["a", "a,b", 'say "hi"', "two\nlines", "", "é 日本"]),
+        coded(["a", "a,b", 'say "hi"', "two\nlines", "", "é 日本"]),
         # ASCII names of up to 8 code points; Latin-1 ones with separators,
         # quotes, backslashes, control characters and an inner NUL; longer
         # names; short names beyond Latin-1.
-        np.array(["positive", "negative", "ignore", "", "a b", "~"]),
-        np.array([",", '"', "\\", "\x01\x7f", "é", 'a\\,"b', "\t\r", "a\x00b"]),
-        np.array(["a_longer_name", "img/0001.jpg", "x"]),
-        np.array(["\u0100", "", "\u0101", "\x01", "日本"]),
+        coded(["positive", "negative", "ignore", "", "a b", "~"]),
+        coded([",", '"', "\\", "\x01\x7f", "é", 'a\\,"b', "\t\r", "a\x00b"]),
+        coded(["a_longer_name", "img/0001.jpg", "x"]),
+        coded(["\u0100", "", "\u0101", "\x01", "日本"]),
         np.array([True, False]),
-        np.array(["img/a.jpg", "b,c.jpg", "d\x00"], dtype=object),
-        np.array(["in\x00ner", "trail\x00", "trail", "\x00", ""], dtype=object),
-        [1, True, 1.0, 0.0, -0.0, "s", None, math.nan, 'q"'],
+        coded(["img/a.jpg", "b,c.jpg", "d\x00"]),
+        coded(["in\x00ner", "trail\x00", "trail", "\x00", ""]),
+        coded([16.0, 0.5, -0.0, 1.0 / 3.0, 22.627416997969522, 1e16, math.nan, math.inf]),
+        coded([0, 1, 2, 3]),
     ]
 
     @staticmethod
@@ -955,7 +988,7 @@ class TestRender:
         for name in range(draw(st.integers(2, 4))):  # csv.writer quotes a lone "" cell
             pool = draw(st.sampled_from(TestRender.POOLS))
             picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
-            columns[f"c{name}"] = [pool[i] for i in picks] if isinstance(pool, list) else pool[picks]
+            columns[f"c{name}"] = pool[np.array(picks, np.intp)]
         return columns
 
     @settings(max_examples=300, deadline=None)
@@ -963,7 +996,7 @@ class TestRender:
            chunk=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 1 << 16]))
     def test_duplicate_heavy_columns_match_row_rendering(self, columns, fmt, chunk):
         with mock.patch.object(cli, "_RENDER_ROWS", chunk):
-            assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+            assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("pool", range(len(POOLS)))
@@ -972,15 +1005,26 @@ class TestRender:
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
         values = self.POOLS[pool]
         columns = {"a": values, "b": values[::-1]}
-        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+        assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_coded_numbers_match_the_materialized_array(self, monkeypatch, fmt):
+        # grid's per-group columns: float scales and box sides, int sub-lattices.
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 3)
+        group = np.array([0, 0, 1, 2, 2, 2, 3, 1, 0, 3, 3])
+        scales, sublattices = [16.0, 0.5, 22.627416997969522, 1e16], [0, 1, 2, 3]
+        arrays = {"scale": np.array(scales)[group], "sublattice": np.array(sublattices)[group]}
+        table = {"scale": cli._Coded(group, scales), "sublattice": cli._Coded(group, sublattices)}
+        rendered = "".join(cli._render(table, fmt))
+        assert rendered == "".join(cli._render(arrays, fmt)) == render_reference(arrays, fmt)
 
     @pytest.mark.parametrize("fmt, formatter", [("csv", "_csv_text"), ("json", "_json_text")])
     def test_each_distinct_value_is_formatted_once_per_chunk(self, monkeypatch, fmt, formatter):
         n_rows = 200_000  # four chunks
         pick = np.arange(n_rows) % 3
-        # match's label column is coded and its image_id column shares one str per image.
+        # match's label and image_id columns are both coded.
         columns = {"value": np.array([0.5, 2.0, 1e16])[pick], "name": cli._Coded(pick, ["a", "b,c", "d"]),
-                   "image": np.array(["i/0.jpg", "i/1.jpg", "i/2.jpg"], dtype=object)[pick]}
+                   "image": cli._Coded(pick, ["i/0.jpg", "i/1.jpg", "i/2.jpg"])}
         calls = collections.Counter()
         real = getattr(cli, formatter)
         monkeypatch.setattr(cli, formatter, lambda v: calls.update([v]) or real(v))
@@ -993,7 +1037,7 @@ class TestRender:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sequences_that_make_their_items_match_row_rendering(self, fmt):
-        # A range makes a new int per item, which may reuse a freed one's id.
+        # Runners may give numbers as Python sequences; each becomes one array.
         columns = {"a": range(300, 310), "b": tuple(x / 4 for x in range(10))}
         assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
 
@@ -1004,9 +1048,9 @@ class TestRender:
         assert n_rows > cli._RENDER_ROWS
         rng = np.random.default_rng(25)
         columns = {"anchor": np.arange(n_rows),
-                   "label": np.array(["positive", "negative", "ignore"])[rng.integers(0, 3, n_rows)],
+                   "label": cli._Coded(rng.integers(0, 3, n_rows), ["positive", "negative", "ignore"]),
                    "source_face": rng.integers(-1, 2000, n_rows)}
-        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+        assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_coded_labels_match_the_string_column(self, fmt):
@@ -1017,10 +1061,10 @@ class TestRender:
         for chunk in (codes[: cli._RENDER_ROWS], codes[cli._RENDER_ROWS :]):
             assert len(set(chunk.tolist())) == 3
         names = {LABEL_POSITIVE: "positive", LABEL_NEGATIVE: "negative", LABEL_IGNORE: "ignore"}
-        strings = np.array([names[c] for c in codes.tolist()])
-        table = {"anchor": np.arange(n_rows), "label": strings, "source_face": np.arange(n_rows) % 7 - 1}
-        coded = cli._render({**table, "label": cli._Coded(codes, cli._LABEL_NAMES)}, fmt)
-        assert "".join(coded) == "".join(cli._render(table, fmt)) == render_reference(table, fmt)
+        table = {"anchor": np.arange(n_rows), "label": cli._Coded(codes, cli._LABEL_NAMES),
+                 "source_face": np.arange(n_rows) % 7 - 1}
+        strings = [names[c] for c in codes.tolist()]
+        assert "".join(cli._render(table, fmt)) == render_reference({**table, "label": strings}, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
@@ -1042,6 +1086,24 @@ class TestRender:
         # Rendering the whole text before writing it peaked at about 52 MB
         # here; streamed chunks peak near 12 MB.
         assert peak < 25_000_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_peak_is_under_64_bytes_per_anchor(self, monkeypatch, tmp_path, fmt):
+        # Whole-plane columns are id, cx, cy and the group codes of the five
+        # coded per-group columns; the rest lives for one chunk.
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 4096)
+        out = tmp_path / f"grid.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", "2048x1536",
+                         "--format", fmt, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        n_anchors = 393_216
+        assert out.read_text().count("\n") == (n_anchors + 1 if fmt == "csv" else 10 * n_anchors + 2)
+        assert peak < 64 * n_anchors
 
     @pytest.mark.parametrize(
         "argv",
