@@ -12,9 +12,12 @@ Subcommands::
 Every file artifact gets a ``<out>.manifest.json`` sidecar recording the
 resolved parameters, seed, and sha256 digests of inputs and outputs; the
 ``replay`` subcommand re-executes a manifest and fails unless the result
-is byte-identical.  ``_COMMANDS`` declares each run subcommand, and the
-parser builds the flags they share from it.  Every failure is raised to
-``main``, which reports it as one ``error:`` line on stderr.
+is byte-identical.  Each table is rendered as UTF-8 bytes, one chunk of
+``_RENDER_ROWS`` rows at a time, and each chunk is written and hashed (or
+decoded to stdout) before the next is built.  ``_COMMANDS`` declares each
+run subcommand, and the parser builds the flags they share from it.  Every
+failure is raised to ``main``, which reports it as one ``error:`` line on
+stderr.
 Exit codes: 0 success, 1 I/O or input-data error, 2 invalid parameters.
 """
 
@@ -59,8 +62,9 @@ _LABEL_NAMES[[LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_IGNORE]] = "positive", "nega
 # formatting
 
 
-# Rows per rendered chunk, which bounds the cells and text alive at once.
-_RENDER_ROWS = 1 << 16
+# Rows per rendered chunk, which bounds the cells and bytes alive at once:
+# an ``.anchors`` chunk's byte matrix, about 440 KB, fits a 2 MB L2 cache.
+_RENDER_ROWS = 1 << 14
 
 
 def _csv_text(v) -> str:
@@ -136,16 +140,36 @@ class _Coded:
         return _Coded(self.codes[rows], self.names)
 
 
+class _Lazy:
+    """A column of ``n_rows`` rows built a chunk at a time: its slice
+    ``[lo:hi]`` is ``part(lo, hi)``.  ``grid``'s columns and ``match``'s
+    anchor IDs are lazy, so no column spans the whole plane."""
+
+    def __init__(self, n_rows: int, part):
+        self.n_rows, self.part = n_rows, part
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.part(*rows.indices(self.n_rows)[:2])
+
+
 def _cells(part, text) -> np.ndarray:
     """The cells of one chunk of a column as padded rows of UTF-8 bytes.
 
-    A :class:`_Coded` column formats each of its names once.  Ints are
-    written four digits at a time, never through ``str``.  Floats and bools
-    pass each distinct bit pattern through ``text`` once and index the
-    texts, so ``-0.0``, ``0.0`` and nan payloads keep their own.
+    A :class:`_Coded` column formats each of its names once, and only the
+    names its rows use when it has more names than rows.  Ints are written
+    four digits at a time, never through ``str``.  Floats and bools pass
+    each distinct bit pattern through ``text`` once and index the texts, so
+    ``-0.0``, ``0.0`` and nan payloads keep their own.
     """
     if isinstance(part, _Coded):
-        return _text_rows(map(text, part.names))[part.codes]
+        codes, names = part.codes, part.names
+        if len(names) > len(codes):
+            used, codes = np.unique(codes, return_inverse=True)
+            names = [names[i] for i in used.tolist()]
+        return _text_rows(map(text, names))[codes]
     if part.dtype.kind in "iu":
         return _int_cells(part)
     distinct, index = np.unique(part.view(f"u{part.itemsize}"), return_inverse=True)
@@ -155,39 +179,40 @@ def _cells(part, text) -> np.ndarray:
 
 
 def _render(columns: dict, fmt: str):
-    """Yield the CSV or JSON text of a table given as ``{name: values}`` in
-    column order: the header, one text per ``_RENDER_ROWS`` rows, the close.
+    """Yield the CSV or JSON bytes of a table given as ``{name: values}`` in
+    column order: the header, one chunk per ``_RENDER_ROWS`` rows, the close.
 
-    Columns have one length; each is a :class:`_Coded` or numbers, as a
-    numeric or bool array or a sequence ``np.asarray`` makes one.  A CSV row
+    Columns have one length; each is a :class:`_Coded`, a :class:`_Lazy`
+    or numbers, as a numeric or bool array or a sequence ``np.asarray``
+    makes one.  A chunk reads only its own rows of each column.  A CSV row
     is its cells joined by ``,`` and ended by ``\\n``, quoted as
-    ``csv.writer`` quotes rows of two or more cells.  JSON is the text of
+    ``csv.writer`` quotes rows of two or more cells.  JSON is the UTF-8 of
     ``json.dumps(rows, indent=2, sort_keys=True)`` plus ``\\n`` for a list
     of one object per row, each row one template filled with its cells.
     """
-    columns = {name: col if isinstance(col, _Coded) else np.asarray(col) for name, col in columns.items()}
+    columns = {name: col if isinstance(col, (_Coded, _Lazy)) else np.asarray(col) for name, col in columns.items()}
     names = list(columns)
     n_rows = len(columns[names[0]])
     if fmt == "csv":
-        yield ",".join(map(_csv_text, names)) + "\n"
-        order, glue, last, close = names, ["", *[","] * (len(names) - 1), "\n"], "\n", ""
+        yield (",".join(map(_csv_text, names)) + "\n").encode()
+        order, glue, last, close = names, ["", *[","] * (len(names) - 1), "\n"], "\n", b""
     else:
-        yield "[\n" if n_rows else "["
+        yield b"[\n" if n_rows else b"["
         order = sorted(names)
         keys = [f"\n    {json.dumps(name)}: " for name in order]
-        glue, last, close = ["  {" + keys[0], *["," + key for key in keys[1:]], "\n  },\n"], "\n  }\n", "]\n"
+        glue, last, close = ["  {" + keys[0], *["," + key for key in keys[1:]], "\n  },\n"], "\n  }\n", b"]\n"
     text = _csv_text if fmt == "csv" else _json_text
     for lo in range(0, n_rows, _RENDER_ROWS):
         parts = [columns[name][lo : lo + _RENDER_ROWS] for name in order]
-        yield _chunk_text(parts, text, glue, last if lo + _RENDER_ROWS >= n_rows else glue[-1])
+        yield _chunk_bytes(parts, text, glue, last if lo + _RENDER_ROWS >= n_rows else glue[-1])
     yield close
 
 
-def _chunk_text(parts: list, text, glue: list, end: str) -> str:
+def _chunk_bytes(parts: list, text, glue: list, end: str) -> bytes:
     """One chunk's rows as one byte matrix: ``glue[0]``, the first part's
     cells (see ``_cells``), ``glue[1]``, ..., ``glue[-1]`` as constant
     columns between them, except that the chunk's last row ends in ``end``
-    (no longer than ``glue[-1]``).  Deleting the padding leaves the text."""
+    (no longer than ``glue[-1]``).  Deleting the padding leaves the UTF-8."""
     pieces = [np.frombuffer(g.encode(), np.uint8) for g in glue]
     pieces = [*(x for g, part in zip(pieces, parts) for x in (g, _cells(part, text))), pieces[-1]]
     edges = np.cumsum([0, *(piece.shape[-1] for piece in pieces)]).tolist()
@@ -195,8 +220,8 @@ def _chunk_text(parts: list, text, glue: list, end: str) -> str:
     for piece, lo, hi in zip(pieces, edges, edges[1:]):
         matrix[:, lo:hi] = piece
     matrix[-1, lo:] = np.frombuffer(end.encode().ljust(hi - lo, _PAD), np.uint8)
-    del pieces  # the cells, before the text's copies
-    return matrix.tobytes().translate(None, _PAD).decode()
+    del pieces  # the cells, before the bytes' copies
+    return matrix.tobytes().translate(None, _PAD)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +256,7 @@ def _write_manifest(out: str, subcommand: str, parameters: dict, inputs: dict, o
 
 
 def _write_artifacts(out: str, artifacts) -> list:
-    """Write each ``(suffix, chunks)`` artifact to ``out + suffix`` as UTF-8,
+    """Write each ``(suffix, chunks)`` artifact's bytes to ``out + suffix``,
     hashing each chunk as it is written; the manifest ``outputs`` entries,
     path and sha256, in artifact order."""
     outputs = []
@@ -240,9 +265,8 @@ def _write_artifacts(out: str, artifacts) -> list:
         digest = hashlib.sha256()
         with open(path, "wb") as fh:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                fh.write(data)
-                digest.update(data)
+                fh.write(chunk)
+                digest.update(chunk)
         outputs.append({"path": path, "sha256": digest.hexdigest()})
     return outputs
 
@@ -298,11 +322,13 @@ def _run_emo(params: dict, inputs: dict, workers: int):
 def _run_grid(params: dict, inputs: dict, workers: int):
     spec = load_spec(inputs["spec"])
     layout = build_layout(spec, params["plane_w"], params["plane_h"])
-    ids = np.arange(layout.anchor_count)
-    group, cx, cy = layout.locate(ids)
+    n_rows = layout.anchor_count
+    # Each chunk locates its own IDs once, for the eight columns.
+    located = functools.lru_cache(1)(lambda lo, hi: layout.locate(np.arange(lo, hi)))
+    group, cx, cy = (_Lazy(n_rows, lambda lo, hi, i=i: located(lo, hi)[i]) for i in range(3))
     scale, ratio, sublattice, w, h = (_Coded(group, [getattr(g, name) for g in layout.groups])
                                       for name in ("scale", "ratio", "sublattice", "box_w", "box_h"))
-    columns = {"id": ids, "scale": scale, "ratio": ratio, "sublattice": sublattice,
+    columns = {"id": _Lazy(n_rows, np.arange), "scale": scale, "ratio": ratio, "sublattice": sublattice,
                "cx": cx, "cy": cy, "w": w, "h": h}
     return [("", _render(columns, params["format"]))]
 
@@ -338,7 +364,7 @@ def _run_match(params: dict, inputs: dict, workers: int):
         "assigned_count": result.assigned_count,
     }
     anchor_cols = {
-        "anchor": np.arange(layout.anchor_count),
+        "anchor": _Lazy(layout.anchor_count, np.arange),
         "label": _Coded(result.anchor_labels, _LABEL_NAMES),
         "source_face": result.anchor_source,
     }
@@ -390,7 +416,7 @@ def cmd_run(args) -> int:
     artifacts = runner(params, paths, workers)
     if args.out is None:
         for _, chunks in artifacts:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
         return 0
     # The runner has read the inputs; they are hashed before any output is written.
     _write_manifest(args.out, args.command, params, _input_meta(**paths), _write_artifacts(args.out, artifacts))

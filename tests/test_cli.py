@@ -952,7 +952,7 @@ class TestRender:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     def test_chunked_columns_match_row_rendering(self, monkeypatch, fmt, chunk):
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
-        assert "".join(cli._render(self.COLUMNS, fmt)) == render_reference(materialized(self.COLUMNS), fmt)
+        assert b"".join(cli._render(self.COLUMNS, fmt)).decode() == render_reference(materialized(self.COLUMNS), fmt)
 
     # Few values each, so that chunks repeat them: 0.0 beside -0.0, nans of
     # both signs, ints at the ends of int64 and uint64, and text, which is
@@ -996,7 +996,7 @@ class TestRender:
            chunk=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 1 << 16]))
     def test_duplicate_heavy_columns_match_row_rendering(self, columns, fmt, chunk):
         with mock.patch.object(cli, "_RENDER_ROWS", chunk):
-            assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
+            assert b"".join(cli._render(columns, fmt)).decode() == render_reference(materialized(columns), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("pool", range(len(POOLS)))
@@ -1005,7 +1005,7 @@ class TestRender:
         monkeypatch.setattr(cli, "_RENDER_ROWS", chunk)
         values = self.POOLS[pool]
         columns = {"a": values, "b": values[::-1]}
-        assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
+        assert b"".join(cli._render(columns, fmt)).decode() == render_reference(materialized(columns), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_coded_numbers_match_the_materialized_array(self, monkeypatch, fmt):
@@ -1015,8 +1015,8 @@ class TestRender:
         scales, sublattices = [16.0, 0.5, 22.627416997969522, 1e16], [0, 1, 2, 3]
         arrays = {"scale": np.array(scales)[group], "sublattice": np.array(sublattices)[group]}
         table = {"scale": cli._Coded(group, scales), "sublattice": cli._Coded(group, sublattices)}
-        rendered = "".join(cli._render(table, fmt))
-        assert rendered == "".join(cli._render(arrays, fmt)) == render_reference(arrays, fmt)
+        rendered = b"".join(cli._render(table, fmt)).decode()
+        assert rendered == b"".join(cli._render(arrays, fmt)).decode() == render_reference(arrays, fmt)
 
     @pytest.mark.parametrize("fmt, formatter", [("csv", "_csv_text"), ("json", "_json_text")])
     def test_each_distinct_value_is_formatted_once_per_chunk(self, monkeypatch, fmt, formatter):
@@ -1028,18 +1028,34 @@ class TestRender:
         calls = collections.Counter()
         real = getattr(cli, formatter)
         monkeypatch.setattr(cli, formatter, lambda v: calls.update([v]) or real(v))
-        text = "".join(cli._render(columns, fmt))
+        text = b"".join(cli._render(columns, fmt)).decode()
         assert text.count("1e+16") == n_rows // 3
         chunks = -(-n_rows // cli._RENDER_ROWS)
         header = {"value": 1, "name": 1, "image": 1} if fmt == "csv" else {}
         assert calls == {0.5: chunks, 2.0: chunks, 1e16: chunks, "a": chunks, "b,c": chunks, "d": chunks,
                          "i/0.jpg": chunks, "i/1.jpg": chunks, "i/2.jpg": chunks, **header}
 
+    @pytest.mark.parametrize("fmt, formatter", [("csv", "_csv_text"), ("json", "_json_text")])
+    def test_coded_column_formats_only_the_names_each_chunk_uses(self, monkeypatch, fmt, formatter):
+        # match's image_id on a listing of one-face images: a chunk's rows use
+        # only a few of the column's names.
+        n_rows = 200_000
+        names = [f"img/{i}.jpg" for i in range(n_rows)]
+        columns = {"face": np.arange(n_rows),
+                   "image_id": cli._Coded(np.random.default_rng(34).permutation(n_rows), names)}
+        calls = collections.Counter()
+        real = getattr(cli, formatter)
+        monkeypatch.setattr(cli, formatter, lambda v: calls.update([v]) or real(v))
+        text = b"".join(cli._render(columns, fmt)).decode()
+        header = {"face": 1, "image_id": 1} if fmt == "csv" else {}
+        assert calls == {**dict.fromkeys(names, 1), **header}
+        assert text == render_reference(materialized(columns), fmt)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sequences_that_make_their_items_match_row_rendering(self, fmt):
         # Runners may give numbers as Python sequences; each becomes one array.
         columns = {"a": range(300, 310), "b": tuple(x / 4 for x in range(10))}
-        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+        assert b"".join(cli._render(columns, fmt)).decode() == render_reference(columns, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_anchor_shaped_table_matches_row_rendering(self, fmt):
@@ -1050,7 +1066,7 @@ class TestRender:
         columns = {"anchor": np.arange(n_rows),
                    "label": cli._Coded(rng.integers(0, 3, n_rows), ["positive", "negative", "ignore"]),
                    "source_face": rng.integers(-1, 2000, n_rows)}
-        assert "".join(cli._render(columns, fmt)) == render_reference(materialized(columns), fmt)
+        assert b"".join(cli._render(columns, fmt)).decode() == render_reference(materialized(columns), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_coded_labels_match_the_string_column(self, fmt):
@@ -1064,12 +1080,12 @@ class TestRender:
         table = {"anchor": np.arange(n_rows), "label": cli._Coded(codes, cli._LABEL_NAMES),
                  "source_face": np.arange(n_rows) % 7 - 1}
         strings = [names[c] for c in codes.tolist()]
-        assert "".join(cli._render(table, fmt)) == render_reference({**table, "label": strings}, fmt)
+        assert b"".join(cli._render(table, fmt)).decode() == render_reference({**table, "label": strings}, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
         columns = {"a": [], "b": np.array([], dtype=np.float64)}
-        assert "".join(cli._render(columns, fmt)) == render_reference(columns, fmt)
+        assert b"".join(cli._render(columns, fmt)).decode() == render_reference(columns, fmt)
 
     def test_json_grid_memory_is_bounded_by_the_chunk(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "_RENDER_ROWS", 4096)
@@ -1105,19 +1121,53 @@ class TestRender:
         assert out.read_text().count("\n") == (n_anchors + 1 if fmt == "csv" else 10 * n_anchors + 2)
         assert peak < 64 * n_anchors
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_peak_does_not_grow_with_the_plane(self, monkeypatch, tmp_path, fmt):
+        # Every column is built a chunk at a time, so a plane 16 times larger
+        # (1,572,864 anchors) peaks within 2 MB of 1024x768; one whole-plane
+        # int64 column would add about 12 MB.
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 4096)
+        out = tmp_path / f"grid.{fmt}"
+        peaks = []
+        for plane in ("1024x768", "4096x3072"):
+            tracemalloc.start()
+            try:
+                code = main(["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", plane,
+                             "--format", fmt, "--out", str(out)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            out.unlink()  # the 4096x3072 JSON is about 237 MB
+        assert peaks[1] - peaks[0] < 2_000_000
+
+    NON_ASCII_LISTING = ("café/ü.jpg\n2\n10 10 16 16\n40 20 24 24\n"
+                         "Å/日本 1.jpg\n1\n5 5 20 20\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["match", "--annotations", str(DATA / "golden_faces.txt"),
              "--spec", str(DATA / "golden_spec.json"), "--format", "json"],
+            ["match", "--annotations", str(DATA / "golden_faces.txt"),
+             "--spec", str(DATA / "golden_spec.json")],
             ["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", "64x48"],
+            ["grid", "--spec", str(DATA / "golden_spec.json"), "--plane", "64x48", "--format", "json"],
+            ["match", "--annotations", "NON_ASCII_LISTING", "--spec", str(DATA / "golden_spec.json")],
         ],
-        ids=["match-json", "grid-csv"],
+        ids=["match-json", "match-csv", "grid-csv", "grid-json", "match-non-ascii"],
     )
     def test_stdout_streams_the_written_artifacts(self, monkeypatch, capsys, tmp_path, argv):
+        # Chunks are bytes; stdout decodes them, so an image path beyond
+        # ASCII reaches the console as the text of the written CSV.
         monkeypatch.setattr(cli, "_RENDER_ROWS", 3)
+        listing = tmp_path / "faces.txt"
+        listing.write_text(self.NON_ASCII_LISTING, encoding="utf-8")
+        argv = [str(listing) if arg == "NON_ASCII_LISTING" else arg for arg in argv]
         code, streamed = run_stdout(capsys, argv)
         assert code == 0
+        if str(listing) in argv:
+            assert "café/ü.jpg" in streamed and "Å/日本 1.jpg" in streamed
         out = str(tmp_path / "run")
         assert main([*argv, "--out", out]) == 0
         with open(out + ".manifest.json", encoding="utf-8") as fh:

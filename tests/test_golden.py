@@ -9,7 +9,7 @@ workers with 70,000 samples per cell (one full 65,536-sample chunk plus a
 remainder chunk) on two tables: one with no two cells equal up to a
 power-of-two scale, and the bench's table, whose cells (8, 8) and (16, 16),
 and (16, 8) and (32, 16), are such twins; and ``grid`` on a 1023.5x767 plane (98,304 anchors, so
-the table crosses a 65,536-row render chunk), in both output formats, and
+the table spans several render chunks), in both output formats, and
 compares the sha256 of every artifact with digests frozen from an earlier
 build.  A refactor that claims identical output must leave every digest
 alone; a deliberate output change must update the digest and say which
