@@ -9,17 +9,18 @@ compensated by force-assigning their top-N overlapping anchors.
 All heavy paths here are exact accelerations: results are defined to be
 identical to an exhaustive faces-by-anchors scan, and the test suite holds
 them to that.  The per-axis cell-corner kernel (:func:`max_overlap_values`)
-can fall a few ulps short of the exhaustive maximum for anchors of
-non-dyadic sides (see there); ``match_faces`` only takes its floor from
-it.  Its pairs come from one stream of flat ``(boxes, ids, ious)``
-pairs (:func:`_scan`): each (face, anchor) pair of positive IoU at or
-above the face's floor, once, evaluated per block in buffers allocated
-once per scan and emitted by mask compression; the windows of one shape
-from all lattice groups on one grid share blocks.  ``match_faces`` streams
-each face down to ``t_high``, or its kernel value where lower, for the
-maxima, argmaxes, counts, positives and sources, through one
-lowest-index-at-max fold, and marks the ignore band by runs of anchor IDs
-(:func:`_ignore_band`).  An argmax anchor below ``t_high`` takes its owner
+takes the grid lines bracketing each box center from the lattice rule, so
+its cost follows the boxes and groups, not the plane.  It can fall a few
+ulps short of the exhaustive maximum for anchors of non-dyadic sides (see
+there); ``match_faces`` only takes its floor from it.  Its pairs come
+from one stream of flat ``(boxes, ids, ious)`` pairs (:func:`_scan`):
+each (face, anchor) pair of positive IoU at or above the face's floor,
+once, evaluated per block in buffers allocated once per scan and emitted
+by mask compression; the windows of one shape from all lattice groups on
+one grid share blocks.  ``match_faces`` streams each face down to
+``t_high``, or its kernel value where lower, for the maxima, argmaxes,
+counts, positives and sources, through one lowest-index-at-max fold, and
+marks the ignore band by runs of anchor IDs (:func:`_ignore_band`).  An argmax anchor below ``t_high`` takes its owner
 by the same rule from the faces reaching it at ``t_low``, else from all
 faces whose x extent meets its own: every other has IoU 0 with it.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
@@ -117,46 +118,33 @@ def _flat_boxes(x, y, w, h):
 # once per call, then stay in cache and are reused from block to block.
 _KERNEL_BLOCK = 16384
 
-
-def _edge_table(origin: float, stride: float, n: int, side: float):
-    """``(origin, stride, n - 1, lower, upper)`` for the anchors of side
-    ``side`` on ``n`` grid lines: ``lower`` and ``upper`` are ``(left,
-    right)`` edge tables indexed, wrapping, by a box's line index ``i``
-    clipped to ``[-1, n-1]``, giving lines ``i`` and ``i + 1``.  Lines -1
-    and ``n`` hold an empty anchor, left ``+inf`` and right ``-inf``."""
-    left = np.full(n + 1, np.inf)
-    left[:n] = (origin + np.arange(n) * stride) - side / 2.0
-    right = left + side
-    right[n] = -np.inf
-    upper = (np.concatenate((left[1:], left[:1])), np.concatenate((right[1:], right[:1])))
-    return origin, stride, n - 1.0, (left, right), upper
+# Offsets of the two grid lines bracketing a box center from the one below it.
+_BRACKET = np.array([[0.0], [1.0]])
 
 
-def _edge_tables(layout: AnchorLayout):
-    """Per lattice group: its x and y edge tables and its anchor area."""
-    return [(_edge_table(g.origin_x, g.stride, g.cols, g.box_w),
-             _edge_table(g.origin_y, g.stride, g.rows, g.box_h), g.box_w * g.box_h)
-            for g in layout.groups]
-
-
-def _axis_overlaps(table, lo, hi, center, at_lo, at_hi, tmp, idx) -> None:
-    """Write into ``at_lo`` and ``at_hi`` the overlaps of the box extents
-    ``[lo, hi]`` with the anchors on the two grid lines (:func:`_edge_table`)
-    bracketing each box ``center``, ``-inf`` for an empty anchor, so a line
-    repeated by clamping at the plane edge never counts twice.  ``tmp`` and
-    ``idx`` are scratch."""
-    origin, stride, last, *edges = table
-    np.subtract(center, origin, out=tmp)
-    np.divide(tmp, stride, out=tmp)
-    np.floor(tmp, out=tmp)
-    np.clip(tmp, -1.0, last, out=tmp)
-    idx[...] = tmp
-    for out, (left, right) in zip((at_lo, at_hi), edges):
-        right.take(idx, out=out, mode="wrap")
-        np.minimum(out, hi, out=out)
-        left.take(idx, out=tmp, mode="wrap")
-        np.maximum(tmp, lo, out=tmp)
-        np.subtract(out, tmp, out=out)
+def _axis_overlaps(origin: float, stride: float, n: int, side: float, lo, hi, center, out, edge, below) -> None:
+    """Write into the two rows of ``out`` the overlaps of the box extents
+    ``[lo, hi]`` with the anchors of side ``side`` on the lines ``k =
+    clip(below + [0, 1], 0, n - 1)`` of the ``n`` grid lines ``origin + k *
+    stride``, where ``below = floor((center - origin) / stride)`` is each
+    box center's line below it, left in ``below``.  These are the two lines
+    bracketing the center, or one line twice where the center lies past the
+    plane edge.  Left edges are ``(k * stride + origin) - side / 2``, bit
+    for bit the lattice rule of :class:`~anchorlap.layout.LatticeGroup`;
+    right edges add ``side``.  ``edge`` is ``(2, m)`` scratch: nothing here
+    grows with ``n``."""
+    np.subtract(center, origin, out=below)
+    np.divide(below, stride, out=below)
+    np.floor(below, out=below)
+    np.add(below, _BRACKET, out=out)
+    np.clip(out, 0.0, n - 1.0, out=out)
+    np.multiply(out, stride, out=out)
+    np.add(out, origin, out=out)
+    np.subtract(out, side / 2.0, out=out)
+    np.add(out, side, out=edge)
+    np.minimum(edge, hi, out=edge)
+    np.maximum(out, lo, out=out)
+    np.subtract(edge, out, out=out)
 
 
 def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray:
@@ -171,15 +159,19 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     as either grows, so the best corner's IoU, bit for bit, is built from
     the larger x overlap of the two columns and the larger y overlap of the
     two rows, each clamped at 0, as ``inter / max(areas - inter, inter)``.
-    Boxes go in blocks of ``_KERNEL_BLOCK`` through scratch buffers
-    allocated once per call.  A C-contiguous float64 ``out`` of the
-    result's shape is overwritten, whatever it held, and returned.  For an
-    anchor side that is not dyadic, a column off the corners can score a
-    few ulps higher: ``(ax + aw) - ax`` rounds differently per column while
-    the box holds the anchor whole along x (likewise for rows).  The value
-    is still the IoU of a real corner anchor, so never above the exhaustive
-    maximum; ``match_faces`` reads its maxima off the scanned pairs, so the
-    caveat does not reach it.
+    Each group's origin, stride, line counts and sides are read off
+    ``layout.groups`` and the two lines per axis come from the lattice rule
+    (:func:`_axis_overlaps`), so the work and memory of a call grow with
+    the boxes and the groups, never with the plane.  Boxes go in blocks of
+    ``_KERNEL_BLOCK`` through scratch buffers allocated once per call.  A
+    C-contiguous float64 ``out`` of the result's shape is overwritten,
+    whatever it held, and returned.  For an anchor side that is not dyadic,
+    a column off the corners can score a few ulps higher: ``(ax + aw) -
+    ax`` rounds differently per column while the box holds the anchor whole
+    along x (likewise for rows).  The value is still the IoU of a real
+    corner anchor, so never above the exhaustive maximum; ``match_faces``
+    reads its maxima off the scanned pairs, so the caveat does not reach
+    it.
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     if out is None:
@@ -188,29 +180,28 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     best = out.reshape(-1)
     best.fill(0.0)
-    tables = _edge_tables(layout)
     size = max(1, min(len(best), _KERNEL_BLOCK))
-    scratch = np.empty((9, size))
-    index = np.empty(size, dtype=np.intp)
+    scratch, pairs = np.empty((6, size)), np.empty((3, 2, size))
     for start in range(0, len(best), size):
         part = slice(start, start + size)
         bx, by, bw, bh, top = x[part], y[part], w[part], h[part], best[part]
-        x2, y2, cx, cy, area, iw, ih, at_hi, tmp = scratch[:, : len(top)]
-        idx = index[: len(top)]
+        x2, y2, cx, cy, area, tmp = scratch[:, : len(top)]
+        at_x, at_y, edge = pairs[:, :, : len(top)]
+        iw, ih = at_x[0], at_y[0]
         np.add(bx, bw, out=x2)
         np.add(by, bh, out=y2)
         np.add(bx, np.divide(bw, 2.0, out=cx), out=cx)
         np.add(by, np.divide(bh, 2.0, out=cy), out=cy)
         np.multiply(bw, bh, out=area)
-        for table_x, table_y, anchor_area in tables:
-            _axis_overlaps(table_x, bx, x2, cx, iw, at_hi, tmp, idx)
-            np.maximum(iw, at_hi, out=iw)
+        for g in layout.groups:
+            _axis_overlaps(g.origin_x, g.stride, g.cols, g.box_w, bx, x2, cx, at_x, edge, tmp)
+            np.maximum(iw, at_x[1], out=iw)
             np.maximum(iw, 0.0, out=iw)
-            _axis_overlaps(table_y, by, y2, cy, ih, at_hi, tmp, idx)
-            np.maximum(ih, at_hi, out=ih)
+            _axis_overlaps(g.origin_y, g.stride, g.rows, g.box_h, by, y2, cy, at_y, edge, tmp)
+            np.maximum(ih, at_y[1], out=ih)
             np.maximum(ih, 0.0, out=ih)
             np.multiply(iw, ih, out=iw)
-            np.add(area, anchor_area, out=ih)
+            np.add(area, g.box_w * g.box_h, out=ih)
             np.subtract(ih, iw, out=ih)
             np.maximum(ih, iw, out=ih)
             np.divide(iw, ih, out=iw)
@@ -392,11 +383,12 @@ def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, 
     """
     cover = np.zeros(layout.anchor_count + 1, dtype=np.int64)  # runs begun less runs ended, per anchor
     x, y, w, h = (col[which] for col in (faces.x, faces.y, faces.w, faces.h))
+    cx, cy, lost_boxes = x + w / 2.0, y + h / 2.0, layout.boxes(lost)
     for g in layout.groups if len(which) else ():
         aw, ah, stride = g.box_w, g.box_h, g.stride
         left = (g.origin_x + np.arange(g.cols) * stride) - aw / 2.0
         plateau = (left + aw) - left
-        window = _reach(g, x + w / 2.0, y + h / 2.0, w, h, t / (1.0 + t) * _SLACK)
+        window = _reach(g, cx, cy, w, h, t / (1.0 + t) * _SLACK)
         # The faces in parts of about a quarter scan block of window rows.
         parts = np.flatnonzero(np.diff(np.cumsum(window[4] - window[3] + 1) // (_BLOCK_PAIRS // 4))) + 1
         for live, c0, c1, r0, r1 in zip(*(np.split(v, parts) for v in window)) if len(window[0]) else ():
@@ -444,7 +436,7 @@ def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, 
             n = np.searchsorted(lost, last, side="right") - lo
             j = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
             fk = np.repeat(which[live[face[k]]], n)
-            ious = iou_xywh(*(v[j] for v in layout.boxes(lost)), faces.x[fk], faces.y[fk], faces.w[fk], faces.h[fk])
+            ious = iou_xywh(*(v[j] for v in lost_boxes), faces.x[fk], faces.y[fk], faces.w[fk], faces.h[fk])
             _keep_best(best, owner, j, ious, fk)
     if len(rest := np.flatnonzero(owner == _NONE)):
         owner[rest] = _best_faces(layout, lost[rest], faces)
@@ -505,22 +497,22 @@ def _nth_corner_iou(layout: AnchorLayout, x, y, w, h, n: int) -> np.ndarray:
     """A lower bound on each box's ``n``-th best IoU over distinct anchors:
     the ``n``-th best over the corner anchors of its enclosing cells, each
     corner's IoU the product of its column's and its row's per-axis
-    overlap, with corners repeated by clamping at the plane edge counted
-    once (as empty corners of IoU 0).  0 when fewer than ``n`` of them
-    overlap the box."""
+    overlap (:func:`_axis_overlaps`).  A line repeated by the clamp at the
+    plane edge counts once: the second row's overlap is zeroed where the
+    line below the center lies outside ``[0, n - 2]``, an empty corner of
+    IoU 0.  0 when fewer than ``n`` corners overlap the box."""
     x2, y2 = x + w, y + h
     cx, cy = x + w / 2.0, y + h / 2.0
     area = w * h
-    tmp, idx = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
+    below, edge = np.empty(len(x)), np.empty((2, len(x)))
     corners = []
-    for table_x, table_y, anchor_area in _edge_tables(layout):
+    for g in layout.groups:
         iw, ih = np.empty((2, len(x))), np.empty((2, len(x)))
-        _axis_overlaps(table_x, x, x2, cx, *iw, tmp, idx)
-        _axis_overlaps(table_y, y, y2, cy, *ih, tmp, idx)
-        # Clamped so the -inf edge sentinels never reach ``iw * ih``.
-        np.maximum(iw, 0.0, out=iw)
-        np.maximum(ih, 0.0, out=ih)
-        areas = anchor_area + area
+        for at, origin, lines, side, lo, hi, c in ((iw, g.origin_x, g.cols, g.box_w, x, x2, cx),
+                                                    (ih, g.origin_y, g.rows, g.box_h, y, y2, cy)):
+            _axis_overlaps(origin, g.stride, lines, side, lo, hi, c, at, edge, below)
+            at[1][(below < 0.0) | (below > lines - 2.0)] = 0.0
+        areas = g.box_w * g.box_h + area
         for row in ih:
             corners.extend(iou_from_overlaps(iw, row, areas))
     if len(corners) < n:

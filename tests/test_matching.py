@@ -272,10 +272,11 @@ class TestSeparableKernel:
 
 
 class TestKernelEdges:
-    """The edge-table kernel where its tables and clamps matter: centers far
-    past the plane, boxes touching anchor edges, signed zeros, and block
-    boundaries.  Every value equals the four-corner kernel and the
-    exhaustive scan with ``==`` and is never a negative zero."""
+    """The bracketing-line kernel where its clamps matter: centers far past
+    the plane, grids of one row or column, boxes touching anchor edges,
+    signed zeros, and block boundaries.  Every value equals the four-corner
+    kernel and the exhaustive scan with ``==`` and is never a negative
+    zero."""
 
     SPEC = AnchorSpec(scales=(8.0, 16.0, 48.0), base_stride=16.0, stride_divisor=2,
                       shifts_per_scale={8.0: 3, 48.0: 1})
@@ -294,13 +295,35 @@ class TestKernelEdges:
         return got
 
     def test_centers_past_both_plane_edges(self):
-        layout = build_layout(self.SPEC, 64.0, 48.0)
-        past = np.array([-200.0, -40.0, -16.5, -8.0, -0.5])
-        cx = np.concatenate([past, 64.0 - past])
-        cy = np.concatenate([past, 48.0 - past])
-        cx, cy, side = (v.ravel() for v in np.meshgrid(cx, cy, [1.0, 6.0, 20.0, 90.0]))
-        got = self.check(layout, cx - side / 2.0, cy - side / 2.0, side, side)
-        assert (got == 0.0).any() and (got > 0.0).any()
+        # 8x8, 8x48 and 64x8 have one column, one row or both at sliding
+        # stride 8: there both bracketing lines clamp to the same line.
+        for plane_w, plane_h in ((64.0, 48.0), (8.0, 8.0), (8.0, 48.0), (64.0, 8.0)):
+            layout = build_layout(self.SPEC, plane_w, plane_h)
+            past = np.array([-200.0, -40.0, -16.5, -8.0, -0.5])
+            cx = np.concatenate([past, plane_w - past])
+            cy = np.concatenate([past, plane_h - past])
+            cx, cy, side = (v.ravel() for v in np.meshgrid(cx, cy, [1.0, 6.0, 20.0, 90.0]))
+            got = self.check(layout, cx - side / 2.0, cy - side / 2.0, side, side)
+            assert (got == 0.0).any() and (got > 0.0).any()
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # 2^22 columns by one row, exactly at the anchor cap: the kernel holds
+        # per-box scratch only, never one entry per grid line.
+        layout = build_layout(AnchorSpec(scales=(16.0,), base_stride=8.0), 8.0 * 2**22, 8.0)
+        assert layout.groups[0].cols == 2**22
+        rng = np.random.default_rng(35)
+        x = rng.uniform(-100.0, 8.0 * 2**22 + 100.0, 100)
+        y, w, h = rng.uniform(-8.0, 8.0, 100), rng.uniform(4.0, 40.0, 100), rng.uniform(4.0, 40.0, 100)
+        for kernel in (lambda: max_overlap_values(layout, x, y, w, h),
+                       lambda: matching._nth_corner_iou(layout, x, y, w, h, 5)):
+            kernel()  # numpy's lazy imports on first use are not counted
+            tracemalloc.start()
+            try:
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_boxes_touching_anchor_edges(self):
         layout = grid16()  # anchors span [16c, 16c + 16] on both axes
