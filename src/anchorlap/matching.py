@@ -15,12 +15,12 @@ ulps short of the exhaustive maximum for anchors of non-dyadic sides (see
 there); ``match_faces`` only takes its floor from it.  Its pairs come
 from one stream of flat ``(boxes, ids, ious)`` pairs (:func:`_scan`):
 each (face, anchor) pair of positive IoU at or above the face's floor,
-once, evaluated per block in buffers allocated once per scan and emitted
-by mask compression; the windows of one shape from all lattice groups on
-one grid share blocks.  ``match_faces`` streams each face down to
-``t_high``, or its kernel value where lower, for the maxima, argmaxes,
-counts, positives and sources, through one lowest-index-at-max fold, and
-marks the ignore band by runs of anchor IDs (:func:`_ignore_band`).  An argmax anchor below ``t_high`` takes its owner
+once, evaluated per block of whole windows as one ragged run of pairs,
+one overlap per window column and row.  ``match_faces`` streams each face
+down to ``t_high``, or its kernel value where lower, for the maxima,
+argmaxes, counts, positives and sources, through one lowest-index-at-max
+fold, and marks the ignore band by runs of anchor IDs
+(:func:`_ignore_band`).  An argmax anchor below ``t_high`` takes its owner
 by the same rule from the faces reaching it at ``t_low``, else from all
 faces whose x extent meets its own: every other has IoU 0 with it.
 ``compensate_hard_faces`` ranks the hard faces' pairs down to a lower
@@ -209,9 +209,8 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     return out
 
 
-# IoU pairs in one streamed block of the window scan.  Its IoUs, hit mask
-# and anchor IDs go into buffers of this size, allocated once per scan; the
-# IoU rule allocates one more float64 array, and the hits are copied out.
+# IoU pairs in one streamed block of the window scan, give or take one
+# window; each per-pair temporary of a block is one array of that length.
 _BLOCK_PAIRS = 1 << 15
 
 # Candidate pairs per chunk of the owner search (:func:`_best_faces`).  Its
@@ -233,11 +232,9 @@ _NONE = np.iinfo(np.int64).max
 _RUN_STRIDES = 8
 
 
-def _size_class(n: np.ndarray) -> np.ndarray:
-    """``n`` rounded up to one of four window extents per octave, so that
-    boxes with similar windows share a block."""
-    step = np.left_shift(1, np.maximum(np.floor(np.log2(np.maximum(n, 1))).astype(np.int64) - 2, 0))
-    return -(-n // step) * step
+def _ragged(starts, counts):
+    """``starts[i] + arange(counts[i])`` for every ``i``, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def _reach(g, cx, cy, w, h, gain):
@@ -256,34 +253,14 @@ def _reach(g, cx, cy, w, h, gain):
     return (live, *(v[live].astype(np.int64) for v in (c0, c1, r0, r1)))
 
 
-def _windows(g, index: int, cx, cy, w, h, gain):
-    """The windows in group ``g``, the layout's ``index``-th, of the boxes
-    that can reach their floor in it (see :func:`_scan`), as ``(shape,
-    items)`` in ascending order of shape, boxes of one shape in ascending
-    order.  ``shape`` codes a window's rows and columns as ``rows * (cols +
-    1) + columns``; the five rows of ``items`` hold each window's box, first
-    column, first row and first anchor ID, and ``index``."""
-    live, c0, c1, r0, r1 = _reach(g, cx, cy, w, h, gain)
-    ncols = np.minimum(_size_class(c1 - c0 + 1), g.cols)
-    nrows = np.minimum(_size_class(r1 - r0 + 1), g.rows)
-    c0 = np.minimum(c0, g.cols - ncols)
-    r0 = np.minimum(r0, g.rows - nrows)
-    shape = nrows * (g.cols + 1) + ncols
-    order = np.argsort(shape, kind="stable")
-    items = np.empty((5, len(order)), dtype=np.int64)
-    for row, v in zip(items, (live, c0, r0, g.id_start + r0 * g.cols + c0)):
-        v.take(order, out=row)
-    items[4] = index
-    return shape[order], items
-
-
 def _scan(layout: AnchorLayout, x, y, w, h, floor):
     """Stream the (box, anchor) pairs of positive IoU at or above each box's
     ``floor[i]`` as flat ``(boxes, ids, ious)`` blocks: box ``boxes[k]`` has
     IoU ``ious[k]`` with anchor ``ids[k]``.  Each such pair comes exactly
-    once, and each box's IDs ascend within a block; blocks come in no
-    particular ID order.  Per lattice group, each box's window is cut to
-    the anchors able to reach its floor.
+    once, and each box's IDs ascend across the whole stream: the groups go
+    in ``layout.groups`` order, whose ID ranges ascend, and each window row
+    by row.  Per lattice group, each box's window is cut to the anchors able
+    to reach its floor.
 
     The bound: an IoU of at least ``t`` needs an intersection of at least
     ``t * (A_anchor + A_box) / (1 + t)``.  The overlap along y is at most
@@ -291,79 +268,45 @@ def _scan(layout: AnchorLayout, x, y, w, h, floor):
     over it; and the x overlap is at most ``min(w_anchor, w_box, (w_anchor
     + w_box)/2 - |dx|)``, which bounds the center offset ``dx``.  The same
     holds with the axes swapped.  A group drops out for a box when the
-    least overlap exceeds the smaller side.
-    Windows are widened one cell against rounding, then padded to a size
-    class (and shifted to stay inside the group) so that boxes of similar
-    windows share one broadcast IoU evaluation, ``iw`` per column times
-    ``ih`` per row.
+    least overlap exceeds the smaller side.  Windows are widened one cell
+    against rounding.
 
-    A block holds windows of one shape on one sliding grid (stride and
-    column count), from any groups: each window carries its group's
-    origin, anchor size and first ID.  The windows of a shape in one group
-    go out in whole blocks; the rest wait, in group order, for the same
-    shape on the same grid in a later group, and go out when a block fills
-    or the scan ends.  So the groups of a layout from ``build_layout``, which
-    share one grid, fill blocks together.
-    A block's IoUs, its hit mask (IoU at or above the box's floor) and the
-    anchor ID of each of its window cells, each window's first ID plus a
-    ``row * cols + col`` offset table, are written into float, bool and
-    int64 buffers allocated once per call and grown only for a window
-    larger than ``_BLOCK_PAIRS``.  The hits are then emitted by mask
-    compression, IDs and IoUs by ``[hit]`` and boxes by repeating each box
-    by its hit count, as fresh arrays, so no block aliases the buffers.
+    A group's windows go in blocks of whole windows, cut where the running
+    pair count passes a multiple of ``_BLOCK_PAIRS``.  A block computes the
+    x overlap once per window column and the y overlap once per window row,
+    with the lattice rule's anchor edges, and each pair's IoU from its
+    column's and row's overlaps, the bits of ``iou_xywh``; only the pairs
+    reaching the floor get an anchor ID.
     """
+    x2, y2 = x + w, y + h
     cx = x + w / 2.0
     cy = y + h / 2.0
     gain = floor / (1.0 + floor) * _SLACK
     # A floor of 0 admits only positive IoUs: the least positive float.
     least = np.maximum(floor, np.nextafter(0.0, 1.0))
-    values, hits, anchors = (np.empty(_BLOCK_PAIRS, dtype=t) for t in (np.float64, bool, np.int64))
-    # Per group: origin and anchor size, read per window by group index.
-    origin_x, origin_y, box_w, box_h = (np.array([getattr(g, name) for g in layout.groups], dtype=np.float64)
-                                        for name in ("origin_x", "origin_y", "box_w", "box_h"))
-
-    def block(key, windows):
-        """The hits of ``windows`` (rows as in :func:`_windows`), of the
-        shape and grid ``key``."""
-        nonlocal values, hits, anchors
-        stride, cols, nr, nc = key
-        f, c0, r0, id0, group = (v[:, None, None] for v in windows)
-        size = nr * nc
-        if size > len(values):  # one window over a block
-            values, hits, anchors = (np.empty(size, dtype=t) for t in (np.float64, bool, np.int64))
-        n = len(f) * size
-        ious, hit, ids = values[:n], hits[:n], anchors[:n]
-        ax = (origin_x[group] + (c0 + np.arange(nc)) * stride) - box_w[group] / 2.0
-        ay = (origin_y[group] + (r0 + np.arange(nr)[:, None]) * stride) - box_h[group] / 2.0
-        iou_xywh(ax, ay, box_w[group], box_h[group], x[f], y[f], w[f], h[f],
-                 out=ious.reshape(len(f), nr, nc))
-        by_box = hit.reshape(len(f), size)
-        np.greater_equal(ious.reshape(len(f), size), least[windows[0]][:, None], out=by_box)
-        np.add(id0, np.arange(nr)[:, None] * cols + np.arange(nc), out=ids.reshape(len(f), nr, nc))
-        return windows[0].repeat(by_box.sum(axis=1)), ids[hit], ious[hit]
-
-    # Per window shape and grid: the windows waiting for a block to fill.
-    waiting = {}
-    for i, g in enumerate(layout.groups):
-        shape, items = _windows(g, i, cx, cy, w, h, gain)
-        starts = np.flatnonzero(np.diff(shape, prepend=-1))
-        for start, end in zip(starts, [*starts[1:], len(shape)]):
-            key = (g.stride, g.cols, *divmod(int(shape[start]), g.cols + 1))
-            run = items[:, start:end]
-            step = max(1, _BLOCK_PAIRS // (key[2] * key[3]))
-            full = run.shape[1] - run.shape[1] % step
-            for lo in range(0, full, step):
-                yield block(key, run[:, lo : lo + step])
-            # The rest joins the windows waiting since earlier groups, as a copy
-            # that keeps none of this group's alive.
-            rest = np.concatenate((waiting.pop(key, items[:, :0]), run[:, full:]), axis=1)
-            if rest.shape[1] >= step:
-                yield block(key, rest[:, :step])
-                rest = rest[:, step:]
-            if rest.shape[1]:
-                waiting[key] = rest
-    for key, run in waiting.items():
-        yield block(key, run)
+    for g in layout.groups:
+        live, c0, c1, r0, r1 = _reach(g, cx, cy, w, h, gain)
+        ncols, nrows = c1 - c0 + 1, r1 - r0 + 1
+        cuts = np.flatnonzero(np.diff(np.cumsum(ncols * nrows) // _BLOCK_PAIRS)) + 1
+        areas = g.box_w * g.box_h + w * h
+        for f, first_col, nc, first_row, nr in zip(*(np.split(v, cuts) for v in (live, c0, ncols, r0, nrows))):
+            if not len(f):
+                continue
+            col, row = _ragged(first_col, nc), _ragged(first_row, nr)
+            ax = (g.origin_x + col * g.stride) - g.box_w / 2.0
+            ay = (g.origin_y + row * g.stride) - g.box_h / 2.0
+            fc, fr = f.repeat(nc), f.repeat(nr)
+            iw = np.minimum(ax + g.box_w, x2[fc]) - np.maximum(ax, x[fc])
+            ih = np.minimum(ay + g.box_h, y2[fr]) - np.maximum(ay, y[fr])
+            # The pairs, row by row through each window: ``pc`` indexes each
+            # one's column, and each row's values repeat over its columns.
+            span = nc.repeat(nr)
+            pc = _ragged((np.cumsum(nc) - nc).repeat(nr), span)
+            ious = iou_from_overlaps(iw[pc], ih.repeat(span), areas[fr].repeat(span))
+            hit = ious >= least[fr].repeat(span)
+            # Each row's box and first ID repeat over its hits.
+            n = np.add.reduceat(hit, np.cumsum(span) - span, dtype=np.int64)
+            yield fr.repeat(n), (g.id_start + row * g.cols).repeat(n) + col[pc[hit]], ious[hit]
 
 
 def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, best, owner):
@@ -396,7 +339,7 @@ def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, 
             # face and y overlap share their columns, found on the first: ``same``.
             n = r1 - r0 + 1
             face = np.repeat(np.arange(len(live)), n)
-            row = np.arange(len(face)) + np.repeat(r0 - (np.cumsum(n) - n), n)
+            row = _ragged(r0, n)
             ay = (g.origin_y + row * stride) - ah / 2.0
             ih = np.minimum(ay + ah, np.repeat((y + h)[live], n)) - np.maximum(ay, np.repeat(y[live], n))
             fresh = (np.diff(face, prepend=-1) != 0) | (np.diff(ih, prepend=np.nan) != 0)
@@ -422,7 +365,7 @@ def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, 
                              | (~ok[2] & (stop > after)) | (ok[3] & (stop < g.cols)))
             k = np.flatnonzero(split[same])
             span = (c1 - c0 + 1)[face[k]]
-            col = np.arange(span.sum()) + np.repeat(c0[face[k]] - (np.cumsum(span) - span), span)
+            col = _ragged(c0[face[k]], span)
             k = np.repeat(k, span)
             hit = reach(col, same[k])
             runs = np.flatnonzero((rows & ~split & (first < stop))[same])
@@ -434,7 +377,7 @@ def _ignore_band(layout: AnchorLayout, faces: FaceTable, t: float, which, lost, 
             np.add.at(cover, last + 1, -1)
             lo = np.searchsorted(lost, first)
             n = np.searchsorted(lost, last, side="right") - lo
-            j = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+            j = _ragged(lo, n)
             fk = np.repeat(which[live[face[k]]], n)
             ious = iou_xywh(*(v[j] for v in lost_boxes), faces.x[fk], faces.y[fk], faces.w[fk], faces.h[fk])
             _keep_best(best, owner, j, ious, fk)
@@ -475,18 +418,15 @@ def _best_faces(layout: AnchorLayout, ids: np.ndarray, faces: FaceTable) -> np.n
     lo = np.searchsorted(np.maximum.accumulate((faces.x + faces.w)[order]), ax, side="right")
     # Clamped at 0 for anchors and faces whose widths vanish in rounding.
     count = np.maximum(np.searchsorted(faces.x[order], ax + aw, side="left") - lo, 0)
-    # In one flat list of all pairs, anchor a's run from starts[a] to
-    # ends[a]: pair j's face is the sorted face j + skip[a].
     ends = np.cumsum(count)
     starts = ends - count
-    skip = lo - starts
     best = np.zeros(len(ids))
     owner = np.full(len(ids), _NONE, dtype=np.int64)
     start = 0
     while start < len(ids):
         stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _OWNER_PAIRS, side="right")))
         k = np.repeat(np.arange(start, stop), count[start:stop])
-        face = order[np.arange(starts[start], ends[stop - 1]) + skip[k]]
+        face = order[_ragged(lo[start:stop], count[start:stop])]
         ious = iou_xywh(ax[k], ay[k], aw[k], ah[k], faces.x[face], faces.y[face], faces.w[face], faces.h[face])
         _keep_best(best, owner, k, ious, face)
         start = stop
@@ -531,8 +471,7 @@ def overlapping_anchors(layout: AnchorLayout, box: RectBox):
     """All anchors with positive IoU against ``box``: (ids, ious), ID-sorted."""
     one = [np.array([v], dtype=np.float64) for v in (box.x, box.y, box.w, box.h, 0.0)]
     _, ids, ious = _pairs(layout, *one)
-    order = np.argsort(ids)
-    return ids[order], ious[order]
+    return ids, ious
 
 
 def apply_jitter(
