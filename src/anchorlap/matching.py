@@ -108,10 +108,13 @@ class MatchResult:
 
 def _flat_boxes(x, y, w, h):
     """Box coordinates broadcast together and flattened (views where they
-    can be, so a scalar size is never copied out), and their shape."""
-    x, y, w, h = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (np.atleast_1d(x), y, w, h)))
-    return [v.reshape(-1) for v in (x, y, w, h)], x.shape
+    can be), and their shape.  A 0-d size, one value for every box, stays
+    0-d."""
+    x, y, w, h = (np.asarray(v, dtype=np.float64) for v in (np.atleast_1d(x), y, w, h))
+    shape = np.broadcast(x, y, w, h).shape
+    def flat(v):
+        return (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1)
+    return [flat(x), flat(y), *(v if v.ndim == 0 else flat(v) for v in (w, h))], shape
 
 
 # Boxes per pass of the overlap kernel.  Its scratch buffers, allocated
@@ -164,14 +167,20 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     (:func:`_axis_overlaps`), so the work and memory of a call grow with
     the boxes and the groups, never with the plane.  Boxes go in blocks of
     ``_KERNEL_BLOCK`` through scratch buffers allocated once per call.  A
-    C-contiguous float64 ``out`` of the result's shape is overwritten,
-    whatever it held, and returned.  For an anchor side that is not dyadic,
-    a column off the corners can score a few ulps higher: ``(ax + aw) -
-    ax`` rounds differently per column while the box holds the anchor whole
-    along x (likewise for rows).  The value is still the IoU of a real
-    corner anchor, so never above the exhaustive maximum; ``match_faces``
-    reads its maxima off the scanned pairs, so the caveat does not reach
-    it.
+    0-d ``w`` or ``h``, one size for every box as ``emo_monte_carlo``
+    passes, stays a float: far edges ``x + w``, centers ``x + w * 0.5`` and
+    each group's union term ``w * h + aw * ah`` take it, so no per-box
+    size, half-size or area is built (sizes given per box make theirs per
+    block).  The first group's IoUs go straight into the result, as every
+    IoU is at least +0.0 for positive sides, and each later group's keep
+    the larger.  A C-contiguous float64 ``out`` of the result's shape is
+    overwritten, whatever it held, and returned.  For an anchor side that
+    is not dyadic, a column off the corners can score a few ulps higher:
+    ``(ax + aw) - ax`` rounds differently per column while the box holds
+    the anchor whole along x (likewise for rows).  The value is still the
+    IoU of a real corner anchor, so never above the exhaustive maximum;
+    ``match_faces`` reads its maxima off the scanned pairs, so the caveat
+    does not reach it.
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     if out is None:
@@ -179,21 +188,23 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     best = out.reshape(-1)
-    best.fill(0.0)
+    if not layout.groups:
+        best.fill(0.0)
     size = max(1, min(len(best), _KERNEL_BLOCK))
-    scratch, pairs = np.empty((6, size)), np.empty((3, 2, size))
+    scratch, pairs = np.empty((5, size)), np.empty((3, 2, size))
     for start in range(0, len(best), size):
         part = slice(start, start + size)
-        bx, by, bw, bh, top = x[part], y[part], w[part], h[part], best[part]
-        x2, y2, cx, cy, area, tmp = scratch[:, : len(top)]
+        bx, by, top = x[part], y[part], best[part]
+        bw, bh = (v if v.ndim == 0 else v[part] for v in (w, h))
+        x2, y2, cx, cy, tmp = scratch[:, : len(top)]
         at_x, at_y, edge = pairs[:, :, : len(top)]
         iw, ih = at_x[0], at_y[0]
         np.add(bx, bw, out=x2)
         np.add(by, bh, out=y2)
-        np.add(bx, np.divide(bw, 2.0, out=cx), out=cx)
-        np.add(by, np.divide(bh, 2.0, out=cy), out=cy)
-        np.multiply(bw, bh, out=area)
-        for g in layout.groups:
+        np.add(bx, bw * 0.5, out=cx)
+        np.add(by, bh * 0.5, out=cy)
+        area = bw * bh
+        for k, g in enumerate(layout.groups):
             _axis_overlaps(g.origin_x, g.stride, g.cols, g.box_w, bx, x2, cx, at_x, edge, tmp)
             np.maximum(iw, at_x[1], out=iw)
             np.maximum(iw, 0.0, out=iw)
@@ -201,11 +212,12 @@ def max_overlap_values(layout: AnchorLayout, x, y, w, h, out=None) -> np.ndarray
             np.maximum(ih, at_y[1], out=ih)
             np.maximum(ih, 0.0, out=ih)
             np.multiply(iw, ih, out=iw)
-            np.add(area, g.box_w * g.box_h, out=ih)
-            np.subtract(ih, iw, out=ih)
+            np.subtract(area + g.box_w * g.box_h, iw, out=ih)
             np.maximum(ih, iw, out=ih)
-            np.divide(iw, ih, out=iw)
-            np.maximum(top, iw, out=top)
+            if k:
+                np.maximum(top, np.divide(iw, ih, out=iw), out=top)
+            else:
+                np.divide(iw, ih, out=top)
     return out
 
 

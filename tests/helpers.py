@@ -82,6 +82,7 @@ def max_overlap(layout: AnchorLayout, x, y, w, h):
     """
     (x, y, w, h), shape = _flat_boxes(x, y, w, h)
     kernel = max_overlap_values(layout, x, y, w, h)
+    w, h = np.broadcast_to(w, x.shape), np.broadcast_to(h, x.shape)  # a 0-d size, per box
     live = np.flatnonzero(kernel > 0.0)
     best = np.zeros(kernel.shape)
     best_id = np.full(kernel.shape, _NONE, dtype=np.int64)

@@ -199,7 +199,7 @@ def where_rule(iw, ih, areas):
     return np.divide(inter, union, out=np.zeros(np.shape(union)), where=inter > 0.0)
 
 
-class TestOutBuffer:
+class TestAllocatingFormsAgainstWhereRule:
     """``iou_from_overlaps`` and ``iou_xywh`` give the bits of
     :func:`where_rule` on the rule's edge inputs, at every broadcast shape,
     and scalar inputs give a Python float."""
@@ -213,7 +213,7 @@ class TestOutBuffer:
         return iw, ih, areas
 
     @pytest.mark.parametrize("shapes", SHAPES, ids=["column-row", "scalar-areas", "row-column", "scan-block", "flat"])
-    def test_overlaps_out_is_the_allocating_form_bitwise(self, shapes):
+    def test_iou_from_overlaps_is_where_rule_bitwise(self, shapes):
         rng = np.random.default_rng(len(shapes[0]) * 10 + len(shapes[2]))
         for _ in range(20):
             iw, ih, areas = self.edge_inputs(rng, shapes)
@@ -221,14 +221,14 @@ class TestOutBuffer:
             assert got.shape == np.broadcast(iw, ih, areas).shape
             assert got.tobytes() == where_rule(iw, ih, areas).tobytes()
 
-    def test_scalars_into_a_zero_dim_buffer(self):
+    def test_scalars_give_a_float_of_where_rule_bits(self):
         cases = [(math.nan, 1.0, 2.0), (-0.0, 1.0, 2.0), (5e-324, 5e-324, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]
         for iw, ih, areas in cases:
             got = iou_from_overlaps(iw, ih, areas)
             assert type(got) is float
             assert np.float64(got).tobytes() == where_rule(iw, ih, areas).tobytes()
 
-    def test_xywh_out_is_the_allocating_form_bitwise(self):
+    def test_iou_xywh_is_where_rule_bitwise(self):
         rng = np.random.default_rng(9)
         # Anchors along a row, boxes down a column; zero, subnormal and
         # negative-zero sizes and coordinates among them.

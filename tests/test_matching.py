@@ -371,6 +371,71 @@ class TestKernelEdges:
             assert not np.signbit(got).any()
 
 
+class TestOneSizeForEveryBox:
+    """A 0-d ``w`` or ``h``, as ``emo_monte_carlo`` passes, stays one float
+    in the overlap kernel.  Every value equals the call with ``np.full``
+    size arrays byte for byte, the four-corner kernel and the exhaustive
+    scan with ``==``, and is never a negative zero."""
+
+    # Non-unit ratios on the non-dyadic sliding stride 6.3.  Faces stay
+    # narrower and lower than every anchor, so no column or row off the
+    # corners can score a few ulps higher (see
+    # ``test_non_unit_ratios_stay_a_few_ulps_below_brute_force``).
+    SPEC = AnchorSpec(scales=(16.0, 24.0), ratios=(0.7, 1.3), base_stride=12.6, stride_divisor=2,
+                      shifts_per_scale={16.0: 1})
+    SIZES = ((9.3, 7.1), (1.0, 13.0), (13.3, 0.4))
+
+    def check(self, layout, x, y, w, h):
+        shape = np.broadcast(np.atleast_1d(x), y).shape
+        full_w, full_h = np.full(shape, w), np.full(shape, h)
+        got = max_overlap_values(layout, x, y, w, h)
+        assert got.shape == shape
+        for sizes in ((full_w, full_h), (w, full_h), (full_w, h)):
+            assert max_overlap_values(layout, x, y, *sizes).tobytes() == got.tobytes()
+        flat = [np.broadcast_to(v, shape).ravel() for v in (x, y, full_w, full_h)]
+        assert np.array_equal(got.ravel(), corner_max_overlap(layout, *flat))
+        want, _ = brute_max_overlap(layout, [RectBox(*map(float, b)) for b in zip(*flat)])
+        assert np.array_equal(got.ravel(), want)
+        assert not np.signbit(got).any()
+        return got
+
+    def test_groups_of_non_unit_ratios_on_a_non_dyadic_stride(self):
+        layout = build_layout(self.SPEC, 61.0, 47.0)
+        assert len(layout.groups) == 6 and layout.spec.sliding_stride == 6.3
+        rng = np.random.default_rng(37)
+        for w, h in self.SIZES:
+            got = self.check(layout, rng.uniform(-5.0, 61.0, 500), rng.uniform(-5.0, 47.0, 500), w, h)
+            assert (got > 0.0).all()
+
+    def test_centers_past_both_plane_edges(self):
+        layout = build_layout(self.SPEC, 40.0, 30.0)
+        past = np.array([-300.0, -30.0, -12.0, -6.3, -0.5, 0.0])
+        cx, cy = np.meshgrid(np.concatenate([past, 40.0 - past]), np.concatenate([past, 30.0 - past]))
+        for w, h in self.SIZES:
+            got = self.check(layout, cx.ravel() - w / 2.0, cy.ravel() - h / 2.0, w, h)
+            assert (got == 0.0).any() and (got > 0.0).any()
+
+    def test_a_block_boundary(self):
+        layout = build_layout(self.SPEC, 20.0, 20.0)
+        block = matching._KERNEL_BLOCK
+        rng = np.random.default_rng(73)
+        x, y = rng.uniform(-20.0, 30.0, block + 1), rng.uniform(-20.0, 30.0, block + 1)
+        w, h = self.SIZES[0]
+        want = self.check(layout, x, y, w, h)
+        for n in (block - 1, block):
+            assert self.check(layout, x[:n], y[:n], w, h).tobytes() == want[:n].tobytes()
+
+    def test_one_box_and_a_2d_coordinate_shape(self):
+        layout = build_layout(self.SPEC, 40.0, 30.0)
+        w, h = self.SIZES[0]
+        one = self.check(layout, 3.5, 4.25, w, h)
+        assert one.shape == (1,) and one[0] > 0.0
+        assert self.check(layout, np.array([3.5]), 4.25, w, h).tobytes() == one.tobytes()
+        x = np.linspace(-10.0, 45.0, 12).reshape(3, 4)
+        got = self.check(layout, x, np.array([[2.0], [15.0], [33.0]]), w, h)
+        assert got.shape == (3, 4)
+
+
 def scan_boxes(rng, layout, side, n=40):
     """Boxes of 1-200 px, some centered past the plane edges, some exactly
     on anchors."""
