@@ -356,6 +356,10 @@ class TestKernelEdges:
         for bad in (np.empty(len(x) + 1), np.empty(2 * len(x))[::2], np.empty(len(x), np.float32)):
             with pytest.raises(ValueError, match="out must be"):
                 max_overlap_values(layout, x, y, w, h, out=bad)
+        # With no group to write the maxima, the result is still all 0.
+        empty = dataclasses.replace(layout, groups=())
+        buf = np.full(len(x), np.nan)
+        assert max_overlap_values(empty, x, y, w, h, out=buf).tobytes() == np.zeros(len(x)).tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, matching._KERNEL_BLOCK])
     def test_block_size_never_moves_a_byte(self, monkeypatch, block):
