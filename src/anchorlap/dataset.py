@@ -85,7 +85,11 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     coordinate or far edge) are dropped and counted as skipped.  Each path
     gets one entry in ``image_ids``, in order of first appearance.  The
     first structural problem in file order raises :class:`AnnotationError`
-    with its line number.  The face lines are converted in one batch.
+    with its line number.  numpy's C text reader (``np.loadtxt``, numpy
+    >= 1.23) converts all face lines in one call, bit for bit as ``float()``
+    of their ``split()`` tokens; the per-line rule takes over whenever it
+    raises or reads a row count other than the face-line count
+    (``1_0``, non-ASCII digits, short or blank face lines, ``bytes`` lines).
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)  # lines end where a text-mode file's do
@@ -124,25 +128,55 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
             i += count
     except AnnotationError as exc:
         error = exc
-    heads = (ln.split(None, 4)[:4] for ln in chain.from_iterable(lines[s : s + c] for s, c, _ in groups))
-    try:  # one batch; a short line leaves the iterator short of 4 tokens a row
-        values = np.fromiter(map(float, chain.from_iterable(heads)), np.float64, 4 * sum(c for _, c, _ in groups))
-    except ValueError:
-        for i in (i for s, c, _ in groups for i in range(s, s + c)):
-            head, text = lines[i].split(None, 4)[:4], lines[i].rstrip("\r\n")
-            if len(head) < 4:
-                raise AnnotationError(i + 1, f"face line needs at least 4 numbers, got {text!r}") from None
-            try:
-                list(map(float, head))
-            except ValueError:
-                raise AnnotationError(i + 1, f"non-numeric face coordinates in {text!r}") from None
+    values = _face_values(lines, groups)
     if error is not None:
         raise error
-    cols = values.reshape(-1, 4).T
+    cols = values.T
     image = np.repeat(np.array([g[2] for g in groups], np.int64), [g[1] for g in groups])
     keep = valid_boxes(*cols)
     records = FaceTable(*cols[:, keep], image[keep], tuple(image_index))
-    return ParsedAnnotations(records=records, skipped=skipped + len(values) // 4 - len(records))
+    return ParsedAnnotations(records=records, skipped=skipped + len(values) - len(records))
+
+
+def _face_values(lines: list, groups: list[tuple[int, int, int]]) -> np.ndarray:
+    """The first four numbers of each grouped face line, one row a line."""
+    count = sum(c for _, c, _ in groups)
+    if count and isinstance(lines[groups[0][0]], str):  # numpy splits bytes on \x1c and \xa0, bytes.split() does not
+        # A leading row of our own keeps the reader from warning when every face line is blank.
+        face = chain(["0 0 0 0"], chain.from_iterable(lines[s : s + c] for s, c, _ in groups))
+        try:
+            values = np.loadtxt(face, np.float64, comments=None, usecols=(0, 1, 2, 3), ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if len(values) == 1 + count:  # the reader skips blank lines
+                return values[1:]
+    return _per_line_values(lines, groups)
+
+
+def _per_line_values(lines: list, groups: list[tuple[int, int, int]]) -> np.ndarray:
+    """:func:`_face_values` by the per-line rule: ``float()`` of each line's
+    first four tokens; the first bad line raises :class:`AnnotationError`."""
+    at = 0  # the line whose tokens are being converted
+
+    def heads():
+        nonlocal at
+        for s, c, _ in groups:
+            for at in range(s, s + c):
+                head = lines[at].split(None, 4)[:4]
+                if len(head) < 4:
+                    text = lines[at].rstrip("\r\n")
+                    raise AnnotationError(at + 1, f"face line needs at least 4 numbers, got {text!r}")
+                yield head
+
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(heads())), np.float64, 4 * sum(c for _, c, _ in groups))
+    except AnnotationError:
+        raise
+    except ValueError:
+        text = lines[at].rstrip("\r\n")
+        raise AnnotationError(at + 1, f"non-numeric face coordinates in {text!r}") from None
+    return values.reshape(-1, 4)
 
 
 @dataclass(frozen=True)

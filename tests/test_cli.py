@@ -293,6 +293,15 @@ class TestStats:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_blank_face_lines_exit_1_on_one_line_without_a_warning(self, files, capsys):
+        bad = files["dir"] / "bad.txt"
+        bad.write_text("a.jpg\n2\n\n \t\n")  # numpy's text reader warns on a listing of blank face lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["stats", "--annotations", str(bad), "--spec", files["spec"]])
+        assert (code, capsys.readouterr().err) == (1, "error: line 3: face line needs at least 4 numbers, got ''\n")
+        assert caught == []
+
     def test_undecodable_listing_exits_1(self, files, capsys):
         bad = files["dir"] / "bad.txt"
         bad.write_bytes(b"a.jpg\n1\n1 1 4 4 \xff\n")

@@ -1,8 +1,10 @@
 """Annotation parsing and scale-bucket coverage analytics."""
 
 import dataclasses
+import io
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,8 +195,11 @@ class TestParsing:
 # reads its own way, and texts that are not numbers at all.
 NUMBERS = ["1", "4", "16", "2.5", "30", "1E2"] * 3 + ["0", "-3", "-0", "1e-300", "1e300", "nan", "-inf",
                                                      "1e400", "1_0", "\u0663", "+7"]
-NOT_NUMBERS = ["x", "1e", "0x10", "--1", "1__0"]
+NOT_NUMBERS = ["x", "1e", "0x10", "--1", "1__0", "#", '"1"']
 COUNTS = ["0", "1", "2", "3", " +2 ", "00"] * 3 + ["-1", "1.5", "x", "1_0"]
+# Token separators: str.split() splits on each; numpy's text reader must too.
+SEPARATORS = [" "] * 6 + ["\t", "\xa0", "\x1c", "\u3000"]
+BLANK_LINES = ["", " ", "\t \xa0", "\u3000"]
 
 
 @st.composite
@@ -202,8 +207,10 @@ def mangled_listings(draw):
     """A listing of up to 4 groups, its lines ended by ``\n`` or ``\r\n``:
     repeated paths, blank lines, zero-count placeholders, counts that are
     negative, not integers or past the listing's end, and face lines with
-    extra, too few or non-numeric tokens.  A group may hold one face line
-    fewer than its count, which truncates it or misreads the next group."""
+    extra, too few or non-numeric tokens, tokens parted by non-ASCII or
+    control whitespace or by a ``\r``, or no tokens at all.  A group may
+    hold one face line fewer than its count, which truncates it or misreads
+    the next group."""
     lines = []
     for _ in range(draw(st.integers(0, 4))):
         lines += [""] * draw(st.integers(0, 1))
@@ -215,12 +222,16 @@ def mangled_listings(draw):
             lines.append(draw(st.sampled_from(["0 0 0 0", "0 0 0 0 0 0", "0 0 0", "-0 0 0 0"])))
         for _ in range(declared - (draw(st.integers(0, 7)) == 0)):
             line = draw(st.lists(st.sampled_from(NUMBERS), min_size=4, max_size=6))
-            mangle = draw(st.integers(0, 15))
+            seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(line), max_size=len(line)))
+            mangle = draw(st.integers(0, 19))
             if mangle == 0:
                 line = line[:3]
             elif mangle == 1:
                 line[draw(st.integers(0, 3))] = draw(st.sampled_from(NOT_NUMBERS))
-            lines.append(" ".join(line))
+            elif mangle == 2:
+                seps[draw(st.integers(0, len(line) - 2))] = "\r"
+            lines.append(draw(st.sampled_from(BLANK_LINES)) if mangle == 3
+                         else "".join(t + sep for t, sep in zip(line, seps))[:-1])
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
@@ -238,19 +249,117 @@ def parse_outcome(parse, source):
 
 
 class TestBatchParse:
-    """``parse_annotations`` converts face lines in one batch; the listing
-    parsed one line at a time (``per_line_parse``) is its oracle."""
+    """``parse_annotations`` converts face lines with numpy's text reader,
+    falling back to the per-line rule; the listing parsed one line at a time
+    (``per_line_parse``) is its oracle."""
 
     @settings(max_examples=250, deadline=None)
     @given(text=mangled_listings())
     def test_equals_the_per_line_parse(self, text):
-        for source in (text, text.splitlines(True)):
+        # The last source keeps a \r inside a line, as a file opened with newline="\n" does.
+        for source in (text, text.splitlines(True), io.StringIO(text, newline="\n").readlines()):
             assert parse_outcome(parse_annotations, source) == parse_outcome(per_line_parse, source)
 
     @pytest.mark.parametrize("text", ["a.jpg\n2\n1_0 2 3 4\n\u0663 1e400 nan 4\n",
                                       "a.jpg\n1\n1 2 3 4 x\nb.jpg\n1\n0x1 2 3 4\n"])
     def test_python_float_rules(self, text):
         assert parse_outcome(parse_annotations, text) == parse_outcome(per_line_parse, text)
+
+    @pytest.fixture
+    def per_line_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return per_line_values(*args)
+
+        per_line_values = dataset._per_line_values
+        monkeypatch.setattr(dataset, "_per_line_values", spy)
+        return calls
+
+    def test_plain_ascii_listing_never_takes_the_per_line_rule(self, per_line_calls):
+        text = (DATA / "golden_faces.txt").read_text()
+        for source in (text, text.splitlines(True), text.replace("\n", "\r\n").splitlines(True)):
+            assert parse_outcome(parse_annotations, source) == parse_outcome(per_line_parse, source)
+        assert per_line_calls == []
+        parse_annotations("a.jpg\n1\n1_0 2 3 4\n")  # the spy sees a fallback
+        assert len(per_line_calls) == 1
+
+    def test_bytes_lines_take_the_per_line_rule(self, per_line_calls):
+        # numpy would decode bytes as Latin-1 and split on \x1c or \xa0, which bytes.split() keeps.
+        text = (DATA / "golden_faces.txt").read_text()
+        as_bytes = parse_outcome(parse_annotations, [ln.encode() for ln in text.splitlines(True)])
+        assert len(per_line_calls) == 1
+        columns, image_ids, skipped = parse_outcome(parse_annotations, text)
+        assert as_bytes == (columns, tuple(path.encode() for path in image_ids), skipped)
+
+    @pytest.mark.parametrize("text, line, blank", [("a.jpg\n1\n\n", 3, ""), ("a.jpg\n2\n \n\t\n", 3, " "),
+                                                  ("a.jpg\n1\n\u3000\r\nb.jpg\n0\n", 3, "\u3000"),
+                                                  ("a.jpg\n2\n1 2 3 4\n  \n", 4, "  "),
+                                                  ("a.jpg\n3\n\n\n\n", 3, "")])
+    def test_blank_face_lines_raise_without_a_warning(self, text, line, blank):
+        # numpy's reader warns "input contained no data" when it reads no row,
+        # and reads one row as a 1-D array unless told otherwise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = parse_outcome(parse_annotations, text)
+        assert outcome == parse_outcome(per_line_parse, text)
+        assert outcome == (line, f"line {line}: face line needs at least 4 numbers, got {blank!r}")
+
+
+# Face lines for the reader contract: each separator str.split() knows,
+# line breaks and texts the reader must not read as a row, tokens float()
+# reads its own way, too few tokens and no tokens at all.
+READER_LINES = (
+    [f"1{sep}2{sep}3{sep}4{sep}5" for sep in ("\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u3000", " \t")]
+    + ["1 2\r3 4", "1 2 3 4\r5 6 7 8", "1 2 3 4\r\n", "1 2 3 4\n", "# 1 2 3 4", "1 2 3 4 # x", '"1" 2 3 4',
+       "1 2 3 4\x00", "1 2 3\x00 4"]
+    + [f"{token} 2 3 4" for token in ("1_0", "\u0663", "\uff11", "nan", "-NaN", "Infinity", "-inf", "1e400",
+                                      "1e-320", "-0", "+5", "4.", ".5", "1E2", "0x10", "1e", "")]
+    + ["1 2 3", "1 2 3\n", "", " ", "\t\xa0\u3000", "\n"]
+)
+
+
+def reader_row(line):
+    """The bit pattern of the one row numpy's text reader reads from
+    ``line``, or None when it raises, warns or reads another row count."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt([line], np.float64, comments=None, usecols=(0, 1, 2, 3), ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return rows.tobytes() if rows.shape == (1, 4) else None
+
+
+def per_line_row(line):
+    """The bit pattern of the per-line rule's row, or None when it fails."""
+    head = line.split(None, 4)[:4]
+    try:
+        return np.array([float(t) for t in head], np.float64).tobytes() if len(head) == 4 else None
+    except ValueError:
+        return None
+
+
+class TestReaderContract:
+    """What ``parse_annotations`` takes from numpy's text reader must equal
+    the per-line rule bit for bit: for every face line the reader either
+    gives up (raises, warns, or reads no row or more than one) or reads
+    exactly the bits of ``float()`` of ``split(None, 4)[:4]``."""
+
+    @pytest.mark.parametrize("line", READER_LINES, ids=ascii)
+    def test_reader_gives_up_or_reads_the_per_line_bits(self, line):
+        assert reader_row(line) in (None, per_line_row(line))
+
+    def test_reader_reads_plain_numbers(self):
+        # The fast path is worth having only if the common lines take it.
+        for line in ("1 2 3 4", "50.5 60.25 6 7 0 1", "-0 nan inf 1e-320", "1\xa02\x1c3\u30004\r\n"):
+            assert reader_row(line) == per_line_row(line) is not None
+
+    def test_one_call_over_many_lines_reads_each_line_alone(self):
+        lines = [line for line in READER_LINES if reader_row(line) is not None]
+        rows = np.loadtxt(lines, np.float64, comments=None, usecols=(0, 1, 2, 3), ndmin=2)
+        assert rows.tobytes() == b"".join(per_line_row(line) for line in lines)
 
 
 def l16_layout(plane=256.0, divisor=1):
