@@ -66,11 +66,25 @@ class ParsedAnnotations:
     skipped: int
 
 
-def _is_zero_box_line(line: str) -> bool:
-    tokens = line.split()[:4]
+def _face_row(line: str | bytes, number: int) -> tuple[float, float, float, float]:
+    """The per-line rule: ``float()`` of the first four tokens of face line
+    ``number`` (1-based), or its :class:`AnnotationError`."""
+    head = line.split(None, 4)
+    if len(head) >= 4:
+        try:
+            return float(head[0]), float(head[1]), float(head[2]), float(head[3])
+        except ValueError:
+            message = "non-numeric face coordinates in"
+    else:
+        message = "face line needs at least 4 numbers, got"
+    text = line.rstrip(b"\r\n" if isinstance(line, bytes) else "\r\n")
+    raise AnnotationError(number, f"{message} {text!r}")
+
+
+def _is_zero_box_line(line: str | bytes) -> bool:
     try:
-        return len(tokens) == 4 and all(float(t) == 0.0 for t in tokens)
-    except ValueError:
+        return _face_row(line, 0) == (0.0, 0.0, 0.0, 0.0)
+    except AnnotationError:
         return False
 
 
@@ -79,17 +93,18 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
 
     ``source`` is the listing text or an iterable of lines (an open file
     works).  Groups are [path, count, count face lines]; a count of zero
-    may be followed by a single all-zero placeholder line, which is
-    consumed and counted as skipped.  Boxes that break the RectBox rule (w
-    or h <= 0, an area ``w * h`` outside ``(2**-1000, 2**1000)``, or a non-finite
-    coordinate or far edge) are dropped and counted as skipped.  Each path
-    gets one entry in ``image_ids``, in order of first appearance.  The
-    first structural problem in file order raises :class:`AnnotationError`
-    with its line number.  numpy's C text reader (``np.loadtxt``, numpy
-    >= 1.23) converts all face lines in one call, bit for bit as ``float()``
-    of their ``split()`` tokens; the per-line rule takes over whenever it
-    raises or reads a row count other than the face-line count
-    (``1_0``, non-ASCII digits, short or blank face lines, ``bytes`` lines).
+    may be followed by a single all-zero placeholder line, which is read
+    with the face lines and dropped by the RectBox rule.  Boxes that break
+    that rule (w or h <= 0, an area ``w * h`` outside ``(2**-1000, 2**1000)``,
+    or a non-finite coordinate or far edge) are dropped and counted as
+    skipped.  Each path gets one entry in ``image_ids``, in order of first
+    appearance.  The first structural problem in file order raises
+    :class:`AnnotationError` with its line number, for ``str`` and ``bytes``
+    lines alike.  numpy's C text reader (``np.loadtxt``, numpy >= 1.23)
+    converts all face lines in one call, bit for bit as ``float()`` of
+    their ``split()`` tokens; the per-line rule takes over whenever it
+    raises or reads a row count other than the face-line count (``1_0``,
+    non-ASCII digits, short or blank face lines, ``bytes`` lines).
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)  # lines end where a text-mode file's do
@@ -97,7 +112,6 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     n = len(lines)
     groups: list[tuple[int, int, int]] = []  # (first face line, face lines, image index)
     image_index: dict[str, int] = {}
-    skipped = 0
     error = None  # a structural error; the face lines before it are checked first
     i = 0
     try:
@@ -118,10 +132,9 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
                 raise AnnotationError(i, f"face count must be >= 0, got {count}")
             index = image_index.setdefault(path, len(image_index))
             if count == 0:
-                if i < n and _is_zero_box_line(lines[i]):
-                    skipped += 1
-                    i += 1
-                continue
+                if i == n or not _is_zero_box_line(lines[i]):
+                    continue
+                count = 1  # the placeholder, read with the face lines; the RectBox rule drops it (w = 0)
             groups.append((i, min(count, n - i), index))
             if count > n - i:
                 raise AnnotationError(n, f"{path!r} declares {count} faces but the listing ends after {n - i}")
@@ -135,7 +148,7 @@ def parse_annotations(source: str | Iterable[str]) -> ParsedAnnotations:
     image = np.repeat(np.array([g[2] for g in groups], np.int64), [g[1] for g in groups])
     keep = valid_boxes(*cols)
     records = FaceTable(*cols[:, keep], image[keep], tuple(image_index))
-    return ParsedAnnotations(records=records, skipped=skipped + len(values) - len(records))
+    return ParsedAnnotations(records=records, skipped=len(values) - len(records))
 
 
 def _face_values(lines: list, groups: list[tuple[int, int, int]]) -> np.ndarray:
@@ -155,28 +168,9 @@ def _face_values(lines: list, groups: list[tuple[int, int, int]]) -> np.ndarray:
 
 
 def _per_line_values(lines: list, groups: list[tuple[int, int, int]]) -> np.ndarray:
-    """:func:`_face_values` by the per-line rule: ``float()`` of each line's
-    first four tokens; the first bad line raises :class:`AnnotationError`."""
-    at = 0  # the line whose tokens are being converted
-
-    def heads():
-        nonlocal at
-        for s, c, _ in groups:
-            for at in range(s, s + c):
-                head = lines[at].split(None, 4)[:4]
-                if len(head) < 4:
-                    text = lines[at].rstrip("\r\n")
-                    raise AnnotationError(at + 1, f"face line needs at least 4 numbers, got {text!r}")
-                yield head
-
-    try:
-        values = np.fromiter(map(float, chain.from_iterable(heads())), np.float64, 4 * sum(c for _, c, _ in groups))
-    except AnnotationError:
-        raise
-    except ValueError:
-        text = lines[at].rstrip("\r\n")
-        raise AnnotationError(at + 1, f"non-numeric face coordinates in {text!r}") from None
-    return values.reshape(-1, 4)
+    """:func:`_face_values` by :func:`_face_row`; the first bad line raises."""
+    rows = (_face_row(lines[k], k + 1) for s, c, _ in groups for k in range(s, s + c))
+    return np.fromiter(chain.from_iterable(rows), np.float64, 4 * sum(c for _, c, _ in groups)).reshape(-1, 4)
 
 
 @dataclass(frozen=True)

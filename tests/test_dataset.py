@@ -278,10 +278,16 @@ class TestBatchParse:
         return calls
 
     def test_plain_ascii_listing_never_takes_the_per_line_rule(self, per_line_calls):
-        text = (DATA / "golden_faces.txt").read_text()
+        golden = (DATA / "golden_faces.txt").read_text()
+        # A WIDER-style face-less image: a count of 0 and one all-zero placeholder line.
+        text = golden + "empty.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n"
         for source in (text, text.splitlines(True), text.replace("\n", "\r\n").splitlines(True)):
             assert parse_outcome(parse_annotations, source) == parse_outcome(per_line_parse, source)
         assert per_line_calls == []
+        without = parse_annotations(golden)
+        parsed = parse_annotations(text)
+        assert parsed.skipped == without.skipped + 1
+        assert parsed.records.image_ids == (*without.records.image_ids, "empty.jpg")
         parse_annotations("a.jpg\n1\n1_0 2 3 4\n")  # the spy sees a fallback
         assert len(per_line_calls) == 1
 
@@ -292,6 +298,21 @@ class TestBatchParse:
         assert len(per_line_calls) == 1
         columns, image_ids, skipped = parse_outcome(parse_annotations, text)
         assert as_bytes == (columns, tuple(path.encode() for path in image_ids), skipped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mangled_listings())
+    def test_bytes_lines_return_or_raise_an_annotation_error(self, text):
+        try:
+            parse_annotations(text.encode().splitlines(True))
+        except AnnotationError:
+            pass
+
+    @pytest.mark.parametrize("line, message", [(b"1 2 x 4\n", "non-numeric face coordinates in b'1 2 x 4'"),
+                                               (b"1 2 4\n", "face line needs at least 4 numbers, got b'1 2 4'")])
+    def test_bytes_face_line_errors(self, line, message):
+        with pytest.raises(AnnotationError, match=f"^line 3: {message}$") as err:
+            parse_annotations([b"a.jpg\n", b"1\n", line])
+        assert err.value.line == 3
 
     @pytest.mark.parametrize("text, line, blank", [("a.jpg\n1\n\n", 3, ""), ("a.jpg\n2\n \n\t\n", 3, " "),
                                                   ("a.jpg\n1\n\u3000\r\nb.jpg\n0\n", 3, "\u3000"),

@@ -199,11 +199,11 @@ def where_rule(iw, ih, areas):
     return np.divide(inter, union, out=np.zeros(np.shape(union)), where=inter > 0.0)
 
 
-class TestOutBuffer:
+class TestAllocatingFormsAgainstWhereRule:
     """``iou_from_overlaps`` gives the bits of :func:`where_rule` on the
-    rule's edge inputs at every broadcast shape.  The class and test keep
-    the names they had when the IoU forms also took an ``out`` buffer, so
-    the five shape cases keep their IDs."""
+    rule's edge inputs at every broadcast shape, and a Python float of them
+    for scalar inputs; ``iou_xywh`` gives the bits of :func:`where_rule` on
+    its per-axis overlaps."""
 
     SHAPES = [((10, 1), (1, 10), (10, 1)), ((10, 1), (1, 10), ()), ((1, 10), (10, 1), (1, 1)),
               ((7, 1, 10), (7, 10, 1), (7, 1, 1)), ((10,), (10,), (10,))]
@@ -214,19 +214,13 @@ class TestOutBuffer:
         return iw, ih, areas
 
     @pytest.mark.parametrize("shapes", SHAPES, ids=["column-row", "scalar-areas", "row-column", "scan-block", "flat"])
-    def test_overlaps_out_is_the_allocating_form_bitwise(self, shapes):
+    def test_iou_from_overlaps_bits(self, shapes):
         rng = np.random.default_rng(len(shapes[0]) * 10 + len(shapes[2]))
         for _ in range(20):
             iw, ih, areas = self.edge_inputs(rng, shapes)
             got = iou_from_overlaps(iw, ih, areas)
             assert got.shape == np.broadcast(iw, ih, areas).shape
             assert got.tobytes() == where_rule(iw, ih, areas).tobytes()
-
-
-class TestAllocatingFormsAgainstWhereRule:
-    """Scalar inputs to ``iou_from_overlaps`` give a Python float of
-    :func:`where_rule`'s bits, and ``iou_xywh`` gives the bits of
-    :func:`where_rule` on its per-axis overlaps."""
 
     def test_scalars_give_a_float_of_where_rule_bits(self):
         cases = [(math.nan, 1.0, 2.0), (-0.0, 1.0, 2.0), (5e-324, 5e-324, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)]
